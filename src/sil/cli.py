@@ -27,7 +27,8 @@ from .harness import default_scenarios, parse_config, run_all
 from .kernels import (bessel_kernel_spec, gradient_kernel,
                       hyperbolic_kernel_spec, riesz_kernel)
 from .measures import MeasureDensity
-from .oneil import garsia_integral, garsia_transform, kernel_profile
+from .oneil import (garsia_integral, garsia_transform, kernel_profile,
+                    level_set_measure)
 from .params import Params
 from .potentials import radial_convolve
 from .rearrange import decreasing_rearrangement
@@ -166,11 +167,8 @@ def cmd_garsia(args) -> int:
     state = garsia_transform(fs, prof, params)
     res = garsia_integral(state)
     lam_probe = np.linspace(-state.d_star, 10.0, 40)
-    from .oneil import _measure_from_samples
-    measures = [_measure_from_samples(res["y_grid"], res["f_values"], lam)
-                for lam in lam_probe]
-    fitted_c5 = max(m / (abs(lam) + state.d_star)
-                    for m, lam in zip(measures, lam_probe))
+    measures = level_set_measure(lam_probe, res["y_grid"], res["f_values"])
+    fitted_c5 = float(np.max(measures / (np.abs(lam_probe) + state.d_star)))
     print(json.dumps({
         "schema": 1, "J": prof.J, "d_star": state.d_star,
         "fitted_C5": fitted_c5, "integral": res["integral"],

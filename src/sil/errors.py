@@ -81,6 +81,11 @@ class TailNotConverged(NumericError):
     """Tail of an improper integral did not converge on the working grid."""
 
 
+class SandwichViolated(SilError, AssertionError):
+    """Regularization sandwich lower <= middle <= upper failed; also an
+    AssertionError, so callers that count violations keep catching it."""
+
+
 class HypothesisViolated(DomainError):
     """Input violates the hypothesis of the bound being evaluated."""
 

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -41,9 +42,15 @@ class KernelProfile:
     sigma: float = 1.0
     t_cut: Optional[float] = None  # pure truncated profiles vanish past this
 
-    def k2star(self, t: np.ndarray) -> np.ndarray:
-        """Convolution kernels share both rearrangements: k2* = k1*."""
-        return self.k1star(t)
+    @cached_property
+    def _antideriv_table(self) -> tuple[np.ndarray, np.ndarray]:
+        """(log t, int_0^t k1*) on a log grid over [1e-12, 1e12]."""
+        g = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 8192))
+        vals = np.asarray(self.k1star(g), dtype=float) * g
+        log_g = np.log(g)
+        cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (vals[1:] + vals[:-1]) * np.diff(log_g))])
+        return log_g, cum
 
     def k1_antideriv(self, u) -> np.ndarray:
         """int_0^u k1*(s) ds; closed form for pure truncated power profiles,
@@ -54,15 +61,8 @@ class KernelProfile:
             uu = np.minimum(u, self.t_cut)
             out = self.A ** (1.0 / self.beta) * bc * uu ** (1.0 / bc)
             return out
-        if not hasattr(self, "_cum_grid"):
-            g = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 8192))
-            vals = np.asarray(self.k1star(g), dtype=float) * g
-            cum = np.concatenate([[0.0], np.cumsum(
-                0.5 * (vals[1:] + vals[:-1]) * np.diff(np.log(g)))])
-            object.__setattr__(self, "_cum_grid", g)
-            object.__setattr__(self, "_cum_vals", cum)
-        return np.interp(np.log(np.clip(u, 1e-12, 1e12)),
-                         np.log(self._cum_grid), self._cum_vals)
+        log_g, cum = self._antideriv_table
+        return np.interp(np.log(np.clip(u, 1e-12, 1e12)), log_g, cum)
 
 
 def _pure_profile(a_g: float, beta: float, t_cut: Optional[float]):
@@ -285,6 +285,37 @@ class GarsiaState:
             return 0.0
         return float(np.trapezoid(self.phi[mask] ** bc, self.x_grid[mask])) ** (1.0 / bc)
 
+    @cached_property
+    def _prefix(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+        """The y-independent pieces (left, xp, mid_cum, tail) of
+        int g(x, y) phi(x) dx.
+
+        left: the x <= 0 branch integral (constant in y);
+        mid(y): cumulative of (1 + H1 (1+x)^{-gamma}) phi over [0, y];
+        right(y) = C2^{1/b} e^{y/q} * tail(y), tail(y) = int_y^inf e^{-x/q} phi.
+        """
+        x, phi = self.x_grid, self.phi
+        beta, sigma = self.beta, self.sigma
+        neg = x <= 0
+        if np.any(neg):
+            gl = self.profile.A ** (-1.0 / beta) \
+                * np.asarray(self.profile.k1star(np.exp(-x[neg] / sigma))) \
+                * np.exp(-x[neg] / (sigma * beta))
+            left = float(np.trapezoid(gl * phi[neg], x[neg]))
+        else:
+            left = 0.0
+        pos = x >= 0
+        xp = x[pos]
+        mid_integrand = (1.0 + self.h1
+                         * (1.0 + xp) ** (-self.profile.gamma_exp)) * phi[pos]
+        mid_cum = np.concatenate([[0.0], np.cumsum(
+            0.5 * (mid_integrand[1:] + mid_integrand[:-1]) * np.diff(xp))])
+        tail_integrand = np.exp(-xp / self.q_exp) * phi[pos]
+        pieces = 0.5 * (tail_integrand[1:] + tail_integrand[:-1]) * np.diff(xp)
+        # accumulate from the right: no cancellation for e^{y/q} to amplify
+        tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
+        return left, xp, mid_cum, tail
+
 
 def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
     """int_0^inf [(1 + H1 (1+x)^{-gamma})^beta - 1] dx, finite for
@@ -383,50 +414,14 @@ def piecewise_kernel(x, y: float, state: GarsiaState) -> np.ndarray:
     return out
 
 
-def _prefix_arrays(state: GarsiaState):
-    """Cache the y-independent pieces of int g(x, y) phi(x) dx.
-
-    left: the x <= 0 branch integral (constant in y);
-    mid(y): cumulative of (1 + H1 (1+x)^{-gamma}) phi over [0, y];
-    right(y) = C2^{1/b} e^{y/q} * tail(y), tail(y) = int_y^inf e^{-x/q} phi.
-    """
-    if hasattr(state, "_left"):
-        return
-    x, phi = state.x_grid, state.phi
-    beta, sigma = state.beta, state.sigma
-    neg = x <= 0
-    if np.any(neg):
-        gl = state.profile.A ** (-1.0 / beta) \
-            * np.asarray(state.profile.k1star(np.exp(-x[neg] / sigma))) \
-            * np.exp(-x[neg] / (sigma * beta))
-        left = float(np.trapezoid(gl * phi[neg], x[neg]))
-    else:
-        left = 0.0
-    pos = x >= 0
-    xp = x[pos]
-    mid_integrand = (1.0 + state.h1
-                     * (1.0 + xp) ** (-state.profile.gamma_exp)) * phi[pos]
-    mid_cum = np.concatenate([[0.0], np.cumsum(
-        0.5 * (mid_integrand[1:] + mid_integrand[:-1]) * np.diff(xp))])
-    tail_integrand = np.exp(-xp / state.q_exp) * phi[pos]
-    pieces = 0.5 * (tail_integrand[1:] + tail_integrand[:-1]) * np.diff(xp)
-    # accumulate from the right: no cancellation for e^{y/q} to amplify
-    tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
-    object.__setattr__(state, "_left", left)
-    object.__setattr__(state, "_xp", xp)
-    object.__setattr__(state, "_mid_cum", mid_cum)
-    object.__setattr__(state, "_tail", tail)
-
-
 def inner_integral(y, state: GarsiaState):
     """int g(x, y) phi(x) dx, vectorized over y >= 0."""
-    _prefix_arrays(state)
+    left, xp, mid_cum, tail_cum = state._prefix
     y = np.atleast_1d(np.asarray(y, dtype=float))
-    mid = np.interp(y, state._xp, state._mid_cum,
-                    left=0.0, right=state._mid_cum[-1])
-    tail = np.interp(y, state._xp, state._tail, left=state._tail[0], right=0.0)
+    mid = np.interp(y, xp, mid_cum, left=0.0, right=mid_cum[-1])
+    tail = np.interp(y, xp, tail_cum, left=tail_cum[0], right=0.0)
     right = state.c2 ** (1.0 / state.beta) * np.exp(y / state.q_exp) * tail
-    out = state._left + mid + right
+    out = left + mid + right
     return out if out.size > 1 else float(out[0])
 
 
@@ -438,30 +433,32 @@ def F_functional(y, state: GarsiaState):
     return out if out.size > 1 else float(out[0])
 
 
-def level_set_measure(lam: float, state: GarsiaState,
-                      y_max: float = 50.0, step: float = 0.01) -> float:
-    """|{y >= 0 : F(y) <= lam}| on a uniform y grid with bisection-refined
-    boundaries at the sign changes of F - lam."""
-    ys = np.arange(0.0, y_max + step, step)
-    fs = np.array([F_functional(y, state) for y in ys])
-    below = fs <= lam
-    total = 0.0
-    for k in range(len(ys) - 1):
-        a, b = below[k], below[k + 1]
-        if a and b:
-            total += step
-        elif a != b:
-            lo, hi = ys[k], ys[k + 1]
-            below_lo = a
-            for _ in range(30):
-                midp = 0.5 * (lo + hi)
-                if (F_functional(midp, state) <= lam) == below_lo:
-                    lo = midp
-                else:
-                    hi = midp
-            crossing = 0.5 * (lo + hi)
-            total += (crossing - ys[k]) if a else (ys[k + 1] - crossing)
-    return total
+def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
+    """|{F <= lam}| of the piecewise-linear interpolant of the samples
+    (ys, fs), for each lam (an array for an array, a float for a scalar).
+
+    A segment with both ends at or below lam counts whole, a segment that
+    crosses lam counts its linearly interpolated part.  The segments are
+    vectorized one lam at a time, so the working memory stays O(segments)
+    whatever the number of levels; the sequential sum keeps the rounding
+    of a plain loop over the segments.
+    """
+    ys = np.asarray(ys, dtype=float)
+    fs = np.asarray(fs, dtype=float)
+    lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
+    dy = np.diff(ys)
+    out = np.zeros(lam_arr.shape)
+    if dy.size == 0:
+        return out if np.ndim(lams) else 0.0
+    for i, lam in enumerate(lam_arr):
+        below = fs <= lam
+        lo, hi = below[:-1], below[1:]
+        contrib = np.where(lo & hi, dy, 0.0)
+        k = np.flatnonzero(lo != hi)
+        frac = np.clip((lam - fs[k]) / (fs[k + 1] - fs[k]), 0.0, 1.0)
+        contrib[k] = dy[k] * np.where(lo[k], frac, 1.0 - frac)
+        out[i] = np.cumsum(contrib)[-1]
+    return out if np.ndim(lams) else float(out[0])
 
 
 def garsia_integral(state: GarsiaState, y_max: float = 200.0,
@@ -485,7 +482,7 @@ def garsia_integral(state: GarsiaState, y_max: float = 200.0,
     direct = float(np.trapezoid(np.exp(-fs), ys))
     # layer cake: int_{-d*}^inf |E_lambda| e^{-lambda} d lambda
     lams = np.linspace(-state.d_star, 40.0, 400)
-    measures = np.array([_measure_from_samples(ys, fs, lam) for lam in lams])
+    measures = level_set_measure(lams, ys, fs)
     layer = float(np.trapezoid(measures * np.exp(-lams), lams))
     return {"integral": direct, "layer_cake": layer,
             "f_min": float(np.min(fs)), "d_star": state.d_star,
@@ -508,9 +505,7 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     # path A: t-side quadrature on a log grid
     s = np.linspace(math.log(1e-6), 0.0, t_nodes)
     t = np.exp(s)
-    expo = np.array([
-        (sigma / profile.A) * oneil_rhs(fstar, profile, float(tt)) ** beta
-        for tt in t])
+    expo = (sigma / profile.A) * oneil_rhs(fstar, profile, t) ** beta
     path_a = float(np.trapezoid(np.exp(expo) * t, s))
     # path A misses (0, 1e-6); bound the omitted piece by its endpoint value
     omitted = float(np.exp(expo[0]) * t[0])
@@ -522,19 +517,3 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     path_b = float(np.trapezoid(np.exp(-fs[mask]), ys[mask]))
     return {"path_a": path_a, "path_b": path_b, "omitted_head": omitted,
             "state": state, "integral_full": res["integral"]}
-
-
-def _measure_from_samples(ys: np.ndarray, fs: np.ndarray, lam: float) -> float:
-    below = fs <= lam
-    if not np.any(below):
-        return 0.0
-    total = 0.0
-    for k in range(len(ys) - 1):
-        a, b = below[k], below[k + 1]
-        if a and b:
-            total += ys[k + 1] - ys[k]
-        elif a != b:
-            frac = (lam - fs[k]) / (fs[k + 1] - fs[k])
-            frac = min(max(frac, 0.0), 1.0)
-            total += (ys[k + 1] - ys[k]) * (frac if a else 1.0 - frac)
-    return total

@@ -14,7 +14,7 @@ from typing import Optional, Union
 
 import numpy as np
 
-from .errors import DomainError, UnboundedDistribution
+from .errors import DomainError, SandwichViolated, UnboundedDistribution
 from .grids import CartesianField, RadialFunction
 from .measures import MeasureDensity, lebesgue
 from .norms import head_mass, node_masses
@@ -268,6 +268,6 @@ def regularization_sandwich(u: Field, alpha_coeff: float, p: float,
     shift = math.exp(alpha_coeff) * norm_p**p
     lower, upper = core - shift, core + shift
     if not (lower <= middle * (1 + 1e-12) + 1e-12 and middle <= upper * (1 + 1e-12) + 1e-12):
-        raise AssertionError(
+        raise SandwichViolated(
             f"regularization sandwich violated: {lower} <= {middle} <= {upper}")
     return lower, middle, upper

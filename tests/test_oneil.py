@@ -84,7 +84,7 @@ class TestKernelProfile:
         assert np.all(vals <= bound * (1 + 1e-6))
         t_all = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 80))
         tail_bound = prof.B * t_all ** (-1 / (prof.sigma * prof.beta))
-        assert np.all(np.asarray(prof.k2star(t_all)) <= tail_bound * (1 + 1e-6))
+        assert np.all(np.asarray(prof.k1star(t_all)) <= tail_bound * (1 + 1e-6))
         assert np.isfinite(prof.J) and prof.J >= 0.0
 
 
@@ -196,13 +196,16 @@ class TestLevelSetMachinery:
         assert F_functional(3.0, state) == pytest.approx(3.0, abs=1e-12)
         res = garsia_integral(state)
         assert res["integral"] == pytest.approx(1.0, rel=1e-4)
-        assert level_set_measure(3.0, state) == pytest.approx(3.0, abs=1e-6)
-        assert level_set_measure(-0.5, state) == 0.0
+        ys, fs = res["y_grid"], res["f_values"]
+        assert level_set_measure(3.0, ys, fs) == pytest.approx(3.0, abs=1e-6)
+        assert level_set_measure(-0.5, ys, fs) == 0.0
 
     def test_level_sets_nested(self):
         state = garsia_transform(STEP, RIESZ_PROFILE, P2)
-        m1 = level_set_measure(0.5, state)
-        m2 = level_set_measure(2.0, state)
+        res = garsia_integral(state)
+        ys, fs = res["y_grid"], res["f_values"]
+        m1 = level_set_measure(0.5, ys, fs)
+        m2 = level_set_measure(2.0, ys, fs)
         assert m1 <= m2 + 1e-12
 
     def test_lower_bound_random_ensemble(self):
@@ -245,11 +248,71 @@ class TestLevelSetMachinery:
     def test_fitted_c5_stable(self):
         state = garsia_transform(STEP, RIESZ_PROFILE, P2)
         res = garsia_integral(state)
-        from sil.oneil import _measure_from_samples
         lams = np.linspace(-state.d_star + 0.5, 20.0, 30)
-        cs = [_measure_from_samples(res["y_grid"], res["f_values"], lam)
-              / (abs(lam) + state.d_star) for lam in lams]
+        cs = level_set_measure(lams, res["y_grid"], res["f_values"]) \
+            / (np.abs(lams) + state.d_star)
         assert max(cs) <= 10.0
+
+
+def reference_measure(ys, fs, lam):
+    """|{F <= lam}| by a plain loop over the segments of (ys, fs)."""
+    below = fs <= lam
+    if not np.any(below):
+        return 0.0
+    total = 0.0
+    for k in range(len(ys) - 1):
+        a, b = below[k], below[k + 1]
+        if a and b:
+            total += ys[k + 1] - ys[k]
+        elif a != b:
+            frac = (lam - fs[k]) / (fs[k + 1] - fs[k])
+            frac = min(max(frac, 0.0), 1.0)
+            total += (ys[k + 1] - ys[k]) * (frac if a else 1.0 - frac)
+    return total
+
+
+class TestLevelSetMeasure:
+    def check(self, lams, ys, fs):
+        ys, fs = np.asarray(ys, dtype=float), np.asarray(fs, dtype=float)
+        got = level_set_measure(lams, ys, fs)
+        ref = np.array([reference_measure(ys, fs, lam) for lam in lams])
+        assert got.shape == ref.shape
+        np.testing.assert_allclose(got, ref, rtol=1e-12, atol=0.0)
+        return got
+
+    def test_matches_loop_on_random_states(self):
+        rng = np.random.default_rng(21)
+        x = np.linspace(-40.0, 40.0, 2001)
+        for _ in range(4):
+            raw = np.abs(rng.normal(size=x.size))
+            raw[np.abs(x) > rng.uniform(5.0, 30.0)] = 0.0
+            nrm = float(np.trapezoid(raw**2, x)) ** 0.5
+            phi = raw / nrm * rng.uniform(0.3, 1.0)
+            state = state_from_phi(phi, x, RIESZ_PROFILE, P2)
+            res = garsia_integral(state)
+            lams = np.linspace(-state.d_star, 40.0, 80)
+            self.check(lams, res["y_grid"], res["f_values"])
+
+    @pytest.mark.parametrize("lams, ys, fs, expected", [
+        # every level below min F
+        ([-5.0, 0.5, 0.999], [0.0, 1.0, 2.0], [1.0, 3.0, 2.0], [0.0] * 3),
+        # a flat segment f_k = f_{k+1} = lam counts whole
+        ([1.0], [0.0, 1.0, 2.0, 3.0], [2.0, 1.0, 1.0, 2.0], [1.0]),
+        # lam equal to a sample value
+        ([1.0], [0.0, 1.0, 2.0], [0.0, 1.0, 2.0], [1.0]),
+        # non-monotone F: a quarter of each unit zig-zag segment, rising
+        # or falling, and a sixth of the last half-unit one
+        ([0.5], [0.0, 1.0, 2.0, 3.0, 4.0, 4.5],
+         [0.0, 2.0, 0.0, 2.0, 0.0, 3.0], [1.0 + 0.5 / 6.0]),
+    ])
+    def test_edge_cases(self, lams, ys, fs, expected):
+        np.testing.assert_allclose(self.check(lams, ys, fs), expected,
+                                   rtol=1e-14, atol=0.0)
+
+    def test_scalar_level(self):
+        ys, fs = [0.0, 1.0, 2.0], [0.0, 2.0, 0.0]
+        assert isinstance(level_set_measure(1.0, ys, fs), float)
+        assert level_set_measure(1.0, ys, fs) == pytest.approx(1.0)
 
 
 class TestDualPath:

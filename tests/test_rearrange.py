@@ -3,7 +3,8 @@ import math
 import numpy as np
 import pytest
 
-from sil.errors import UnboundedDistribution
+import sil.rearrange
+from sil.errors import SilError, UnboundedDistribution
 from sil.grids import RadialFunction, indicator_values, log_grid
 from sil.norms import lp_norm
 from sil.rearrange import (decreasing_rearrangement, distribution_function,
@@ -155,3 +156,14 @@ class TestSandwich:
                 f, rng.uniform(0.3, 2.0), 2.0)
             assert lower <= middle * (1 + 1e-10) + 1e-12
             assert middle <= upper * (1 + 1e-10) + 1e-12
+
+    def test_violation_is_sil_error(self, monkeypatch):
+        # an inflated regularized exponential pushes middle above upper; the
+        # failure must reach the CLI's SilError exit code and still be an
+        # AssertionError for the callers that count violations
+        monkeypatch.setattr(sil.rearrange, "exp_regularized",
+                            lambda t, n: np.full_like(t, 1e6))
+        f = RadialFunction(GRID, indicator_values(GRID, 1.0), 2)
+        with pytest.raises(SilError, match="sandwich violated") as info:
+            regularization_sandwich(f, 1.0, 2.0)
+        assert isinstance(info.value, AssertionError)
