@@ -18,8 +18,8 @@ from .rearrange import (RearrangedProfile, decreasing_rearrangement,
                         regularization_sandwich)
 from .potentials import (angular_weight, cartesian_convolve, lipschitz_probe,
                          radial_convolve)
-from .extremals import (ExtremalFamily, PolynomialBasis, adams_family,
-                        dilated_family, hyperbolic_log_family,
+from .extremals import (ExtremalFamily, LogFamily, PolynomialBasis,
+                        adams_family, dilated_family, hyperbolic_log_family,
                         moser_log_family, normalize_ruf,
                         polynomial_projection)
 from .functionals import (Domain, FunctionalSpec, adachi_functional,

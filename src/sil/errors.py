@@ -61,10 +61,6 @@ class IllConditionedBasis(NumericError):
     """Polynomial basis failed the orthonormality residual test."""
 
 
-class PotentialNotComputed(SilError):
-    """Operation requires a potential profile that was never attached."""
-
-
 class UnboundedDistribution(NumericError):
     """Distribution function is infinite at some positive level."""
 

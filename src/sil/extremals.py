@@ -1,10 +1,11 @@
 """Saturating families for the sharp exponential inequalities.
 
-The truncated-power family lives on the annulus eps <= |y| <= 1; its
-moment-cancelled version subtracts the L^2(B_1) projection onto
-polynomials of degree <= 2n, which forces the potential to decay fast
-enough at infinity for the critical norm to be finite.  Log-plateau
-families (Euclidean and hyperbolic) drive the first-order blow-up tests.
+The truncated-power family (ExtremalFamily) lives on the annulus
+eps <= |y| <= 1; its moment-cancelled version subtracts the L^2(B_1)
+projection onto polynomials of degree <= 2n, which forces the potential to
+decay fast enough at infinity for the critical norm to be finite.  Log-plateau
+families (LogFamily, Euclidean and hyperbolic) drive the first-order
+blow-up tests.
 
 For rotation-equivariant kernels the projection reduces to a small radial
 moment system solved in closed form; the generic n-D orthonormal-basis
@@ -14,12 +15,12 @@ path is kept for angular kernels.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Optional
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedBasis, PotentialNotComputed
+from .errors import DomainError, IllConditionedBasis
 from .grids import RadialFunction, anchored_log_grid
 from .kernels import KernelSpec
 from .measures import MeasureDensity, hyperbolic_volume, lebesgue
@@ -164,20 +165,22 @@ def _radial_projection_coeffs(n: int, alpha: float, eps: float, c_phi: float,
     return np.linalg.solve(gram, rhs)
 
 
-@dataclass
+@dataclass(slots=True)
 class ExtremalFamily:
-    """One member of a saturating family.
+    """One member of a truncated-power (Adams) family.
 
-    profile holds the (scalar) radial values; vector data stores the radial
-    magnitude with vector=True (the field is (y/|y|) * profile).  potential
-    is attached by normalize_ruf / dilated_family.  norm_pth_power caches
-    ||f||_{n/a}^{n/a}; potential_norm_pth the same for T f.
+    kind: 'adams_phi' | 'adams_corrected' | 'adams_normalized' |
+    'adams_dilated'.  profile holds the (scalar) radial values; vector data
+    stores the radial magnitude with vector=True (the field is
+    (y/|y|) * profile).  potential is T_g of the profile, filled in by
+    attach_potential; norm_pth_power caches ||f||_{n/a}^{n/a};
+    potential_norm_pth the same for T f.
     """
 
     kind: str
     eps: float
     params: Params
-    kernel: Optional[KernelSpec]
+    kernel: KernelSpec
     profile: RadialFunction
     vector: bool = False
     r_dilation: float = 1.0
@@ -187,7 +190,6 @@ class ExtremalFamily:
     norm_pth_power: Optional[float] = None
     potential_norm_pth: Optional[float] = None
     normalization: float = 1.0
-    measure: Optional[MeasureDensity] = None
 
     def even_moments(self, jmax: int) -> np.ndarray:
         """Analytic radial moments of the profile, exact for truncated-power
@@ -220,7 +222,7 @@ class ExtremalFamily:
 
     def far_field(self, r: np.ndarray) -> np.ndarray:
         """Potential far from the support via the even-moment expansion."""
-        if self.kernel is None or not self.kernel.is_constant_angular:
+        if not self.kernel.is_constant_angular:
             raise DomainError("moment far field needs a constant angular kernel")
         moments = self.even_moments(40)
         return far_field_from_moments(self.kernel, moments, r) / self.normalization
@@ -296,14 +298,12 @@ def projection_sup_bound(fam: ExtremalFamily) -> float:
 
 
 def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
-    """Compute and cache T_g of the family profile and both critical norms.
+    """The family with T_g of its profile and both critical norms filled in.
 
     Corrected families annihilate moments up to degree 2n, so their
     potentials decay at the first surviving multipole order rather than the
     generic homogeneous rate; the tail exponent is set accordingly.
     """
-    if fam.kernel is None:
-        raise PotentialNotComputed("family carries no kernel")
     n, alpha = fam.params.n, fam.params.alpha
     source = "radial_vector" if fam.vector else "scalar"
     if fam.kind == "adams_corrected":
@@ -313,32 +313,27 @@ def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
     tf = radial_convolve(fam.profile, fam.kernel, source=source,
                          tail_exponent_out=tail)
     pc = fam.params.p_crit
-    fam.potential = tf
-    fam.norm_pth_power = lp_norm(fam.profile, pc) ** pc
-    fam.potential_norm_pth = lp_norm(tf, pc) ** pc
-    return fam
+    return replace(fam, potential=tf,
+                   norm_pth_power=lp_norm(fam.profile, pc) ** pc,
+                   potential_norm_pth=lp_norm(tf, pc) ** pc)
 
 
-def normalize_ruf(fam: ExtremalFamily, g: Optional[KernelSpec] = None) -> ExtremalFamily:
+def normalize_ruf(fam: ExtremalFamily) -> ExtremalFamily:
     """Divide by the paired-norm normalizer so that
     (||f||^{n/a} + ||Tf||^{n/a})^{a/n} = 1, propagating to the potential."""
     if fam.kind != "adams_corrected":
         raise DomainError("normalization applies to the corrected family")
-    if g is not None and g is not fam.kernel:
-        fam = ExtremalFamily(**{**fam.__dict__, "kernel": g})
     if fam.potential is None:
-        attach_potential(fam)
+        fam = attach_potential(fam)
     pc = fam.params.p_crit
     d = (fam.norm_pth_power + fam.potential_norm_pth) ** (1.0 / pc)
-    scaled = ExtremalFamily(
-        kind="adams_normalized", eps=fam.eps, params=fam.params, kernel=fam.kernel,
+    return replace(
+        fam, kind="adams_normalized",
         profile=fam.profile.with_values(fam.profile.values / d),
-        vector=fam.vector, proj_coeffs=fam.proj_coeffs, c_phi=fam.c_phi,
         potential=fam.potential.with_values(fam.potential.values / d),
         norm_pth_power=fam.norm_pth_power / d**pc,
         potential_norm_pth=fam.potential_norm_pth / d**pc,
         normalization=d)
-    return scaled
 
 
 def dilated_family(fam: ExtremalFamily, q: float, theta: float) -> ExtremalFamily:
@@ -354,7 +349,7 @@ def dilated_family(fam: ExtremalFamily, q: float, theta: float) -> ExtremalFamil
     qc = p.q_conj
     r = (1.0 - theta) ** (-1.0 / (p.n * qc))
     if fam.potential is None:
-        attach_potential(fam)
+        fam = attach_potential(fam)
     pc = p.p_crit
     a_norm = fam.norm_pth_power ** (1.0 / pc)
     b_norm = (fam.potential_norm_pth ** (1.0 / pc)) * r**p.alpha
@@ -386,11 +381,6 @@ def coupling_eps(n: int, q: float, theta: float) -> float:
 def _smoothstep(x: np.ndarray) -> np.ndarray:
     x = np.clip(x, 0.0, 1.0)
     return x**3 * (10.0 - 15.0 * x + 6.0 * x**2)
-
-
-def _smoothstep_d(x: np.ndarray) -> np.ndarray:
-    inside = (x > 0.0) & (x < 1.0)
-    return np.where(inside, 30.0 * x**2 * (1.0 - x) ** 2, 0.0)
 
 
 def _smoothstep_int(x: np.ndarray) -> np.ndarray:
@@ -469,38 +459,47 @@ def log_plateau_profile(eps: float, smoothing_width: float):
     return value, derivative
 
 
+@dataclass(slots=True)
+class LogFamily:
+    """One member of a log-plateau family: the profile v, its gradient
+    magnitude |v'| on the same grid, and the measure both integrate against
+    (Lebesgue, or the hyperbolic volume in geodesic polar coordinates)."""
+
+    eps: float
+    params: Params
+    profile: RadialFunction
+    gradient: RadialFunction
+    measure: MeasureDensity
+
+
 def moser_log_family(n: int, alpha: float, eps: float,
                      smoothing_width: Optional[float] = None,
-                     per_decade: int = 400) -> ExtremalFamily:
+                     per_decade: int = 400) -> LogFamily:
     """Mollified log-plateau family; for alpha = 1 the first-order gradient
     norm grows like omega_{n-1} log(1/eps) + O(1)."""
     w = smoothing_width if smoothing_width is not None else eps / 2.0
     value, derivative = log_plateau_profile(eps, w)
     grid = anchored_log_grid(1.0, eps / 30.0, 10.0, per_decade=per_decade)
-    prof = RadialFunction(grid, value(grid), n)
-    fam = ExtremalFamily(kind="moser_log", eps=eps, params=Params(n=n, alpha=alpha),
-                         kernel=None, profile=prof, measure=lebesgue(n))
-    fam.gradient = RadialFunction(grid, np.abs(derivative(grid)), n)
-    fam.value_fn, fam.derivative_fn = value, derivative
-    return fam
+    return LogFamily(eps=eps, params=Params(n=n, alpha=alpha),
+                     profile=RadialFunction(grid, value(grid), n),
+                     gradient=RadialFunction(grid, np.abs(derivative(grid)), n),
+                     measure=lebesgue(n))
 
 
 def hyperbolic_log_family(n: int, alpha: float, eps: float,
                           smoothing_width: Optional[float] = None,
-                          per_decade: int = 400) -> ExtremalFamily:
+                          per_decade: int = 400) -> LogFamily:
     """Same profile in geodesic polar coordinates with sinh^{n-1} volume."""
-    fam = moser_log_family(n, alpha, eps, smoothing_width, per_decade)
-    fam.kind = "hyperbolic_log"
-    fam.measure = hyperbolic_volume(n)
-    return fam
+    return replace(moser_log_family(n, alpha, eps, smoothing_width, per_decade),
+                   measure=hyperbolic_volume(n))
 
 
-def gradient_norm_pth(fam: ExtremalFamily) -> float:
+def gradient_norm_pth(fam: LogFamily) -> float:
     """||grad v||_{n/a}^{n/a} of a log family against its measure."""
     pc = fam.params.p_crit
     return lp_norm(fam.gradient, pc, fam.measure) ** pc
 
 
-def plateau_norm(fam: ExtremalFamily) -> float:
+def plateau_norm(fam: LogFamily) -> float:
     """||v||_{n/a} of a log family against its measure."""
     return lp_norm(fam.profile, fam.params.p_crit, fam.measure)

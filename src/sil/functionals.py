@@ -10,21 +10,19 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple, Union
+from typing import Optional, Tuple
 
 import numpy as np
 
-from .constants import moser_gamma
+from .constants import moser_gamma, sharp_gamma
 from .errors import (DivergentIntegral, DomainError, HypothesisViolated,
                      NonIntegrable)
 from .grids import CartesianField, RadialFunction
 from .measures import (MeasureDensity, hyperplane_measure, lebesgue,
                        singular_measure)
-from .norms import head_mass, node_masses
+from .norms import Field, cells
 from .params import Params
 from .rearrange import exp_regularized
-
-Field = Union[RadialFunction, CartesianField]
 
 
 @dataclass(frozen=True)
@@ -141,29 +139,28 @@ class FunctionalResult:
         return self.value
 
 
-def _field_cells(u: Field, spec: FunctionalSpec):
+def _in_domain(u: Field, spec: FunctionalSpec):
+    """The (values, masses) cells of u restricted to spec.domain.
+
+    Radial masses are scaled by the share of each log-cell inside the
+    domain (the head cell counts when the domain reaches the origin); the
+    half space takes half of every cell.  Cells left with zero mass are
+    dropped.
+    """
+    vals, masses = cells(u, spec.measure)
     if isinstance(u, CartesianField):
-        if spec.measure is not None and spec.measure.kind != "lebesgue":
-            raise DomainError("cartesian functionals support Lebesgue measure")
         ax = u.axes()
         coords = np.meshgrid(*([ax] * u.n), indexing="ij")
         mask = spec.domain.cartesian_mask([c.ravel() for c in coords])
-        vals = np.abs(u.values).ravel()[mask]
-        masses = np.full(vals.shape, u.h**u.n)
-        return vals, masses
+        return vals[mask], masses[mask]
     if spec.domain.kind == "slab":
         raise DomainError("slab domains integrate Cartesian fields only")
-    nu = spec.measure if spec.measure is not None else lebesgue(u.n)
-    mag = u.magnitude()
     share = 0.5 if spec.domain.kind == "halfspace" else 1.0
-    masses = node_masses(u, nu) * _cell_fractions(u.grid, spec.domain) * share
+    head = share if spec.domain.inner <= u.grid[0] else 0.0
+    masses = masses * np.concatenate(
+        [[head], _cell_fractions(u.grid, spec.domain) * share])
     keep = masses > 0
-    vals = mag[keep]
-    masses = masses[keep]
-    if spec.domain.inner <= u.grid[0]:
-        vals = np.concatenate([[mag[0]], vals])
-        masses = np.concatenate([[head_mass(u, nu) * share], masses])
-    return vals, masses
+    return vals[keep], masses[keep]
 
 
 def _cell_fractions(grid: np.ndarray, domain: Domain) -> np.ndarray:
@@ -210,7 +207,7 @@ def mt_functional(u: Field, spec: FunctionalSpec) -> FunctionalResult:
         if nu is None or nu.kind in ("lebesgue", "hyperbolic"):
             raise DivergentIntegral(
                 "whole-space exponential integral needs the regularized form")
-    vals, masses = _field_cells(u, spec)
+    vals, masses = _in_domain(u, spec)
     t = spec.gamma_coeff * vals**spec.power
     truncation = 0.0
     if spec.regularized:
@@ -266,7 +263,6 @@ def adachi_functional(u: Field, grad_norm: float, u_norm: float, theta: float,
     """
     if grad_norm <= 0:
         raise DomainError("gradient norm must be positive")
-    from .constants import sharp_gamma
     gamma = sharp_gamma(params.n, int(params.alpha))
     spec = FunctionalSpec(
         gamma_coeff=theta * gamma / grad_norm**params.beta,
@@ -277,6 +273,21 @@ def adachi_functional(u: Field, grad_norm: float, u_norm: float, theta: float,
     return lhs, rhs_scale
 
 
+def _masmoudi_setup(u: Field, variant: Tuple[str, float], params: Params,
+                    gamma: Optional[float]):
+    """(spec, denominator power, values, masses) of a ratio functional."""
+    kind, arg = variant
+    if kind not in ("q_power", "eps_power"):
+        raise DomainError(f"unknown variant {kind!r}")
+    denom_power = params.beta if kind == "q_power" else params.beta * (1.0 + arg)
+    if gamma is None:
+        gamma = sharp_gamma(params.n, int(params.alpha))
+    spec = FunctionalSpec(gamma_coeff=gamma, power=params.beta,
+                          domain=Domain.whole_space(), regularized=True,
+                          order=params.regularization_order)
+    return (spec, denom_power) + _in_domain(u, spec)
+
+
 def masmoudi_functional(u: Field, variant: Tuple[str, float],
                         params: Params,
                         gamma: Optional[float] = None) -> float:
@@ -285,18 +296,8 @@ def masmoudi_functional(u: Field, variant: Tuple[str, float],
     variant ('q_power', q) uses denominator power beta; ('eps_power', eps)
     uses beta * (1 + eps).
     """
-    kind, _arg = variant
-    if kind not in ("q_power", "eps_power"):
-        raise DomainError(f"unknown variant {kind!r}")
-    denom_power = params.beta if kind == "q_power" else params.beta * (1.0 + _arg)
-    if gamma is None:
-        from .constants import sharp_gamma
-        gamma = sharp_gamma(params.n, int(params.alpha))
-    spec = FunctionalSpec(gamma_coeff=gamma, power=params.beta,
-                          domain=Domain.whole_space(), regularized=True,
-                          order=params.regularization_order)
-    vals, masses = _field_cells(u, spec)
-    t = gamma * vals**params.beta
+    spec, denom_power, vals, masses = _masmoudi_setup(u, variant, params, gamma)
+    t = spec.gamma_coeff * vals**spec.power
     ratio = exp_regularized(t, spec.order) / (1.0 + vals) ** denom_power
     total = float(np.sum(masses * ratio))
     if isinstance(u, RadialFunction) and u.tail_exponent is not None \
@@ -308,18 +309,10 @@ def masmoudi_functional(u: Field, variant: Tuple[str, float],
 def masmoudi_series_oracle(u: Field, variant: Tuple[str, float], params: Params,
                            gamma: Optional[float] = None, terms: int = 24) -> float:
     """Truncated-series evaluation of the ratio functional for small u."""
-    kind, _arg = variant
-    denom_power = params.beta if kind == "q_power" else params.beta * (1.0 + _arg)
-    if gamma is None:
-        from .constants import sharp_gamma
-        gamma = sharp_gamma(params.n, int(params.alpha))
-    spec = FunctionalSpec(gamma_coeff=gamma, power=params.beta,
-                          domain=Domain.whole_space(), regularized=True,
-                          order=params.regularization_order)
-    vals, masses = _field_cells(u, spec)
+    spec, denom_power, vals, masses = _masmoudi_setup(u, variant, params, gamma)
     acc = np.zeros_like(vals)
     for k in range(spec.order + 1, spec.order + 1 + terms):
-        acc += gamma**k * vals ** (params.beta * k) / math.factorial(k)
+        acc += spec.gamma_coeff**k * vals ** (spec.power * k) / math.factorial(k)
     return float(np.sum(masses * acc / (1.0 + vals) ** denom_power))
 
 
@@ -362,7 +355,7 @@ def shifted_functional_bounds(tf: Field, K: float, p_f: float,
     bc = beta / (beta - 1.0)
     if p_f < 0 or p_f > 1:
         raise HypothesisViolated("seminorm value must lie in [0, 1]")
-    vals, masses = _field_cells(tf, spec)
+    vals, masses = _in_domain(tf, spec)
     log_masses = np.log(np.clip(masses, 1e-300, None))
 
     def shifted(shift: float) -> float:

@@ -78,6 +78,18 @@ def trapezoid_weights_log(r: np.ndarray) -> np.ndarray:
     return r * dt
 
 
+def _csv_metadata(lines) -> dict:
+    """The key=value tokens of the '#' comment lines of a CSV export."""
+    meta = {}
+    for ln in lines:
+        if ln.startswith("#"):
+            for tok in ln[1:].split():
+                if "=" in tok:
+                    k, v = tok.split("=", 1)
+                    meta[k] = v
+    return meta
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A radial profile sampled on a strictly increasing positive grid.
@@ -169,13 +181,7 @@ class RadialFunction:
     @staticmethod
     def from_csv(text: str) -> "RadialFunction":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        meta = {}
-        for ln in lines:
-            if ln.startswith("#"):
-                for tok in ln[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
+        meta = _csv_metadata(lines)
         rows = [ln for ln in lines if not ln.startswith("#") and not ln[0].isalpha()]
         data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
         tail = meta.get("tail_exponent")
@@ -289,13 +295,7 @@ class CartesianField:
     @staticmethod
     def from_csv(text: str) -> "CartesianField":
         lines = [ln for ln in text.splitlines() if ln.strip()]
-        meta = {}
-        for ln in lines:
-            if ln.startswith("#"):
-                for tok in ln[1:].split():
-                    if "=" in tok:
-                        k, v = tok.split("=", 1)
-                        meta[k] = v
+        meta = _csv_metadata(lines)
         n = int(meta["n"])
         res = int(meta["resolution"])
         vals = np.zeros((res,) * n)

@@ -27,15 +27,17 @@ import numpy as np
 from . import __version__
 from .constants import riesz_normalization, sphere_area
 from .errors import ConfigError, SilError
-from .extremals import (adams_family, attach_potential, dilated_family,
-                        gradient_norm_pth, hyperbolic_log_family,
-                        moser_log_family, normalize_ruf)
+from .extremals import (adams_family, attach_potential, coupling_eps,
+                        dilated_family, gradient_norm_pth,
+                        hyperbolic_log_family, moser_log_family,
+                        normalize_ruf)
 from .functionals import Domain, FunctionalSpec, holder_split_inequality, \
     mt_functional, shifted_functional_bounds
 from .grids import RadialFunction, log_grid
-from .kernels import (bessel_kernel, bessel_kernel_spec,
+from .kernels import (bessel_kernel, bessel_kernel_spec, constant_kernel,
                       hyperbolic_h2_exact, riesz_kernel)
 from .measures import singular_measure
+from .norms import lp_norm, pair_q_norm
 from .oneil import (garsia_integral, kernel_profile, oneil_rhs,
                     state_from_phi)
 from .params import Params
@@ -249,12 +251,9 @@ def _run_adachi_rate(sc: Scenario) -> ScenarioResult:
     rate statement holds for every admissible kernel).
     """
     p = sc.params
-    from .kernels import constant_kernel
     kernel = constant_kernel(p, sc.kernel_scale)
     a_g = sphere_area(p.n) / p.n * sc.kernel_scale**p.beta
     points = []
-    from .extremals import coupling_eps
-    from .norms import pair_q_norm
     for theta in sc.sweep:
         eps = coupling_eps(p.n, sc.q, theta)
         base = attach_potential(adams_family(kernel, eps,
@@ -352,7 +351,6 @@ def _run_bessel(sc: Scenario) -> ScenarioResult:
     g = log_grid(1e-5, 60.0, nodes)
     vals = bessel_kernel(p.n, p.alpha, g)
     kern = RadialFunction(g, vals, p.n)
-    from .norms import lp_norm
     checks["mass"] = lp_norm(kern, 1.0)
     # exponential decay ratio
     checks["decay_ratio"] = float(bessel_kernel(p.n, p.alpha, 11.0)
@@ -388,7 +386,6 @@ def _run_oneil_garsia(sc: Scenario) -> ScenarioResult:
     worst_slack = math.inf
     for _ in range(20):
         f = _random_profile(rng, grid, p.n)
-        from .norms import lp_norm
         scale = lp_norm(f, p.p_crit)
         f = f.with_values(f.values / scale)
         tf = radial_convolve(f, kernel)
@@ -444,7 +441,6 @@ def _run_lemma_suite(sc: Scenario) -> ScenarioResult:
     sandwich_fail = 0
     for _ in range(50):
         u = _random_profile(rng, grid, p.n)
-        from .norms import lp_norm
         u = u.with_values(u.values / max(lp_norm(u, p.p_crit), 1e-9)
                           * rng.uniform(0.2, 1.0))
         try:

@@ -8,6 +8,7 @@ homogeneity degree.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 from typing import Callable, Optional
@@ -27,7 +28,6 @@ class KernelSpec:
     angular: callable on an array of unit vectors (K, n) returning (K,) or
              (K, m) values; None means the constant scalar part.
     constant_angular_value: fast path for angular parts that are constant.
-    smoothness: declared class of the angular part ('lipschitz' or 'C2n').
     """
 
     kind: str
@@ -35,8 +35,6 @@ class KernelSpec:
     angular: Optional[Callable[[np.ndarray], np.ndarray]] = None
     constant_angular_value: Optional[float] = 1.0
     vector_arity: int = 1
-    smoothness: str = "C2n"
-    lipschitz_const: float = 0.0
     label: str = "kernel"
     degree: float = field(init=False)
 
@@ -57,8 +55,11 @@ class KernelSpec:
         return self.vector_arity > 1
 
     def cache_key(self) -> tuple:
+        """Everything that determines an angular weight table; the angular
+        callable itself is part of it, so two kernels share a table only
+        when they share the callable."""
         return (self.label, self.kind, self.params.n, self.params.alpha,
-                self.constant_angular_value, self.vector_arity)
+                self.angular, self.constant_angular_value, self.vector_arity)
 
 
 def riesz_kernel(params: Params, normalized: bool = False) -> KernelSpec:
@@ -74,13 +75,15 @@ def constant_kernel(params: Params, value: float, label: str = "const") -> Kerne
                       constant_angular_value=value, label=label)
 
 
+@functools.cache
 def gradient_kernel(n: int, alpha: int) -> KernelSpec:
     """Vector kernel of the odd-order gradient representation.
 
     Angular part c_{alpha+1} (n - alpha - 1) * omega (unit-vector valued),
     degree alpha - n; for (n, alpha) = (2, 1) the angular part is
     omega / (2 pi).  The reciprocal of its sharp constant reproduces the
-    first-order Moser constant for alpha = 1.
+    first-order Moser constant for alpha = 1.  One spec per (n, alpha), so
+    every caller shares its angular callable and hence its weight tables.
     """
     if alpha % 2 == 0:
         raise DomainError("gradient kernel is defined for odd orders")
@@ -97,15 +100,7 @@ def gradient_kernel(n: int, alpha: int) -> KernelSpec:
         return scale * np.asarray(omegas, dtype=float)
 
     return KernelSpec(kind="homogeneous", params=params, angular=angular,
-                      vector_arity=n, smoothness="C2n",
-                      lipschitz_const=scale, label=f"gradient_{n}_{alpha}")
-
-
-def gradient_angular_scale(n: int, alpha: int) -> float:
-    """|g(omega)| of the gradient kernel (constant over the sphere)."""
-    if (n, alpha) == (2, 1):
-        return 1.0 / (2.0 * math.pi)
-    return riesz_normalization(n, alpha + 1) * (n - alpha - 1)
+                      vector_arity=n, label=f"gradient_{n}_{alpha}")
 
 
 def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:
@@ -128,7 +123,7 @@ def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:
     s = np.linspace(s_lo, s_hi, m)
     t = np.exp(s)
     # integrand in s: e^{-pi r^2/t} e^{-t/4pi} t^{(a-n)/2}
-    ex = (-math.pi * np.subtract.outer(r**2, np.zeros(1)).ravel()[:, None] / t[None, :]
+    ex = (-math.pi * (r**2)[:, None] / t[None, :]
           - t[None, :] / (4.0 * math.pi)
           + ((alpha - n) / 2.0) * s[None, :])
     vals = np.exp(ex)
@@ -148,14 +143,12 @@ def hyperbolic_h2_exact(n: int, rho) -> np.ndarray:
     if np.any(rho <= 0):
         raise DomainError("geodesic radius must be positive")
     x, w = np.polynomial.legendre.leggauss(160)
-    out = np.empty_like(rho)
-    for i, p in enumerate(rho):
-        # int_rho^inf dr / sinh^{n-1} r ; r = p - log(z), z in (0, 1]
-        z = 0.5 * (x + 1.0)
-        wz = 0.5 * w
-        rr = p - np.log(np.clip(z, 1e-300, None))
-        vals = np.where(z > 0, np.sinh(rr) ** (1 - n) / np.clip(z, 1e-300, None), 0.0)
-        out[i] = np.sum(wz * vals)
+    # int_rho^inf dr / sinh^{n-1} r ; r = rho - log(z), z in (0, 1]
+    z = 0.5 * (x + 1.0)
+    wz = 0.5 * w
+    rr = rho[:, None] - np.log(np.clip(z, 1e-300, None))
+    vals = np.where(z > 0, np.sinh(rr) ** (1 - n) / np.clip(z, 1e-300, None), 0.0)
+    out = np.sum(wz * vals, axis=1)
     out /= sphere_area(n)
     return out if out.size > 1 else float(out[0])
 

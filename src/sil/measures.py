@@ -25,7 +25,6 @@ class MeasureDensity:
     kind: 'lebesgue' | 'radial' | 'hyperbolic' | 'hyperplane'
     radial_density: w(r) for kind='radial' (w >= 0)
     growth_Q, growth_sigma: certified bound nu(B(x,r)) <= Q r^{sigma n}
-    tail_bound_Qprime: optional Q' with nu(E) <= Q' |E| far from the origin
     """
 
     kind: str
@@ -33,7 +32,6 @@ class MeasureDensity:
     radial_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     growth_Q: Optional[float] = None
     growth_sigma: float = 1.0
-    tail_bound_Qprime: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "radial", "hyperbolic", "hyperplane"):
@@ -139,7 +137,7 @@ class MeasureDensity:
 
 def lebesgue(n: int) -> MeasureDensity:
     return MeasureDensity(kind="lebesgue", n=n, growth_Q=sphere_area(n) / n,
-                          growth_sigma=1.0, tail_bound_Qprime=1.0)
+                          growth_sigma=1.0)
 
 
 def hyperbolic_volume(n: int) -> MeasureDensity:
@@ -162,7 +160,6 @@ def singular_measure(n: int, sigma: float) -> MeasureDensity:
         radial_density=None if sigma == 1.0 else (lambda r, e=expo: np.asarray(r) ** e),
         growth_Q=q,
         growth_sigma=sigma,
-        tail_bound_Qprime=1.0,  # density <= 1 for |x| >= 1
     )
 
 

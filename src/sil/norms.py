@@ -13,6 +13,7 @@ from typing import Optional, Union
 
 import numpy as np
 
+from .constants import sphere_area
 from .errors import DomainError, NonIntegrableTail
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .measures import MeasureDensity, lebesgue
@@ -32,6 +33,23 @@ def head_mass(f: RadialFunction, nu: Optional[MeasureDensity] = None) -> float:
     return measure.ball_mass_origin(float(f.grid[0]))
 
 
+def cells(f: Field, nu: Optional[MeasureDensity] = None):
+    """(values, masses) decomposition of |f| over the whole space.
+
+    Cartesian fields give one cell per grid point (Lebesgue measure only).
+    Radial profiles give one cell per node, preceded by the head cell: the
+    ball below the first node, carrying the first node's value.
+    """
+    if isinstance(f, CartesianField):
+        if nu is not None and nu.kind != "lebesgue":
+            raise DomainError("cartesian fields support the Lebesgue measure")
+        vals = np.abs(f.values).ravel()
+        return vals, np.full(vals.shape, f.h**f.n)
+    vals = f.magnitude()
+    return (np.concatenate([[vals[0]], vals]),
+            np.concatenate([[head_mass(f, nu)], node_masses(f, nu)]))
+
+
 def _tail_integral(f: RadialFunction, p: float, nu: Optional[MeasureDensity]) -> float:
     """Analytic tail of int |f|^p dnu beyond the last node, or 0/raise."""
     mag_end = float(f.magnitude()[-1])
@@ -44,7 +62,6 @@ def _tail_integral(f: RadialFunction, p: float, nu: Optional[MeasureDensity]) ->
         if expo >= 0:
             raise NonIntegrableTail(
                 f"tail exponent {f.tail_exponent} makes the p={p} norm diverge")
-        from .constants import sphere_area
         return sphere_area(f.n) * mag_end**p * r_max**f.n / (-expo)
     # generic weight: quadrature out to where the integrand is negligible
     from scipy.integrate import quad

@@ -16,7 +16,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .constants import ball_volume
+from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
 from .errors import (DomainError, ExponentConstraintViolated, JInfinite,
                      MassNotCaptured, TailNotConverged)
 from .grids import RadialFunction, log_grid
@@ -91,7 +91,6 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     p = kernel.params
     beta = p.beta
     if kernel.kind == "homogeneous":
-        from .constants import kernel_sharp_constant
         a_g = kernel_sharp_constant(kernel)
         if truncation_radius is None:
             raise JInfinite(
@@ -114,7 +113,6 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
         vals = bessel_kernel(p.n, p.alpha, g)
         prof = RadialFunction(g, vals, p.n, tail_exponent=None)
         rearr = decreasing_rearrangement(prof)
-        from .constants import riesz_normalization
         c_a = riesz_normalization(p.n, p.alpha)
         a = ball_volume(p.n) * c_a**beta
         k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
@@ -133,7 +131,6 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     prof = RadialFunction(g, vals, p.n, tail_exponent=None)
     rearr = decreasing_rearrangement(prof, hyperbolic_volume(p.n))
     beta_eff = p.n / (p.n - alpha_eff)
-    from .constants import riesz_normalization
     c_a = riesz_normalization(p.n, alpha_eff)
     a = ball_volume(p.n) * c_a**beta_eff
     k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))

@@ -22,7 +22,7 @@ from typing import Dict, Optional, Tuple
 import numpy as np
 from scipy.signal import fftconvolve
 
-from .constants import sphere_area
+from .constants import ball_volume, sphere_area
 from .errors import (DomainError, GeometryViolated, NonIntegrableKernel,
                      ResolutionTooCoarse, SingularOnDiagonal, UnboundedResult)
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
@@ -506,7 +506,6 @@ def lipschitz_probe(f: RadialFunction, kernel: KernelSpec, case: str,
     tf = radial_convolve(f, kernel)
 
     if case == "separated":
-        from .constants import ball_volume
         if ball_volume(p.n) * supp_hi**p.n > 1.0 + 1e-9:
             raise GeometryViolated("support measure exceeds 1")
         if R < 1.0:

@@ -10,34 +10,16 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError, SandwichViolated, UnboundedDistribution
 from .grids import CartesianField, RadialFunction
 from .measures import MeasureDensity, lebesgue
-from .norms import head_mass, node_masses
-
-Field = Union[RadialFunction, CartesianField]
+from .norms import Field, cells, head_mass
 
 INFINITE = math.inf
-
-
-def _cells(f: Field, nu: Optional[MeasureDensity]):
-    """(values, masses) cell decomposition shared by all rearrangement ops."""
-    if isinstance(f, CartesianField):
-        if nu is not None and nu.kind != "lebesgue":
-            raise DomainError("cartesian rearrangement supports Lebesgue measure")
-        vals = np.abs(f.values).ravel()
-        masses = np.full(vals.shape, f.h**f.n)
-        return vals, masses
-    vals = f.magnitude()
-    masses = node_masses(f, nu)
-    # lump the inner ball onto the first node value
-    vals = np.concatenate([[vals[0]], vals])
-    masses = np.concatenate([[head_mass(f, nu)], masses])
-    return vals, masses
 
 
 def distribution_function(f: Field, s: float,
@@ -50,7 +32,7 @@ def distribution_function(f: Field, s: float,
     if s < 0:
         raise DomainError("level must be nonnegative")
     if isinstance(f, CartesianField):
-        vals, masses = _cells(f, nu)
+        vals, masses = cells(f, nu)
         return float(np.sum(masses[vals > s]))
 
     mag = f.magnitude()
@@ -160,7 +142,7 @@ def decreasing_rearrangement(f: Field, nu: Optional[MeasureDensity] = None
     if isinstance(f, RadialFunction) and f.tail_exponent is not None:
         if f.tail_exponent >= 0 and float(f.magnitude()[-1]) > 0:
             raise UnboundedDistribution("profile does not decay: rearrangement undefined")
-    vals, masses = _cells(f, nu)
+    vals, masses = cells(f, nu)
     if isinstance(f, RadialFunction) and f.tail_exponent is not None \
             and float(f.magnitude()[-1]) > 0:
         # append tail cells following the declared power decay
@@ -259,7 +241,7 @@ def regularization_sandwich(u: Field, alpha_coeff: float, p: float,
         raise DomainError("need 1 < p < inf")
     p_conj = p / (p - 1.0)
     n_strip = max(0, math.ceil(p - 2.0))
-    vals, masses = _cells(u, nu)
+    vals, masses = cells(u, nu)
     norm_p = float(np.sum(masses * vals**p)) ** (1.0 / p)
     over = vals >= 1.0
     with np.errstate(over="ignore"):

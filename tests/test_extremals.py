@@ -246,6 +246,21 @@ class TestDilatedFamily:
             (1.0 - theta0) ** (-1.0 / (2 * p.q_conj)), rel=1e-12)
 
 
+class TestDeclaredFields:
+    def test_undeclared_attribute_rejected(self):
+        for fam in (adams_family(K2, 1e-2), moser_log_family(2, 1.0, 1e-2),
+                    hyperbolic_log_family(2, 1.0, 1e-2)):
+            with pytest.raises(AttributeError):
+                fam.value_fn = None
+
+    def test_hyperbolic_family_differs_only_in_measure(self):
+        eu = moser_log_family(3, 1.0, 1e-2)
+        hy = hyperbolic_log_family(3, 1.0, 1e-2)
+        assert eu.measure.kind == "lebesgue" and hy.measure.kind == "hyperbolic"
+        assert np.array_equal(eu.profile.values, hy.profile.values)
+        assert np.array_equal(eu.gradient.values, hy.gradient.values)
+
+
 class TestLogFamilies:
     def test_plateau_value(self):
         for eps in (1e-2, 1e-3):

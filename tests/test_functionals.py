@@ -187,6 +187,12 @@ class TestMasmoudi:
             series = masmoudi_series_oracle(u, variant, P2)
             assert full == pytest.approx(series, rel=1e-10)
 
+    def test_unknown_variant_rejected(self):
+        u = RadialFunction(GRID, 0.1 * np.exp(-GRID**2), 2)
+        for evaluate in (masmoudi_functional, masmoudi_series_oracle):
+            with pytest.raises(DomainError, match="unknown variant"):
+                evaluate(u, ("r_power", 2.0), P2)
+
     def test_eps_variant_larger_denominator(self):
         u = RadialFunction(GRID, np.exp(-GRID**2), 2)
         a = masmoudi_functional(u, ("q_power", 1.0), P2)

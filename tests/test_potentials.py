@@ -7,11 +7,12 @@ from sil.constants import riesz_normalization
 from sil.errors import (DomainError, SingularOnDiagonal, UnboundedResult)
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid)
-from sil.kernels import (bessel_kernel, gradient_kernel,
+from sil.kernels import (KernelSpec, bessel_kernel, gradient_kernel,
                          hyperbolic_green, hyperbolic_h2_exact, riesz_kernel)
 from sil.norms import lp_norm
 from sil.params import Params
-from sil.potentials import (angular_weight, ball_average, cartesian_convolve,
+from sil.potentials import (angular_weight, angular_weight_table,
+                            ball_average, cartesian_convolve,
                             far_field_from_moments, lipschitz_probe,
                             radial_convolve)
 
@@ -101,6 +102,26 @@ class TestAngularWeight:
             m = 4 * r * rho / (r + rho) ** 2
             exact = 4.0 * ellipk(m) / (r + rho)
             assert angular_weight(K2, r, rho) == pytest.approx(exact, rel=1e-9)
+
+
+class TestWeightTableCache:
+    def test_angular_callable_is_part_of_the_key(self):
+        # two kernels with the default label that differ only in their
+        # angular part must not share a cached table
+        k1 = KernelSpec(kind="homogeneous", params=P2,
+                        angular=lambda om: np.ones(len(om)))
+        k5 = KernelSpec(kind="homogeneous", params=P2,
+                        angular=lambda om: np.full(len(om), 5.0))
+        t1 = angular_weight_table(k1, 0.05, 64)
+        t5 = angular_weight_table(k5, 0.05, 64)
+        assert t5 is not t1
+        assert t5.values[-1] == pytest.approx(5.0 * t1.values[-1], rel=1e-12)
+
+    def test_gradient_kernel_tables_are_shared(self):
+        k = gradient_kernel(2, 1)
+        table = angular_weight_table(k, 0.05, 64, source="radial_vector")
+        assert angular_weight_table(gradient_kernel(2, 1), 0.05, 64,
+                                    source="radial_vector") is table
 
 
 class TestRadialConvolve:

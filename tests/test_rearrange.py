@@ -5,7 +5,8 @@ import pytest
 
 import sil.rearrange
 from sil.errors import SilError, UnboundedDistribution
-from sil.grids import RadialFunction, indicator_values, log_grid
+from sil.functionals import Domain, FunctionalSpec, mt_functional
+from sil.grids import CartesianField, RadialFunction, indicator_values, log_grid
 from sil.norms import lp_norm
 from sil.rearrange import (decreasing_rearrangement, distribution_function,
                            exp_regularized, regularization_sandwich)
@@ -156,6 +157,25 @@ class TestSandwich:
                 f, rng.uniform(0.3, 2.0), 2.0)
             assert lower <= middle * (1 + 1e-10) + 1e-12
             assert middle <= upper * (1 + 1e-10) + 1e-12
+
+    def test_middle_is_regularized_whole_space_functional(self):
+        # both integrate exp_N(a |u|^{p'}) over the same norms.cells
+        rng = np.random.default_rng(5)
+        fields = [random_step_profile(rng, n=2), random_step_profile(rng, n=3),
+                  CartesianField.from_callable(
+                      lambda x, y: 0.6 * np.exp(-(x**2 + 2.0 * y**2)),
+                      2, 2.0, 64)]
+        for u in fields:
+            u = u if isinstance(u, CartesianField) else \
+                u.with_values(u.values / lp_norm(u, 2.0))
+            for a, p in ((0.8, 2.0), (1.5, 3.0)):
+                _, middle, _ = regularization_sandwich(u, a, p)
+                spec = FunctionalSpec(
+                    gamma_coeff=a, power=p / (p - 1.0),
+                    domain=Domain.whole_space(), regularized=True,
+                    order=max(0, math.ceil(p - 2.0)))
+                assert mt_functional(u, spec).value == pytest.approx(
+                    middle, rel=1e-12)
 
     def test_violation_is_sil_error(self, monkeypatch):
         # an inflated regularized exponential pushes middle above upper; the
