@@ -110,14 +110,6 @@ def _sphere_quadrature_nodes(n: int, order: int):
     raise DomainError(f"tensor sphere quadrature implemented for n in {{2, 3}}, got n={n}")
 
 
-def _sphere_integral_zonal(n: int, profile, order: int) -> float:
-    """Integrate omega -> profile(omega . e1) over S^{n-1} by colatitude GL."""
-    x, w = np.polynomial.legendre.leggauss(order)
-    # weight (1 - x^2)^{(n-3)/2} from the colatitude volume element
-    vals = profile(x) * (1.0 - x**2) ** ((n - 3) / 2.0)
-    return sphere_area(n - 1) * float(np.sum(w * vals))
-
-
 def kernel_sharp_constant(g: "KernelSpec", order: Optional[int] = None) -> float:
     """A_g = (1/n) * integral over S^{n-1} of |g(omega)|^{n/(n-alpha)}.
 

@@ -135,9 +135,6 @@ class FunctionalResult:
     log_value: float
     truncation_error: float = 0.0
 
-    def __float__(self):
-        return self.value
-
 
 def _in_domain(u: Field, spec: FunctionalSpec):
     """The (values, masses) cells of u restricted to spec.domain.

@@ -19,7 +19,7 @@ import json
 import math
 import os
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from typing import Callable, Dict, List, Optional
 
 import numpy as np
@@ -74,7 +74,6 @@ class Scenario:
     sweep: List[float] = field(default_factory=list)
     seed: int = 0
     delta: float = 0.25
-    q: float = 2.0
     resolution: int = 400  # radial nodes per decade
     kernel_scale: float = 1.0
 
@@ -121,8 +120,9 @@ def _config_hash(payload: dict) -> str:
 
 
 def _provenance(sc: Scenario) -> dict:
-    cfg = {"id": sc.id, "n": sc.params.n, "alpha": sc.params.alpha,
-           "q": None if math.isinf(sc.q) else sc.q, "sigma": sc.params.sigma,
+    p = sc.params
+    cfg = {"id": sc.id, "n": p.n, "alpha": p.alpha,
+           "q": None if math.isinf(p.q) else p.q, "sigma": p.sigma,
            "sweep": sc.sweep, "seed": sc.seed, "delta": sc.delta,
            "resolution": sc.resolution, "version": __version__}
     cfg["config_hash"] = _config_hash(cfg)
@@ -255,10 +255,10 @@ def _run_adachi_rate(sc: Scenario) -> ScenarioResult:
     a_g = sphere_area(p.n) / p.n * sc.kernel_scale**p.beta
     points = []
     for theta in sc.sweep:
-        eps = coupling_eps(p.n, sc.q, theta)
+        eps = coupling_eps(p.n, p.q, theta)
         base = attach_potential(adams_family(kernel, eps,
                                              per_decade=sc.resolution))
-        fam = dilated_family(base, sc.q, theta)
+        fam = dilated_family(base, p.q, theta)
         # reverse-bound window: the plateau ball of the dilated family
         window = fam.r_dilation * fam.eps / 3.0
         spec = FunctionalSpec(gamma_coeff=theta / a_g, power=p.beta,
@@ -285,8 +285,7 @@ def _run_adachi_rate(sc: Scenario) -> ScenarioResult:
     fit["plain_slope"] = fit["slope"]
     fit["slope"] = float(coef[0])
     fit["deficit_coeff"] = float(coef[2])
-    q_conj = 1.0 if math.isinf(sc.q) else sc.q / (sc.q - 1.0)
-    fit["target"] = 1.0 / q_conj
+    fit["target"] = 1.0 / p.q_conj
     verdict = "rate_confirmed" if abs(fit["slope"] - fit["target"]) <= 0.1 \
         else "violated"
     return ScenarioResult(sc.id, points, fit, verdict, _provenance(sc))
@@ -489,10 +488,7 @@ def run_scenario(sc: Scenario, check_resolution: bool = True) -> ScenarioResult:
     to 'inconclusive'."""
     result = _RUNNERS[sc.id](sc)
     if check_resolution:
-        half = Scenario(id=sc.id, params=sc.params, sweep=sc.sweep,
-                        seed=sc.seed, delta=sc.delta, q=sc.q,
-                        resolution=max(sc.resolution // 2, 50),
-                        kernel_scale=sc.kernel_scale)
+        half = replace(sc, resolution=max(sc.resolution // 2, 50))
         redo = _RUNNERS[sc.id](half)
         if redo.verdict != result.verdict:
             result.verdict = "inconclusive"
@@ -502,15 +498,15 @@ def run_scenario(sc: Scenario, check_resolution: bool = True) -> ScenarioResult:
 
 def default_scenarios(seed: int = 0) -> List[Scenario]:
     return [
-        Scenario("ruf_sharp", Params(2, 1.0), seed=seed),
-        Scenario("ruf_supercritical", Params(2, 1.0), seed=seed),
-        Scenario("adachi_rate", Params(2, 1.0, q=2.0), seed=seed, q=2.0,
+        Scenario("ruf_sharp", Params(2, 1.0, q=2.0), seed=seed),
+        Scenario("ruf_supercritical", Params(2, 1.0, q=2.0), seed=seed),
+        Scenario("adachi_rate", Params(2, 1.0, q=2.0), seed=seed,
                  kernel_scale=0.5),
-        Scenario("trace_sharp", Params(2, 1.0, sigma=0.5), seed=seed),
-        Scenario("hyperbolic", Params(3, 2.0), seed=seed),
-        Scenario("bessel", Params(3, 1.0), seed=seed),
-        Scenario("oneil_garsia", Params(2, 1.0), seed=seed),
-        Scenario("lemma_suite", Params(2, 1.0), seed=seed),
+        Scenario("trace_sharp", Params(2, 1.0, q=2.0, sigma=0.5), seed=seed),
+        Scenario("hyperbolic", Params(3, 2.0, q=2.0), seed=seed),
+        Scenario("bessel", Params(3, 1.0, q=2.0), seed=seed),
+        Scenario("oneil_garsia", Params(2, 1.0, q=2.0), seed=seed),
+        Scenario("lemma_suite", Params(2, 1.0, q=2.0), seed=seed),
     ]
 
 
@@ -526,8 +522,7 @@ def parse_config(path: str) -> List[Scenario]:
         try:
             params = Params(n=int(entry.get("n", 2)),
                             alpha=float(entry.get("alpha", 1.0)),
-                            q=float(entry["q"]) if "q" in entry and entry["q"]
-                            is not None else 1.0,
+                            q=float(entry.get("q", 2.0)),
                             sigma=float(entry.get("sigma", 1.0)))
             scale_default = 0.5 if entry["id"] == "adachi_rate" else 1.0
             out.append(Scenario(
@@ -535,8 +530,6 @@ def parse_config(path: str) -> List[Scenario]:
                 sweep=[float(x) for x in entry.get("sweep", [])],
                 seed=int(entry.get("seed", seed)),
                 delta=float(entry.get("delta", 0.25)),
-                q=float("inf") if entry.get("q") == "inf"
-                else float(entry.get("q", 2.0)),
                 resolution=int(entry.get("resolution", 400)),
                 kernel_scale=float(entry.get("kernel_scale", scale_default))))
         except (KeyError, TypeError, ValueError, SilError) as exc:

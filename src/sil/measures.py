@@ -99,10 +99,8 @@ class MeasureDensity:
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
         if self.kind == "hyperplane":
-            # line through origin: chord of the ball on that line
-            if center_radius >= r:
-                # ball may still intersect the line; center sits on the line
-                return 2.0 * r
+            # line through origin: the chord is at most a diameter, which
+            # it attains when the ball's center lies on the line
             return 2.0 * r
         if self.kind == "radial":
             # integrate in polar coordinates about the origin: shells around

@@ -89,8 +89,8 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     numerically from a radial sampling.
     """
     p = kernel.params
-    beta = p.beta
     if kernel.kind == "homogeneous":
+        beta = p.beta
         a_g = kernel_sharp_constant(kernel)
         if truncation_radius is None:
             raise JInfinite(
@@ -108,28 +108,23 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
         return KernelProfile(beta=beta, A=a_g, H=0.0, gamma_exp=1.0,
                              B=a_g ** (1.0 / beta), J=j, k1star=k1,
                              t_cut=t_cut)
+    # sampled kernels: rearrange a radial sampling (hyperbolic kernels
+    # against the hyperbolic volume) and fit the bound constants
     if kernel.kind == "bessel":
         g = grid if grid is not None else log_grid(1e-5, 60.0, 4096)
         vals = bessel_kernel(p.n, p.alpha, g)
-        prof = RadialFunction(g, vals, p.n, tail_exponent=None)
-        rearr = decreasing_rearrangement(prof)
-        c_a = riesz_normalization(p.n, p.alpha)
-        a = ball_volume(p.n) * c_a**beta
-        k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
-        j = _tail_j(k1, a, beta)
-        h = _fit_profile_h(k1, a, beta)
-        return KernelProfile(beta=beta, A=a, H=h, gamma_exp=1.0,
-                             B=a ** (1.0 / beta) * (1.0 + h), J=j, k1star=k1)
-    # hyperbolic kernels: rearrange against the hyperbolic volume
-    g = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
-    if kernel.kind == "hyperbolic_exact":
-        vals = hyperbolic_green(p.n, g, mode="exact_H2")
-        alpha_eff = 2.0
+        alpha_eff, measure = p.alpha, None
     else:
-        vals = hyperbolic_green(p.n, g, mode="asymptotic", alpha=p.alpha)
-        alpha_eff = p.alpha
+        g = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
+        if kernel.kind == "hyperbolic_exact":
+            vals = hyperbolic_green(p.n, g, mode="exact_H2")
+            alpha_eff = 2.0
+        else:
+            vals = hyperbolic_green(p.n, g, mode="asymptotic", alpha=p.alpha)
+            alpha_eff = p.alpha
+        measure = hyperbolic_volume(p.n)
     prof = RadialFunction(g, vals, p.n, tail_exponent=None)
-    rearr = decreasing_rearrangement(prof, hyperbolic_volume(p.n))
+    rearr = decreasing_rearrangement(prof, measure)
     beta_eff = p.n / (p.n - alpha_eff)
     c_a = riesz_normalization(p.n, alpha_eff)
     a = ball_volume(p.n) * c_a**beta_eff
@@ -179,13 +174,18 @@ def oneil_constant(profile: KernelProfile) -> float:
     return bc * profile.A ** (1.0 / beta) * (1.0 + profile.H)
 
 
+def _pair_q(beta: float, sigma: float, p: float) -> float:
+    """The exponent q of the O'Neil pair: 1/q = 1/(sigma b) + (1/p - 1)/sigma."""
+    return 1.0 / (1.0 / (sigma * beta) + (1.0 / p - 1.0) / sigma)
+
+
 def check_exponents(beta: float, sigma: float, p: float, q: float) -> None:
     lo = max(1.0, beta * (1.0 - sigma) / (beta - 1.0))
     bc = beta / (beta - 1.0)
     if not lo <= p < bc:
         raise ExponentConstraintViolated(
             f"need max(1, b(1-s)/(b-1)) <= p < b', got p={p}")
-    q_expected = 1.0 / (1.0 / (sigma * beta) + (1.0 / p - 1.0) / sigma)
+    q_expected = _pair_q(beta, sigma, p)
     if abs(q - q_expected) > 1e-9 * q_expected:
         raise ExponentConstraintViolated(
             f"q must satisfy 1/q = 1/(sigma b) + (1/p - 1)/sigma; expected "
@@ -207,7 +207,7 @@ def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t,
     """
     beta = profile.beta
     if q is None:
-        q = 1.0 / (1.0 / (sigma * beta) + (1.0 / p - 1.0) / sigma)
+        q = _pair_q(beta, sigma, p)
     check_exponents(beta, sigma, p, q)
     if c0 is None:
         if sigma != 1.0 or p != 1.0:
@@ -252,7 +252,6 @@ class GarsiaState:
     beta: float
     sigma: float
     q_exp: float
-    p_exp: float
     x_grid: np.ndarray
     phi: np.ndarray
     profile: KernelProfile
@@ -336,7 +335,7 @@ def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
     beta = profile.beta
     sigma = params.sigma
     bc = beta / (beta - 1.0)
-    q = 1.0 / (1.0 / (sigma * beta) + (1.0 / p - 1.0) / sigma)
+    q = _pair_q(beta, sigma, p)
     if c0 is None:
         c0 = oneil_constant(profile) if (sigma == 1.0 and p == 1.0) else None
     if c0 is None:
@@ -350,7 +349,7 @@ def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
         x = np.sort(np.concatenate([x, xb - 1e-9, xb + 1e-9]))
     phi = (1.0 / sigma) ** (1.0 / bc) \
         * fstar.fstar_at(np.exp(-x / sigma)) * np.exp(-(beta - 1.0) / (sigma * beta) * x)
-    state = GarsiaState(beta=beta, sigma=sigma, q_exp=q, p_exp=p,
+    state = GarsiaState(beta=beta, sigma=sigma, q_exp=q,
                         x_grid=x, phi=np.asarray(phi, dtype=float),
                         profile=profile, c0=c0)
     # exact step-function isometry: the b'-mass inside the x-window equals
@@ -376,8 +375,8 @@ def state_from_phi(phi_values: np.ndarray, x_grid: np.ndarray,
     beta = profile.beta
     if c0 is None:
         c0 = oneil_constant(profile)
-    q = 1.0 / (1.0 / (params.sigma * beta) + (1.0 / p - 1.0) / params.sigma)
-    state = GarsiaState(beta=beta, sigma=params.sigma, q_exp=q, p_exp=p,
+    q = _pair_q(beta, params.sigma, p)
+    state = GarsiaState(beta=beta, sigma=params.sigma, q_exp=q,
                         x_grid=np.asarray(x_grid, dtype=float),
                         phi=np.asarray(phi_values, dtype=float),
                         profile=profile, c0=c0)
@@ -458,14 +457,14 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     return out if np.ndim(lams) else float(out[0])
 
 
-def garsia_integral(state: GarsiaState, y_max: float = 200.0,
-                    step: float = 0.01) -> dict:
+def garsia_integral(state: GarsiaState) -> dict:
     """int_0^inf e^{-F(y)} dy with a layer-cake cross check.
 
-    The grid extends until F(y) > 40 (past its last dip below);
-    TailNotConverged if the window never reaches that threshold.
+    F is sampled with step 0.01 on [0, 200] and the grid is cut once
+    F(y) > 40 (past its last dip below); TailNotConverged if the window
+    never reaches that threshold.
     """
-    ys = np.arange(0.0, y_max + step, step)
+    ys = np.arange(0.0, 200.0 + 0.01, 0.01)
     fs = np.atleast_1d(F_functional(ys, state))
     past = np.nonzero(fs > 40.0)[0]
     if past.size == 0:
@@ -487,7 +486,7 @@ def garsia_integral(state: GarsiaState, y_max: float = 200.0,
 
 
 def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
-                     params: Params, t_nodes: int = 400) -> dict:
+                     params: Params) -> dict:
     """Evaluate int_0^1 exp[(sigma/A) M(t)^beta] dt two ways.
 
     Path A integrates directly in t with the majorant M(t) built from f*;
@@ -500,7 +499,7 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     sigma = params.sigma
     c0 = oneil_constant(profile)
     # path A: t-side quadrature on a log grid
-    s = np.linspace(math.log(1e-6), 0.0, t_nodes)
+    s = np.linspace(math.log(1e-6), 0.0, 400)
     t = np.exp(s)
     expo = (sigma / profile.A) * oneil_rhs(fstar, profile, t) ** beta
     path_a = float(np.trapezoid(np.exp(expo) * t, s))

@@ -180,7 +180,7 @@ def angular_weight(kernel: KernelSpec, r: float, rho: float,
 class AngularWeightTable:
     """W-hat sampled on the relative log grid k*h, k = -(M-1) .. M-1.
 
-    Entries within `band` cells of the diagonal hold cell averages (Gauss-
+    Entries within _BAND cells of the diagonal hold cell averages (Gauss-
     Legendre in log-offset); the diagonal cell integrates a local singular
     model fitted from W-hat at offsets {h/4, h/2, h} on each side.
     """
@@ -195,6 +195,7 @@ class AngularWeightTable:
 
 
 _TABLE_CACHE: Dict[Tuple, AngularWeightTable] = {}
+_BAND = 4  # off-diagonal cells on each side that hold cell averages
 
 
 def _diag_cell_average(kernel: KernelSpec, h: float, source: str) -> float:
@@ -237,8 +238,8 @@ def _near_cell_average(kernel: KernelSpec, k: int, h: float, source: str) -> flo
 
 
 def angular_weight_table(kernel: KernelSpec, h: float, m: int,
-                         source: str = "scalar", band: int = 4) -> AngularWeightTable:
-    key = (kernel.cache_key(), round(h, 14), m, source, band)
+                         source: str = "scalar") -> AngularWeightTable:
+    key = (kernel.cache_key(), round(h, 14), m, source)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
         return hit
@@ -246,7 +247,7 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int,
     vals = np.empty(2 * m - 1)
     far = k != 0
     vals[far] = np.atleast_1d(angular_slice(kernel, np.exp(k[far] * h), source=source))
-    for j in range(1, band + 1):
+    for j in range(1, _BAND + 1):
         vals[(m - 1) + j] = _near_cell_average(kernel, j, h, source)
         vals[(m - 1) - j] = _near_cell_average(kernel, -j, h, source)
     vals[m - 1] = _diag_cell_average(kernel, h, source)
@@ -270,7 +271,7 @@ def _uniform_log_step(grid: np.ndarray) -> float:
 
 
 def radial_convolve(f: RadialFunction, kernel: KernelSpec,
-                    source: str = "scalar", band: int = 4,
+                    source: str = "scalar",
                     tail_exponent_out: Optional[float] = None) -> RadialFunction:
     """T_g f on the grid of f, for rotation-equivariant (kernel, source).
 
@@ -295,7 +296,7 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
 
     h = _uniform_log_step(f.grid)
     m = f.grid.size
-    table = angular_weight_table(kernel, h, m, source=source, band=band)
+    table = angular_weight_table(kernel, h, m, source=source)
     weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
     corr = fftconvolve(weights, table.values[::-1], mode="full")[m - 1: 2 * m - 1]
     # FFT roundoff is absolute on the global product scale, so rows whose

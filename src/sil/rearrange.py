@@ -168,10 +168,9 @@ def decreasing_rearrangement(f: Field, nu: Optional[MeasureDensity] = None
 
 
 def rearrangement_value(f: Field, t: float,
-                        nu: Optional[MeasureDensity] = None,
-                        iterations: int = 60) -> float:
-    """f*(t) = inf{s : lambda(s) <= t} by bisection on the distribution
-    function (with its sub-cell crossing interpolation).
+                        nu: Optional[MeasureDensity] = None) -> float:
+    """f*(t) = inf{s : lambda(s) <= t} by 60 bisection steps on the
+    distribution function (with its sub-cell crossing interpolation).
 
     Pointwise-accurate inversion; the sorted-profile path is exact in the
     equimeasurability sense but pins values to whole cells.
@@ -183,7 +182,7 @@ def rearrangement_value(f: Field, t: float,
     if hi == 0.0 or distribution_function(f, hi, nu) > t:
         return hi
     lo = 0.0
-    for _ in range(iterations):
+    for _ in range(60):
         mid = 0.5 * (lo + hi)
         if distribution_function(f, mid, nu) <= t:
             hi = mid

@@ -39,6 +39,25 @@ class TestScenarioPlumbing:
         assert len(scenarios) == 1
         assert scenarios[0].seed == 5 and scenarios[0].sweep == [0.1, 0.01]
 
+    def test_config_without_q_matches_defaults(self, tmp_path):
+        # only adachi_rate names q; the others take the default 2.0
+        entries = [{"id": sc.id, "n": sc.params.n, "alpha": sc.params.alpha,
+                    "sigma": sc.params.sigma} for sc in default_scenarios(3)]
+        entries[2]["q"] = 2.0
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 3, "scenarios": entries}))
+        scenarios = parse_config(str(cfg))
+        assert scenarios == default_scenarios(3)
+        bessel = next(sc for sc in scenarios if sc.id == "bessel")
+        result = run_scenario(bessel, check_resolution=False)
+        assert result.provenance["q"] == 2.0
+
+    def test_parse_config_q_inf(self, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"scenarios": [{"id": "adachi_rate",
+                                                  "q": "inf"}]}))
+        assert parse_config(str(cfg))[0].params.q == math.inf
+
     def test_parse_config_bad(self, tmp_path):
         cfg = tmp_path / "bad.json"
         cfg.write_text("{not json")

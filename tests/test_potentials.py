@@ -264,6 +264,31 @@ class TestBesselKernel:
             f = RadialFunction(g, np.asarray(bessel_kernel(n, a, g)), n)
             assert lp_norm(f, 1.0) == pytest.approx(1.0, abs=1e-3)
 
+    @staticmethod
+    def _subordination(n, a, r):
+        """(4 pi)^{-a/2} / Gamma(a/2) int_0^inf e^{-pi r^2/t} e^{-t/(4 pi)}
+        t^{(a-n)/2} dt/t at 30 digits, in u = log(t / (2 pi r)); the
+        integrand is exp(-r cosh u) times a power, so the breakpoints
+        follow its level sets r cosh u = r + c."""
+        mpmath = pytest.importorskip("mpmath")
+        with mpmath.workdps(30):
+            r, a, pi = mpmath.mpf(r), mpmath.mpf(a), mpmath.pi
+
+            def integrand(u):
+                t = 2 * pi * r * mpmath.exp(u)
+                return mpmath.exp(-pi * r**2 / t - t / (4 * pi)) \
+                    * t ** ((a - n) / 2)
+
+            cuts = [mpmath.acosh(1 + c / r) for c in (0.5, 2, 8, 32, 128, 1024)]
+            integral = mpmath.quad(integrand, [-c for c in cuts[::-1]] + [0] + cuts)
+            return float((4 * pi) ** (-a / 2) / mpmath.gamma(a / 2) * integral)
+
+    @pytest.mark.parametrize("n, a", [(3, 1.0), (2, 1.0), (3, 2.0), (2, 0.5)])
+    def test_matches_subordination_integral(self, n, a):
+        radii = [1e-4, 0.1, 1.0, 10.0, 50.0]
+        want = [self._subordination(n, a, r) for r in radii]
+        assert bessel_kernel(n, a, np.array(radii)) == pytest.approx(want, rel=1e-13)
+
 
 class TestHyperbolicGreen:
     def test_closed_form_n3(self):
