@@ -110,7 +110,7 @@ def _sphere_quadrature_nodes(n: int, order: int):
     raise DomainError(f"tensor sphere quadrature implemented for n in {{2, 3}}, got n={n}")
 
 
-def kernel_sharp_constant(g: "KernelSpec", order: Optional[int] = None) -> float:
+def kernel_sharp_constant(g: "KernelSpec") -> float:
     """A_g = (1/n) * integral over S^{n-1} of |g(omega)|^{n/(n-alpha)}.
 
     Validated by one refinement doubling; raises QuadratureNotConverged when
@@ -124,7 +124,7 @@ def kernel_sharp_constant(g: "KernelSpec", order: Optional[int] = None) -> float
         c = abs(g.constant_angular_value)
         return sphere_area(n) * c**beta / n
 
-    base = order if order is not None else (2048 if n == 2 else 256)
+    base = 2048 if n == 2 else 256
 
     def level(m: int) -> float:
         nodes, weights = _sphere_quadrature_nodes(n, m)

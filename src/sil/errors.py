@@ -41,10 +41,6 @@ class SingularOnDiagonal(DomainError):
     """Angular kernel weight requested exactly on its singular diagonal."""
 
 
-class NonIntegrableKernel(DomainError):
-    """Kernel order makes the convolution integral diverge."""
-
-
 class UnboundedResult(NumericError):
     """Convolution diverges for the given input tail."""
 

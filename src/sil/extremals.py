@@ -305,13 +305,11 @@ def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
     generic homogeneous rate; the tail exponent is set accordingly.
     """
     n, alpha = fam.params.n, fam.params.alpha
-    source = "radial_vector" if fam.vector else "scalar"
     if fam.kind == "adams_corrected":
         tail = (alpha - n - (2 * n + 1)) if fam.vector else (alpha - n - (2 * n + 2))
     else:
         tail = alpha - n
-    tf = radial_convolve(fam.profile, fam.kernel, source=source,
-                         tail_exponent_out=tail)
+    tf = radial_convolve(fam.profile, fam.kernel, tail_exponent_out=tail)
     pc = fam.params.p_crit
     return replace(fam, potential=tf,
                    norm_pth_power=lp_norm(fam.profile, pc) ** pc,

@@ -142,8 +142,9 @@ def _exact_pure_j(a: float, beta: float, t_cut: float) -> float:
     return math.log(t_cut)
 
 
-def _tail_j(k1, a: float, beta: float, t_max: float = 1e9) -> float:
-    """J = (1/A) int_1^inf (k1*)^beta dt by log-grid quadrature."""
+def _tail_j(k1, a: float, beta: float) -> float:
+    """J = (1/A) int_1^inf (k1*)^beta dt by log-grid quadrature on [1, 1e9]."""
+    t_max = 1e9
     t = np.exp(np.linspace(0.0, math.log(t_max), 4096))
     vals = np.asarray(k1(t), dtype=float) ** beta * t
     j = float(np.trapezoid(vals, np.log(t))) / a
@@ -329,7 +330,7 @@ def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
 def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
                      params: Params, p: float = 1.0,
                      c0: Optional[float] = None,
-                     x_max: float = 80.0, nodes: int = 8001) -> GarsiaState:
+                     x_max: float = 80.0) -> GarsiaState:
     """Build phi on a symmetric x-window capturing all but 1e-6 of the
     b'-norm mass; asserts the change-of-variables isometry to 1e-4."""
     beta = profile.beta
@@ -340,7 +341,7 @@ def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
         c0 = oneil_constant(profile) if (sigma == 1.0 and p == 1.0) else None
     if c0 is None:
         raise DomainError("pass a fitted C0 outside the sigma=1, p=1 case")
-    x = np.linspace(-x_max, x_max, nodes)
+    x = np.linspace(-x_max, x_max, 8001)
     if fstar.t_grid.size <= 256:
         # few-step profiles: make the jump abscissae explicit double nodes so
         # the trapezoid rule sees the discontinuities exactly

@@ -1,30 +1,31 @@
 """Convolution against singular homogeneous kernels.
 
-Radial reduction: for rotation-equivariant (kernel, source) pairs the
-potential is radial and reduces to a 1-D integral against the angular
-weight W(r, rho) = integral over S^{n-1} of g(r e1 - rho omega).  On a
-uniform log grid W(r_j / r_i) depends only on j - i, so the convolution
-is a log-space correlation plus a corrected band around the integrable
-diagonal singularity.
-
-Admissible pairs: scalar kernels with constant angular part acting on
-radial profiles, and vector kernels acting on radial-vector fields
-f(y) = (y/|y|) h(|y|).  Other angular parts produce non-radial potentials
-and are rejected; use the Cartesian engine for those.
+Radial reduction: the kernel decides it.  A scalar kernel with constant
+angular part acts on a radial profile; a vector kernel acts, by dot
+product, on the radial-vector field f(y) = (y/|y|) h(|y|), stored as the
+scalar profile h.  Either way the potential is radial and reduces to a
+1-D integral against the angular weight W(r, rho) = integral over
+S^{n-1} of g(r e1 - rho omega), projected on omega for vector kernels.
+On a uniform log grid W(r_j / r_i) depends only on j - i, so the
+convolution is a log-space correlation plus a corrected band around the
+integrable diagonal singularity.  Scalar kernels with other angular parts
+produce non-radial potentials and are rejected; use the Cartesian engine
+for those.
 """
 
 from __future__ import annotations
 
 import math
+from collections import OrderedDict
 from dataclasses import dataclass
-from typing import Dict, Optional, Tuple
+from typing import Optional
 
 import numpy as np
 from scipy.signal import fftconvolve
 
 from .constants import ball_volume, sphere_area
-from .errors import (DomainError, GeometryViolated, NonIntegrableKernel,
-                     ResolutionTooCoarse, SingularOnDiagonal, UnboundedResult)
+from .errors import (DomainError, GeometryViolated, ResolutionTooCoarse,
+                     SingularOnDiagonal, UnboundedResult)
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec
 from .norms import lp_norm
@@ -36,7 +37,7 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 # angular slices W-hat(u) = integral over S^{n-1} of the kernel at e1 - u w
 # ---------------------------------------------------------------------------
 
-def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray, source: str) -> np.ndarray:
+def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Trapezoid on [0, 2 pi) with node count adapted to the singularity scale."""
     a_n = kernel.params.alpha - kernel.params.n
     out = np.empty_like(u)
@@ -60,9 +61,6 @@ def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray, source: str) -> np.ndar
             omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
             ang = np.asarray(kernel.angular(omegas))
             if kernel.is_vector:
-                if source != "radial_vector":
-                    raise DomainError(
-                        "vector kernels reduce radially only on radial-vector sources")
                 ang = ang.reshape(vx.shape + (kernel.vector_arity,))
                 proj = ang[..., 0] * ct + ang[..., 1] * st
                 vals = proj * q2 ** (a_n / 2.0)
@@ -72,27 +70,7 @@ def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray, source: str) -> np.ndar
     return out
 
 
-def _componentwise_slice(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Per-component angular weight of a vector kernel at unit radius:
-    integral over the sphere of g_j(e1 - u w), shape (len(u), arity)."""
-    if kernel.params.n != 2:
-        raise DomainError("componentwise weights implemented in the plane")
-    a_n = kernel.params.alpha - kernel.params.n
-    n_nodes = 1 << 14
-    theta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-    ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-    uu = u[:, None]
-    q2 = np.clip(1.0 - 2.0 * uu * ct + uu**2, 1e-300, None)
-    norm = np.sqrt(q2)
-    omegas = np.stack([((1.0 - uu * ct) / norm).ravel(),
-                       ((-uu * st) / norm).ravel()], axis=-1)
-    ang = np.asarray(kernel.angular(omegas)).reshape(
-        (len(u), n_nodes, kernel.vector_arity))
-    vals = ang * (q2 ** (a_n / 2.0))[..., None]
-    return vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
-
-
-def _angular_slice_n3(kernel: KernelSpec, u: np.ndarray, source: str) -> np.ndarray:
+def _angular_slice_n3(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
     """Colatitude reduction on S^2; closed form for constant angular parts."""
     alpha = kernel.params.alpha
     if kernel.is_constant_angular:
@@ -104,9 +82,9 @@ def _angular_slice_n3(kernel: KernelSpec, u: np.ndarray, source: str) -> np.ndar
             val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
         return 2.0 * math.pi * a * val
     # zonal vector case: integrand reduces to a single colatitude integral
-    if not kernel.is_vector or source != "radial_vector":
+    if not kernel.is_vector:
         raise DomainError("n=3 radial reduction supports constant angular or "
-                          "radial-vector gradient kernels")
+                          "gradient kernels")
     probe = np.asarray(kernel.angular(np.array([[1.0, 0.0, 0.0]])))
     scale = float(np.linalg.norm(probe[0]))
     return _zonal_gradient_slice(u, kernel.params.n, alpha, scale)
@@ -134,7 +112,7 @@ def _zonal_gradient_slice(u: np.ndarray, n: int, alpha: float, scale: float) -> 
     return sphere_area(n - 1) * total
 
 
-def angular_slice(kernel: KernelSpec, u, source: str = "scalar") -> np.ndarray:
+def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r)."""
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u <= 0):
@@ -143,22 +121,20 @@ def angular_slice(kernel: KernelSpec, u, source: str = "scalar") -> np.ndarray:
         raise SingularOnDiagonal("angular weight is singular at r = rho")
     n = kernel.params.n
     if n == 2:
-        out = _angular_slice_n2(kernel, u, source)
+        out = _angular_slice_n2(kernel, u)
     elif n == 3:
-        out = _angular_slice_n3(kernel, u, source)
+        out = _angular_slice_n3(kernel, u)
     else:
         raise DomainError("radial reduction implemented for n in {2, 3}")
     return out if out.size > 1 else float(out[0])
 
 
-def angular_weight(kernel: KernelSpec, r: float, rho: float,
-                   source: str = "scalar"):
+def angular_weight(kernel: KernelSpec, r: float, rho: float) -> float:
     """W(r, rho) = integral over S^{n-1} of g(r e1 - rho omega) d omega.
 
-    Scalar kernels return a float; vector kernels return the componentwise
-    vector by default, or the projected (scalar) weight against the
-    outward radial direction with source='radial_vector'.  Exactly on the
-    diagonal the weight is singular and SingularOnDiagonal is raised.
+    For vector kernels g(r e1 - rho omega) is projected on omega, the
+    direction of the radial-vector source.  Exactly on the diagonal the
+    weight is singular and SingularOnDiagonal is raised.
     """
     if kernel.kind != "homogeneous":
         raise DomainError("angular weights are defined for homogeneous kernels")
@@ -167,9 +143,7 @@ def angular_weight(kernel: KernelSpec, r: float, rho: float,
     if r == rho:
         raise SingularOnDiagonal("use cell-averaged quadrature on the diagonal")
     a_n = kernel.params.alpha - kernel.params.n
-    if kernel.is_vector and source == "scalar":
-        return r**a_n * _componentwise_slice(kernel, np.array([rho / r]))[0]
-    return r**a_n * angular_slice(kernel, rho / r, source=source)
+    return r**a_n * angular_slice(kernel, rho / r)
 
 
 # ---------------------------------------------------------------------------
@@ -185,20 +159,16 @@ class AngularWeightTable:
     model fitted from W-hat at offsets {h/4, h/2, h} on each side.
     """
 
-    h: float
-    m: int
-    values: np.ndarray  # length 2*m - 1, index k + (m - 1)
+    values: np.ndarray  # length 2*M - 1, index k + (M - 1)
     far_coefficient: float  # W-hat(u) ~ far_coefficient * u^{a-n} as u -> inf
 
-    def offset(self, k: int) -> float:
-        return self.values[k + self.m - 1]
 
-
-_TABLE_CACHE: Dict[Tuple, AngularWeightTable] = {}
+_TABLE_CACHE: OrderedDict[tuple, AngularWeightTable] = OrderedDict()
+_TABLE_CACHE_SIZE = 32  # tables kept, least recently used evicted first
 _BAND = 4  # off-diagonal cells on each side that hold cell averages
 
 
-def _diag_cell_average(kernel: KernelSpec, h: float, source: str) -> float:
+def _diag_cell_average(kernel: KernelSpec, h: float) -> float:
     """(1/h) * integral over |t| <= h/2 of W-hat(e^t) via the local model."""
     alpha = kernel.params.alpha
     c = h / 2.0
@@ -222,39 +192,41 @@ def _diag_cell_average(kernel: KernelSpec, h: float, source: str) -> float:
     total = 0.0
     fit_t = np.array([h / 8.0, h / 4.0, h / 2.0, h])[-len(basis):]
     for side in (-1.0, 1.0):
-        vals = angular_slice(kernel, np.exp(side * fit_t), source=source)
+        vals = angular_slice(kernel, np.exp(side * fit_t))
         design = np.stack([b(fit_t) for b in basis], axis=1)
         coef, *_ = np.linalg.lstsq(design, np.atleast_1d(vals), rcond=None)
         total += float(np.dot(coef, ints))
     return total / h
 
 
-def _near_cell_average(kernel: KernelSpec, k: int, h: float, source: str) -> float:
+def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
     """Cell average of W-hat over t in [k h - h/2, k h + h/2] by 16-pt GL."""
     x16, w16 = _GL16
     t = k * h + 0.5 * h * x16
-    vals = angular_slice(kernel, np.exp(t), source=source)
+    vals = angular_slice(kernel, np.exp(t))
     return float(np.sum(w16 * np.atleast_1d(vals))) / 2.0
 
 
-def angular_weight_table(kernel: KernelSpec, h: float, m: int,
-                         source: str = "scalar") -> AngularWeightTable:
-    key = (kernel.cache_key(), round(h, 14), m, source)
+def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightTable:
+    key = (kernel.cache_key(), round(h, 14), m)
     hit = _TABLE_CACHE.get(key)
     if hit is not None:
+        _TABLE_CACHE.move_to_end(key)
         return hit
     k = np.arange(-(m - 1), m)
     vals = np.empty(2 * m - 1)
     far = k != 0
-    vals[far] = np.atleast_1d(angular_slice(kernel, np.exp(k[far] * h), source=source))
+    vals[far] = np.atleast_1d(angular_slice(kernel, np.exp(k[far] * h)))
     for j in range(1, _BAND + 1):
-        vals[(m - 1) + j] = _near_cell_average(kernel, j, h, source)
-        vals[(m - 1) - j] = _near_cell_average(kernel, -j, h, source)
-    vals[m - 1] = _diag_cell_average(kernel, h, source)
+        vals[(m - 1) + j] = _near_cell_average(kernel, j, h)
+        vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
+    vals[m - 1] = _diag_cell_average(kernel, h)
     u_far = math.exp((m - 1) * h)
     far_coef = vals[-1] * u_far ** (kernel.params.n - kernel.params.alpha)
-    table = AngularWeightTable(h=h, m=m, values=vals, far_coefficient=far_coef)
+    table = AngularWeightTable(values=vals, far_coefficient=far_coef)
     _TABLE_CACHE[key] = table
+    if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
+        _TABLE_CACHE.popitem(last=False)
     return table
 
 
@@ -271,32 +243,33 @@ def _uniform_log_step(grid: np.ndarray) -> float:
 
 
 def radial_convolve(f: RadialFunction, kernel: KernelSpec,
-                    source: str = "scalar",
+                    source: Optional[str] = None,
                     tail_exponent_out: Optional[float] = None) -> RadialFunction:
-    """T_g f on the grid of f, for rotation-equivariant (kernel, source).
+    """T_g f on the grid of f; the kernel decides the reduction.
 
-    source='scalar': scalar kernel with constant angular part on a radial
-    profile.  source='radial_vector': vector kernel on f(y) = (y/|y|) h(|y|)
-    with h stored as the (scalar) values of f.  Output carries the generic
-    homogeneous tail exponent alpha - n.
+    A scalar kernel with constant angular part acts on the radial profile
+    f.  A vector kernel acts on f(y) = (y/|y|) h(|y|), with h stored as the
+    (scalar) values of f.  source, if given, must name that reduction
+    ('scalar' or 'radial_vector').  Output carries the generic homogeneous
+    tail exponent alpha - n unless tail_exponent_out overrides it.
     """
     p = kernel.params
     if kernel.kind != "homogeneous":
         raise DomainError("radial convolution expects a homogeneous kernel")
-    if p.alpha <= 0:
-        raise NonIntegrableKernel("kernel order must be positive")
     if f.is_vector:
-        raise DomainError("store radial-vector fields as scalar profiles and "
-                          "pass source='radial_vector'")
-    if source == "scalar" and not kernel.is_constant_angular:
+        raise DomainError("store a radial-vector field (y/|y|) h(|y|) as the "
+                          "scalar profile h")
+    if not (kernel.is_vector or kernel.is_constant_angular):
         raise DomainError("non-constant angular parts give non-radial potentials; "
                           "use the cartesian engine")
-    if source == "radial_vector" and not kernel.is_vector:
-        raise DomainError("radial-vector sources need a vector kernel")
+    implied = "radial_vector" if kernel.is_vector else "scalar"
+    if source is not None and source != implied:
+        raise DomainError(f"kernel {kernel.label!r} reduces on {implied} "
+                          f"sources, not {source!r}")
 
     h = _uniform_log_step(f.grid)
     m = f.grid.size
-    table = angular_weight_table(kernel, h, m, source=source)
+    table = angular_weight_table(kernel, h, m)
     weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
     corr = fftconvolve(weights, table.values[::-1], mode="full")[m - 1: 2 * m - 1]
     # FFT roundoff is absolute on the global product scale, so rows whose
@@ -437,8 +410,9 @@ def gegenbauer_sphere_means(n: int, alpha: float, jmax: int) -> np.ndarray:
 
 
 def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
-                           r: np.ndarray, support_radius: float = 1.0) -> np.ndarray:
-    """T(r) = a r^{a-n} sum_j S_{2j} r^{-2j} M_{2j} for r > support radius.
+                           r: np.ndarray) -> np.ndarray:
+    """T(r) = a r^{a-n} sum_j S_{2j} r^{-2j} M_{2j} for r > 1, outside the
+    unit-ball support.
 
     even_moments[j] = integral of phi(rho) rho^{2j + n - 1} d rho.  This is
     the numerically clean way to evaluate potentials of moment-cancelled
@@ -448,8 +422,8 @@ def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
         raise DomainError("moment far field implemented for constant angular parts")
     p = kernel.params
     r = np.atleast_1d(np.asarray(r, dtype=float))
-    if np.any(r <= support_radius):
-        raise DomainError("far field valid outside the support radius only")
+    if np.any(r <= 1.0):
+        raise DomainError("far field valid outside the unit support radius only")
     jmax = len(even_moments) - 1
     s2j = gegenbauer_sphere_means(p.n, p.alpha, jmax)
     acc = np.zeros_like(r)

@@ -6,10 +6,13 @@ import pytest
 
 from sil.cli import main
 from sil.errors import ConfigError
+from sil.extremals import adams_family
 from sil.grids import RadialFunction, log_grid
 from sil.harness import (Scenario, default_scenarios, parse_config,
                          run_all, run_scenario)
+from sil.kernels import gradient_kernel, riesz_kernel
 from sil.params import Params
+from sil.potentials import radial_convolve
 
 
 class TestScenarioPlumbing:
@@ -132,17 +135,29 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["A_g"] == pytest.approx(math.pi, rel=1e-10)
 
-    def test_potential_roundtrip(self, tmp_path, capsys):
-        g = log_grid(1e-6, 1e3, 2048)
-        f = RadialFunction(g, np.exp(-g**2), 2)
+    @pytest.mark.parametrize("kernel", ["riesz", "gradient"])
+    def test_potential_roundtrip(self, tmp_path, capsys, kernel):
+        # the kernel decides the reduction: the gradient kernel takes the
+        # magnitude profile of a radial-vector field, as the library does
+        if kernel == "riesz":
+            k = riesz_kernel(Params(2, 1.0))
+            g = log_grid(1e-6, 1e3, 2048)
+            f = RadialFunction(g, np.exp(-g**2), 2)
+        else:
+            k = gradient_kernel(2, 1)
+            f = adams_family(k, 1e-2, per_decade=50).profile
         src = tmp_path / "f.csv"
         src.write_text(f.to_csv())
         dst = tmp_path / "tf.csv"
-        code = main(["potential", "--kernel", "riesz", "--n", "2",
+        code = main(["potential", "--kernel", kernel, "--n", "2",
                      "--alpha", "1", "--in", str(src), "--out", str(dst)])
         assert code == 0
         tf = RadialFunction.from_csv(dst.read_text())
-        assert np.all(np.isfinite(tf.values)) and tf.values[0] > 0
+        assert np.all(np.isfinite(tf.values))
+        if kernel == "riesz":
+            assert tf.values[0] > 0
+        expected = radial_convolve(RadialFunction.from_csv(src.read_text()), k)
+        assert dst.read_text() == expected.to_csv()
 
     def test_rearrange_roundtrip(self, tmp_path):
         g = log_grid(1e-6, 1e2, 1024)

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from sil import potentials
 from sil.constants import riesz_normalization
 from sil.errors import (DomainError, SingularOnDiagonal, UnboundedResult)
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
@@ -52,18 +53,14 @@ class TestAngularWeight:
         with pytest.raises(SingularOnDiagonal):
             angular_weight(K2, 1.0, 1.0)
 
-    def test_componentwise_vector_weight(self):
-        # by symmetry only the axis component survives, and its projection
-        # against the source direction matches the radial-vector mode
+    def test_projected_vector_weight(self):
+        # a vector kernel's weight is projected on the source direction:
+        # a finite nonzero scalar, homogeneous of degree alpha - n
         k = gradient_kernel(2, 1)
         w = angular_weight(k, 1.0, 0.5)
-        assert w.shape == (2,)
-        assert abs(w[1]) <= 1e-12 * abs(w[0])
-        proj = angular_weight(k, 1.0, 0.5, source="radial_vector")
-        assert np.isfinite(proj) and abs(proj) > 0
-        # homogeneity carries over componentwise
+        assert np.isfinite(w) and abs(w) > 0
         w2 = angular_weight(k, 2.0, 1.0)
-        assert w2[0] == pytest.approx(0.5 * w[0], rel=1e-9)
+        assert w2 == pytest.approx(2.0 ** (1 - 2) * w, rel=1e-9)
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_quadrature_oracle_near_diagonal(self, alpha):
@@ -119,9 +116,20 @@ class TestWeightTableCache:
 
     def test_gradient_kernel_tables_are_shared(self):
         k = gradient_kernel(2, 1)
-        table = angular_weight_table(k, 0.05, 64, source="radial_vector")
-        assert angular_weight_table(gradient_kernel(2, 1), 0.05, 64,
-                                    source="radial_vector") is table
+        table = angular_weight_table(k, 0.05, 64)
+        assert angular_weight_table(gradient_kernel(2, 1), 0.05, 64) is table
+
+    def test_cache_is_bounded(self):
+        # once the bound is exceeded the least recently used table is
+        # dropped and built again on the next request
+        size = potentials._TABLE_CACHE_SIZE
+        first = angular_weight_table(K2, 0.07, 8)
+        newer = [angular_weight_table(K2, 0.07, 9 + j) for j in range(size)]
+        assert len(potentials._TABLE_CACHE) == size
+        assert angular_weight_table(K2, 0.07, 8 + size) is newer[-1]
+        rebuilt = angular_weight_table(K2, 0.07, 8)
+        assert rebuilt is not first
+        assert np.array_equal(rebuilt.values, first.values)
 
 
 class TestRadialConvolve:
@@ -335,6 +343,20 @@ class TestGradientKernelPotential:
         assert np.all(np.isfinite(tf.values))
         # the potential of an outward radial-vector source is nonzero at 0+
         assert abs(tf.values[0]) > 1e-3
+
+    def test_kernel_decides_the_reduction(self):
+        # source is only a consistency check: naming the reduction the
+        # kernel implies changes nothing, naming another one is an error
+        k = gradient_kernel(2, 1)
+        g = anchored_log_grid(1.0, 1e-6, 1e2)
+        h = RadialFunction(g, indicator_values(g, 1.0, 0.1) / g, 2)
+        plain = radial_convolve(h, k).values
+        named = radial_convolve(h, k, source="radial_vector").values
+        assert np.array_equal(plain, named)
+        with pytest.raises(DomainError):
+            radial_convolve(h, k, source="scalar")
+        with pytest.raises(DomainError):
+            radial_convolve(disk(), K2, source="radial_vector")
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_vector_family_center_value(self, n):
