@@ -54,6 +54,9 @@ def _kernel_from(name: str, params: Params):
     if name == "riesz":
         return riesz_kernel(params)
     if name == "gradient":
+        if not float(params.alpha).is_integer():
+            raise ConfigError(f"the gradient kernel needs an integer order, "
+                              f"got alpha={params.alpha}")
         return gradient_kernel(params.n, int(params.alpha))
     if name == "bessel":
         return bessel_kernel_spec(params)

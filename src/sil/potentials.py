@@ -21,6 +21,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
 
 from .constants import ball_volume, sphere_area
@@ -38,35 +39,43 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 # ---------------------------------------------------------------------------
 
 def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Trapezoid on [0, 2 pi) with node count adapted to the singularity scale."""
+    """Trapezoid on [0, 2 pi) with node count adapted to the singularity scale.
+
+    Each quadrature level is evaluated in blocks of rows, each temporary
+    holding at most max(_BLOCK, nodes) elements whatever len(u) is; every
+    row sums on its own, so the blocking does not change a bit.
+    """
     a_n = kernel.params.alpha - kernel.params.n
     out = np.empty_like(u)
     delta = np.abs(np.log(np.clip(u, 1e-300, None)))
     # resolve the complex singularity at distance ~ delta from the real axis
     target = np.clip((64.0 / np.clip(delta, 1e-8, None)).astype(int), 1024, 1 << 19)
-    levels = np.unique(np.ceil(np.log2(target)))
-    for lv in levels:
+    level = np.ceil(np.log2(target))
+    for lv in np.unique(level):
         n_nodes = int(2**lv)
-        mask = np.ceil(np.log2(target)) == lv
-        uu = u[mask][:, None]
+        rows = np.nonzero(level == lv)[0]
         theta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
         ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        q2 = 1.0 - 2.0 * uu * ct + uu**2
-        q2 = np.clip(q2, 1e-300, None)
-        if kernel.is_constant_angular:
-            vals = kernel.constant_angular_value * q2 ** (a_n / 2.0)
-        else:
-            norm = np.sqrt(q2)
-            vx, vy = (1.0 - uu * ct) / norm, (-uu * st) / norm
-            omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
-            ang = np.asarray(kernel.angular(omegas))
-            if kernel.is_vector:
-                ang = ang.reshape(vx.shape + (kernel.vector_arity,))
-                proj = ang[..., 0] * ct + ang[..., 1] * st
-                vals = proj * q2 ** (a_n / 2.0)
+        step = max(1, _BLOCK // n_nodes)
+        for start in range(0, rows.size, step):
+            block = rows[start: start + step]
+            uu = u[block][:, None]
+            q2 = 1.0 - 2.0 * uu * ct + uu**2
+            q2 = np.clip(q2, 1e-300, None)
+            if kernel.is_constant_angular:
+                vals = kernel.constant_angular_value * q2 ** (a_n / 2.0)
             else:
-                vals = ang.reshape(vx.shape) * q2 ** (a_n / 2.0)
-        out[mask] = vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
+                norm = np.sqrt(q2)
+                vx, vy = (1.0 - uu * ct) / norm, (-uu * st) / norm
+                omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
+                ang = np.asarray(kernel.angular(omegas))
+                if kernel.is_vector:
+                    ang = ang.reshape(vx.shape + (kernel.vector_arity,))
+                    proj = ang[..., 0] * ct + ang[..., 1] * st
+                    vals = proj * q2 ** (a_n / 2.0)
+                else:
+                    vals = ang.reshape(vx.shape) * q2 ** (a_n / 2.0)
+            out[block] = vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
     return out
 
 
@@ -156,16 +165,26 @@ class AngularWeightTable:
 
     Entries within _BAND cells of the diagonal hold cell averages (Gauss-
     Legendre in log-offset); the diagonal cell integrates a local singular
-    model fitted from W-hat at offsets {h/4, h/2, h} on each side.
+    model fitted from W-hat at offsets {h/4, h/2, h} on each side.  Entry
+    k depends on (kernel, h) only, so the table of an m-node grid is the
+    centred window of any longer table with the same step.
     """
 
     values: np.ndarray  # length 2*M - 1, index k + (M - 1)
-    far_coefficient: float  # W-hat(u) ~ far_coefficient * u^{a-n} as u -> inf
+
+    @property
+    def m(self) -> int:
+        return (self.values.size + 1) // 2
+
+    def window(self, m: int) -> np.ndarray:
+        """The entries |k| <= m - 1: the table of an m-node grid."""
+        return self.values[self.m - m: self.m + m - 1]
 
 
 _TABLE_CACHE: OrderedDict[tuple, AngularWeightTable] = OrderedDict()
 _TABLE_CACHE_SIZE = 32  # tables kept, least recently used evicted first
 _BAND = 4  # off-diagonal cells on each side that hold cell averages
+_BLOCK = 1 << 18  # elements per temporary row block in an n = 2 slice
 
 
 def _diag_cell_average(kernel: KernelSpec, h: float) -> float:
@@ -208,22 +227,33 @@ def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
 
 
 def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightTable:
-    key = (kernel.cache_key(), round(h, 14), m)
-    hit = _TABLE_CACHE.get(key)
-    if hit is not None:
+    """A table of at least 2m - 1 entries for step h; use .window(m).
+
+    One table is cached per (kernel, h), with h the exact float: steps
+    that differ in the last digits give different entries.  A longer
+    request extends the cached table by its new far entries only.
+    """
+    key = (kernel.cache_key(), h)
+    old = _TABLE_CACHE.get(key)
+    if old is not None:
         _TABLE_CACHE.move_to_end(key)
-        return hit
-    k = np.arange(-(m - 1), m)
+        if old.m >= m:
+            return old
     vals = np.empty(2 * m - 1)
-    far = k != 0
-    vals[far] = np.atleast_1d(angular_slice(kernel, np.exp(k[far] * h)))
-    for j in range(1, _BAND + 1):
-        vals[(m - 1) + j] = _near_cell_average(kernel, j, h)
-        vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
-    vals[m - 1] = _diag_cell_average(kernel, h)
-    u_far = math.exp((m - 1) * h)
-    far_coef = vals[-1] * u_far ** (kernel.params.n - kernel.params.alpha)
-    table = AngularWeightTable(values=vals, far_coefficient=far_coef)
+    if old is None:
+        for j in range(1, _BAND + 1):
+            vals[(m - 1) + j] = _near_cell_average(kernel, j, h)
+            vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
+        vals[m - 1] = _diag_cell_average(kernel, h)
+        known = _BAND + 1  # offsets |k| < known are filled
+    else:
+        known = old.m
+        vals[m - known: m + known - 1] = old.values
+    k = np.arange(known, m)
+    k = np.concatenate([-k[::-1], k])
+    if k.size:
+        vals[k + (m - 1)] = np.atleast_1d(angular_slice(kernel, np.exp(k * h)))
+    table = AngularWeightTable(values=vals)
     _TABLE_CACHE[key] = table
     if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
         _TABLE_CACHE.popitem(last=False)
@@ -269,23 +299,31 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
 
     h = _uniform_log_step(f.grid)
     m = f.grid.size
-    table = angular_weight_table(kernel, h, m)
+    table = angular_weight_table(kernel, h, m).window(m)
     weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
-    corr = fftconvolve(weights, table.values[::-1], mode="full")[m - 1: 2 * m - 1]
+    corr = fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
     # FFT roundoff is absolute on the global product scale, so rows whose
     # true answer sits near or below that floor come out as noise; recompute
     # them by direct summation, where roundoff stays relative to the row's
-    # own terms.
+    # own terms.  Row r needs table[nz - r + m - 1]: a copy of the table
+    # window that starts at nz[0] - r + m - 1, with columns selected only
+    # where the nonzero weights have gaps.
     nz = np.nonzero(weights)[0]
     if nz.size:
         noise_floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(weights))) \
-            * float(np.max(np.abs(table.values)))
+            * float(np.max(np.abs(table)))
         suspect = np.nonzero(np.abs(corr) < 1e4 * noise_floor)[0]
         wnz = weights[nz]
+        span = int(nz[-1] - nz[0]) + 1
+        windows = sliding_window_view(table, span)
         for start in range(0, suspect.size, 256):
             rows = suspect[start: start + 256]
-            idx = nz[None, :] - rows[:, None] + (m - 1)
-            corr[rows] = np.asarray(table.values)[idx] @ wnz
+            block = windows[nz[0] - rows + (m - 1)]
+            if span > nz.size:
+                # np.take keeps the block C-ordered, so the product sums
+                # each row in the same order as a full gather would
+                block = np.take(block, nz - nz[0], axis=1)
+            corr[rows] = block @ wnz
     vals = f.grid ** (p.alpha - p.n) * corr
 
     tail = 0.0
@@ -294,7 +332,9 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
         if pt + p.alpha >= 0:
             raise UnboundedResult(
                 "source tail r^{:+.3g} makes the potential diverge".format(pt))
-        tail = table.far_coefficient * float(f.values[-1]) \
+        # W-hat(u) ~ far_coefficient * u^{a-n} as u -> inf, from entry m - 1
+        far_coefficient = table[-1] * math.exp((m - 1) * h) ** (p.n - p.alpha)
+        tail = far_coefficient * float(f.values[-1]) \
             * float(f.grid[-1]) ** p.alpha / (-(pt + p.alpha))
     out_tail = (p.alpha - p.n) if tail_exponent_out is None else tail_exponent_out
     return RadialFunction(f.grid, vals + tail, p.n, tail_exponent=out_tail)

@@ -159,6 +159,23 @@ class TestCli:
         expected = radial_convolve(RadialFunction.from_csv(src.read_text()), k)
         assert dst.read_text() == expected.to_csv()
 
+    @pytest.mark.parametrize("command", ["potential", "constants"])
+    def test_gradient_kernel_rejects_fractional_order(self, tmp_path, capsys,
+                                                      command):
+        # a non-integer order is a config error, not the integer part's
+        # potential or constants
+        argv = [command, "--kernel", "gradient", "--n", "2", "--alpha", "1.5"]
+        if command == "potential":
+            src = tmp_path / "f.csv"
+            g = log_grid(1e-6, 1e3, 512)
+            src.write_text(RadialFunction(g, np.exp(-g**2), 2).to_csv())
+            dst = tmp_path / "tf.csv"
+            argv += ["--in", str(src), "--out", str(dst)]
+        assert main(argv) == 2
+        assert "integer order" in capsys.readouterr().err
+        if command == "potential":
+            assert not dst.exists()
+
     def test_rearrange_roundtrip(self, tmp_path):
         g = log_grid(1e-6, 1e2, 1024)
         f = RadialFunction(g, np.exp(-g), 2)

@@ -1,13 +1,16 @@
 import math
+import tracemalloc
+from collections import OrderedDict
 
 import numpy as np
 import pytest
+from scipy.signal import fftconvolve
 
 from sil import potentials
 from sil.constants import riesz_normalization
 from sil.errors import (DomainError, SingularOnDiagonal, UnboundedResult)
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
-                       indicator_values, log_grid)
+                       indicator_values, log_grid, trapezoid_weights_log)
 from sil.kernels import (KernelSpec, bessel_kernel, gradient_kernel,
                          hyperbolic_green, hyperbolic_h2_exact, riesz_kernel)
 from sil.norms import lp_norm
@@ -101,6 +104,67 @@ class TestAngularWeight:
             assert angular_weight(K2, r, rho) == pytest.approx(exact, rel=1e-9)
 
 
+def _unblocked_slice_n2(kernel, u):
+    """Every row of a quadrature level in one block: the reference for the
+    row-blocked evaluation of potentials._angular_slice_n2."""
+    a_n = kernel.params.alpha - kernel.params.n
+    out = np.empty_like(u)
+    delta = np.abs(np.log(np.clip(u, 1e-300, None)))
+    target = np.clip((64.0 / np.clip(delta, 1e-8, None)).astype(int), 1024, 1 << 19)
+    for lv in np.unique(np.ceil(np.log2(target))):
+        n_nodes = int(2**lv)
+        mask = np.ceil(np.log2(target)) == lv
+        uu = u[mask][:, None]
+        theta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
+        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
+        q2 = np.clip(1.0 - 2.0 * uu * ct + uu**2, 1e-300, None)
+        if kernel.is_constant_angular:
+            vals = kernel.constant_angular_value * q2 ** (a_n / 2.0)
+        else:
+            norm = np.sqrt(q2)
+            vx, vy = (1.0 - uu * ct) / norm, (-uu * st) / norm
+            omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
+            ang = np.asarray(kernel.angular(omegas))
+            ang = ang.reshape(vx.shape + (kernel.vector_arity,))
+            vals = (ang[..., 0] * ct + ang[..., 1] * st) * q2 ** (a_n / 2.0)
+        out[mask] = vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
+    return out
+
+
+SLICE_KERNELS = [riesz_kernel(Params(2, 0.5)), K2, riesz_kernel(Params(2, 1.5)),
+                 gradient_kernel(2, 1)]
+SLICE_IDS = ["riesz_half", "riesz_1", "riesz_3half", "gradient"]
+
+
+class TestRowBlocks:
+    # offsets k h, |k| <= 700, h = 0.01: levels from 1,024 to 8,192 nodes,
+    # with 1,388 rows on the 1,024-node level (six blocks of 256 rows)
+    U = np.exp(0.01 * np.concatenate([np.arange(-700, 0), np.arange(1, 701)]))
+
+    @pytest.mark.parametrize("kernel", SLICE_KERNELS, ids=SLICE_IDS)
+    def test_blocks_keep_the_bits(self, kernel, monkeypatch):
+        ref = _unblocked_slice_n2(kernel, self.U)
+        assert np.array_equal(potentials._angular_slice_n2(kernel, self.U), ref)
+        # blocks of 3 rows on the smallest level, 1 row above it
+        monkeypatch.setattr(potentials, "_BLOCK", 3 * 1024 + 5)
+        assert np.array_equal(potentials._angular_slice_n2(kernel, self.U), ref)
+
+    @pytest.mark.parametrize("kernel", [K2, gradient_kernel(2, 1)],
+                             ids=["riesz", "gradient"])
+    def test_cold_build_memory_is_bounded(self, kernel, monkeypatch):
+        # a whole-level evaluation needs about 120 MB per temporary here
+        monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
+        g = log_grid(1e-6, 1e3, 7201)
+        h = float(np.diff(np.log(g))[0])
+        tracemalloc.start()
+        try:
+            angular_weight_table(kernel, h, g.size)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32 * 2**20
+
+
 class TestWeightTableCache:
     def test_angular_callable_is_part_of_the_key(self):
         # two kernels with the default label that differ only in their
@@ -124,12 +188,46 @@ class TestWeightTableCache:
         # dropped and built again on the next request
         size = potentials._TABLE_CACHE_SIZE
         first = angular_weight_table(K2, 0.07, 8)
-        newer = [angular_weight_table(K2, 0.07, 9 + j) for j in range(size)]
+        newer = [angular_weight_table(K2, 0.07 + 1e-3 * (j + 1), 8)
+                 for j in range(size)]
         assert len(potentials._TABLE_CACHE) == size
-        assert angular_weight_table(K2, 0.07, 8 + size) is newer[-1]
+        assert angular_weight_table(K2, 0.07 + 1e-3 * size, 8) is newer[-1]
         rebuilt = angular_weight_table(K2, 0.07, 8)
         assert rebuilt is not first
         assert np.array_equal(rebuilt.values, first.values)
+
+    @pytest.mark.parametrize("kernel", [K2, K3, gradient_kernel(2, 1)],
+                             ids=["riesz2", "riesz3", "gradient2"])
+    def test_longer_request_grows_the_table(self, kernel, monkeypatch):
+        # a longer grid extends the cached table to exactly the entries of
+        # a fresh build; a shorter one is served without evaluating W-hat
+        h = 0.0311
+        angular_weight_table(kernel, h, 40)
+        grown = angular_weight_table(kernel, h, 300)
+        assert grown.m == 300
+        monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
+        fresh = angular_weight_table(kernel, h, 300)
+        assert fresh is not grown
+        assert np.array_equal(grown.values, fresh.values)
+
+        calls = []
+        real = potentials.angular_slice
+        monkeypatch.setattr(potentials, "angular_slice",
+                            lambda *a: calls.append(a) or real(*a))
+        short = angular_weight_table(kernel, h, 120)
+        assert calls == []
+        assert short is fresh
+        assert np.array_equal(short.window(120), fresh.values[180:419])
+
+    def test_log_step_is_an_exact_key(self):
+        # steps that agree to 14 digits are still different steps
+        h = 0.0123456789
+        h2 = h * (1.0 + 4e-15)
+        assert h2 != h and round(h2, 14) == round(h, 14)
+        t1 = angular_weight_table(K2, h, 50)
+        t2 = angular_weight_table(K2, h2, 50)
+        assert t2 is not t1
+        assert not np.array_equal(t1.values, t2.values)
 
 
 class TestRadialConvolve:
@@ -343,6 +441,33 @@ class TestGradientKernelPotential:
         assert np.all(np.isfinite(tf.values))
         # the potential of an outward radial-vector source is nonzero at 0+
         assert abs(tf.values[0]) > 1e-3
+
+    def test_fallback_with_gaps_matches_the_gather(self):
+        # interior zeros in the source make the direct-sum rows select
+        # columns of the table window; they must equal the full 2-D index
+        # gather of the table bit for bit
+        k = gradient_kernel(2, 1)
+        g = log_grid(1e-6, 1e3, 2049)
+        bump = np.exp(-(np.log(g) / 0.7) ** 2) * (g < 5.0)
+        f = RadialFunction(g, bump * ((g < 1e-3) | (g > 1e-1)), 2)
+        out = radial_convolve(f, k).values
+
+        m = g.size
+        h = float(np.diff(np.log(g))[0])
+        table = angular_weight_table(k, h, m).window(m)
+        weights = trapezoid_weights_log(g) * g ** (2 - 1) * f.values
+        corr = fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
+        nz = np.nonzero(weights)[0]
+        assert nz[-1] - nz[0] + 1 > nz.size  # the weights have gaps
+        floor = 64.0 * np.finfo(float).eps * np.sum(np.abs(weights)) \
+            * np.max(np.abs(table))
+        suspect = np.nonzero(np.abs(corr) < 1e4 * floor)[0]
+        assert suspect.size > 256  # more than one block of rows
+        for start in range(0, suspect.size, 256):  # the BLAS call per block
+            rows = suspect[start: start + 256]
+            idx = nz[None, :] - rows[:, None] + (m - 1)
+            expected = g[rows] ** (k.params.alpha - 2) * (table[idx] @ weights[nz])
+            assert np.array_equal(out[rows], expected)
 
     def test_kernel_decides_the_reduction(self):
         # source is only a consistency check: naming the reduction the
