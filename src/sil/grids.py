@@ -174,8 +174,10 @@ class RadialFunction:
         cols = ["r"] + [f"v{i}" for i in range(self.arity)]
         buf.write(",".join(cols) + "\n")
         vals = self.values if self.is_vector else self.values[:, None]
-        for r, row in zip(self.grid, vals):
-            buf.write(",".join(f"{x:.17g}" for x in (r, *row)) + "\n")
+        # column by column: no container per row, which would set off the
+        # cyclic garbage collector during long exports
+        fields = [map("{:.17g}".format, c) for c in (self.grid.tolist(), *vals.T.tolist())]
+        buf.writelines(map("{}\n".format, map(",".join, zip(*fields))))
         return buf.getvalue()
 
     @staticmethod
@@ -196,8 +198,8 @@ class RadialFunction:
             "kind": "radial",
             "n": self.n,
             "tail_exponent": self.tail_exponent,
-            "r": [float(x) for x in self.grid],
-            "values": [[float(x) for x in row] for row in vals],
+            "r": self.grid.tolist(),
+            "values": vals.tolist(),
         })
 
     @staticmethod
@@ -286,10 +288,11 @@ class CartesianField:
         buf.write(f"# cartesian n={self.n} extent={self.extent:.17g} "
                   f"resolution={self.resolution}\n")
         buf.write(",".join(f"i{k}" for k in range(self.n)) + ",value\n")
-        it = np.ndindex(self.values.shape)
-        for idx in it:
-            buf.write(",".join(str(i) for i in idx)
-                      + f",{self.values[idx]:.17g}\n")
+        labels = [str(i) for i in range(self.resolution)]
+        rows = self.values.reshape(-1, self.resolution)
+        for idx, row in zip(np.ndindex(self.values.shape[:-1]), rows):
+            head = "".join(labels[i] + "," for i in idx)
+            buf.writelines(f"{head}{i},{v:.17g}\n" for i, v in zip(labels, row.tolist()))
         return buf.getvalue()
 
     @staticmethod

@@ -44,18 +44,16 @@ def distribution_function(f: Field, s: float,
     measure = nu if nu is not None else lebesgue(f.n)
     r, w = f.grid, measure.radial_weight(f.grid)
     above = mag > s
-    total = 0.0
-    if above[0]:
-        total += head_mass(f, nu)
-    t = np.log(r)
-    # segment-wise trapezoid mass with fractional cells at level crossings
-    for j in range(len(r) - 1):
-        a, b = above[j], above[j + 1]
-        seg = 0.5 * (w[j] * r[j] + w[j + 1] * r[j + 1]) * (t[j + 1] - t[j])
-        if a and b:
-            total += seg
-        elif a != b:
-            total += seg * _crossing_fraction(mag[j], mag[j + 1], s, a)
+    # segment-wise trapezoid mass, with fractional cells at level crossings
+    wr = w * r
+    seg = 0.5 * (wr[:-1] + wr[1:]) * np.diff(np.log(r))
+    lo, hi = above[:-1], above[1:]
+    contrib = np.where(lo & hi, seg, 0.0)
+    for j in np.flatnonzero(lo != hi):
+        contrib[j] = seg[j] * _crossing_fraction(mag[j], mag[j + 1], s, lo[j])
+    # cumsum adds in cell order, so the sum rounds as a per-cell loop would
+    head = head_mass(f, nu) if above[0] else 0.0
+    total = np.cumsum(np.concatenate([[head], contrib]))[-1]
     if f.tail_exponent is not None and f.tail_exponent < 0 and mag[-1] > s:
         # radius where the tail model crosses s
         r_cross = r[-1] * (s / mag[-1]) ** (1.0 / f.tail_exponent)

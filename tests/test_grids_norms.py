@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -70,6 +71,53 @@ class TestSerialization:
         assert np.max(np.abs(g.values - f.values)) <= 1e-12
         h = CartesianField.from_csv(f.to_csv())
         assert np.max(np.abs(h.values - f.values)) <= 1e-12
+
+
+def _reference_radial_csv(f):
+    lines = [f"# radial n={f.n} tail_exponent={f.tail_exponent}",
+             ",".join(["r"] + [f"v{i}" for i in range(f.arity)])]
+    vals = f.values if f.is_vector else f.values[:, None]
+    for j in range(len(f.grid)):
+        lines.append(",".join(f"{float(x):.17g}" for x in (f.grid[j], *vals[j])))
+    return "\n".join(lines) + "\n"
+
+
+def _reference_radial_json(f):
+    vals = f.values if f.is_vector else f.values[:, None]
+    return json.dumps({
+        "schema": 1, "kind": "radial", "n": f.n,
+        "tail_exponent": f.tail_exponent,
+        "r": [float(x) for x in f.grid],
+        "values": [[float(x) for x in row] for row in vals]})
+
+
+def _reference_cartesian_csv(f):
+    lines = [f"# cartesian n={f.n} extent={f.extent:.17g} "
+             f"resolution={f.resolution}",
+             ",".join(f"i{k}" for k in range(f.n)) + ",value"]
+    for idx in np.ndindex(f.values.shape):
+        lines.append(",".join(str(i) for i in idx)
+                     + f",{float(f.values[idx]):.17g}")
+    return "\n".join(lines) + "\n"
+
+
+class TestSerializationBytes:
+    """The text exports are byte-equal to per-element formatting."""
+
+    def test_radial_scalar_and_vector(self):
+        rng = np.random.default_rng(9)
+        scalar = RadialFunction(GRID, rng.normal(size=GRID.size) * np.exp(-GRID),
+                                2, -2.5)
+        vector = RadialFunction(GRID, rng.normal(size=(GRID.size, 3)), 2)
+        for f in (scalar, vector, radial(lambda r: -np.zeros_like(r))):
+            assert f.to_csv() == _reference_radial_csv(f)
+            assert f.to_json() == _reference_radial_json(f)
+
+    @pytest.mark.parametrize("n, res", [(2, 48), (3, 12)])
+    def test_cartesian(self, n, res):
+        rng = np.random.default_rng(n)
+        f = CartesianField(n, 1.5, rng.normal(size=(res,) * n) * 1e-7)
+        assert f.to_csv() == _reference_cartesian_csv(f)
 
 
 class TestLpNorm:

@@ -7,9 +7,12 @@ import sil.rearrange
 from sil.errors import SilError, UnboundedDistribution
 from sil.functionals import Domain, FunctionalSpec, mt_functional
 from sil.grids import CartesianField, RadialFunction, indicator_values, log_grid
-from sil.norms import lp_norm
+from sil.measures import (hyperbolic_volume, hyperplane_measure, lebesgue,
+                          singular_measure)
+from sil.norms import head_mass, lp_norm
 from sil.rearrange import (decreasing_rearrangement, distribution_function,
-                           exp_regularized, regularization_sandwich)
+                           exp_regularized, rearrangement_value,
+                           regularization_sandwich)
 
 GRID = log_grid(1e-6, 1e3, 4096)
 
@@ -46,6 +49,141 @@ class TestDistribution:
     def test_unbounded_marker(self):
         f = RadialFunction(GRID, np.ones_like(GRID), 2, tail_exponent=0.0)
         assert distribution_function(f, 0.5) == math.inf
+
+
+def _reference_crossing_fraction(v0, v1, s, left_above):
+    if v0 > 0 and v1 > 0 and s > 0 and v0 != v1:
+        lam = (math.log(s) - math.log(v0)) / (math.log(v1) - math.log(v0))
+    elif v1 != v0:
+        lam = (s - v0) / (v1 - v0)
+    else:
+        lam = 0.5
+    lam = min(max(lam, 0.0), 1.0)
+    return lam if left_above else 1.0 - lam
+
+
+def _reference_distribution(f, s, nu=None):
+    """The per-cell loop that distribution_function must match bit for bit."""
+    mag = f.magnitude()
+    if f.tail_exponent is not None and mag[-1] > s:
+        if f.tail_exponent >= 0 or s == 0.0:
+            return math.inf
+    measure = nu if nu is not None else lebesgue(f.n)
+    r, w = f.grid, measure.radial_weight(f.grid)
+    above = mag > s
+    total = 0.0
+    if above[0]:
+        total += head_mass(f, nu)
+    t = np.log(r)
+    for j in range(len(r) - 1):
+        a, b = above[j], above[j + 1]
+        seg = 0.5 * (w[j] * r[j] + w[j + 1] * r[j + 1]) * (t[j + 1] - t[j])
+        if a and b:
+            total += seg
+        elif a != b:
+            total += seg * _reference_crossing_fraction(mag[j], mag[j + 1], s, a)
+    if f.tail_exponent is not None and f.tail_exponent < 0 and mag[-1] > s:
+        r_cross = r[-1] * (s / mag[-1]) ** (1.0 / f.tail_exponent)
+        total += measure.ball_mass_origin(r_cross) - measure.ball_mass_origin(r[-1])
+    return float(total)
+
+
+def _reference_rearrangement(f, t, nu=None):
+    hi = float(np.max(f.magnitude()))
+    if hi == 0.0 or _reference_distribution(f, hi, nu) > t:
+        return hi
+    lo = 0.0
+    for _ in range(60):
+        mid = 0.5 * (lo + hi)
+        if _reference_distribution(f, mid, nu) <= t:
+            hi = mid
+        else:
+            lo = mid
+    return 0.5 * (lo + hi)
+
+
+def seeded_profile(seed, n=2, tail=None, grid=GRID):
+    """Smooth bumps in log r over a slowly decaying floor, so every cell
+    carries a distinct positive value and the last node is above zero."""
+    rng = np.random.default_rng(seed)
+    t = np.log(grid)
+    vals = 0.05 / (1.0 + grid)
+    for _ in range(4):
+        c = rng.uniform(math.log(1e-3), math.log(3.0))
+        w = rng.uniform(0.3, 2.0)
+        z = np.clip(1.0 - ((t - c) / w) ** 2, 1e-12, None)
+        vals = vals + rng.uniform(0.1, 2.0) * np.exp(-1.0 / z) * (z > 1e-12)
+    return RadialFunction(grid, vals, n, tail)
+
+
+def _levels(f):
+    """s = 0, a level under the last node (tail mass), node values, levels
+    between nodes, the maximum and above it."""
+    mag = f.magnitude()
+    top = float(np.max(mag))
+    nodes = [float(mag[k]) for k in (0, len(mag) // 3, int(np.argmax(mag)) + 7, -1)]
+    return [0.0, 0.5 * float(mag[-1]), *nodes, 0.013 * top, 0.37 * top,
+            0.81 * top, top, 2.0 * top]
+
+
+def _vector_profile():
+    vals = np.stack([np.cos(3.0 * GRID), np.sin(GRID)], axis=1) * np.exp(-GRID)[:, None]
+    return RadialFunction(GRID, vals, 2)
+
+
+class TestDistributionBitIdentity:
+    """distribution_function and rearrangement_value give the same bits as
+    the per-cell loop: compared with ==, not approx."""
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("tail", [None, -2.5, 0.0])
+    def test_seeded_scalar_profiles(self, n, tail):
+        for seed in (3, 4):
+            f = seeded_profile(seed, n, tail)
+            for s in _levels(f):
+                assert distribution_function(f, s) == _reference_distribution(f, s)
+
+    def test_vector_profile(self):
+        f = _vector_profile()
+        for s in _levels(f):
+            assert distribution_function(f, s) == _reference_distribution(f, s)
+
+    @pytest.mark.parametrize("nu", [lebesgue(2), singular_measure(2, 0.5),
+                                    hyperbolic_volume(2), hyperplane_measure()],
+                             ids=["lebesgue", "singular", "hyperbolic", "hyperplane"])
+    def test_measures(self, nu):
+        f = seeded_profile(8, 2, -2.5, grid=log_grid(1e-4, 10.0, 1024))
+        for s in _levels(f):
+            assert distribution_function(f, s, nu) == _reference_distribution(f, s, nu)
+
+    def test_zero_nodes_take_linear_crossing(self):
+        rng = np.random.default_rng(12)
+        vals = np.maximum(rng.normal(0.3, 0.5, GRID.size), 0.0)
+        f = RadialFunction(GRID, vals, 2)
+        assert np.count_nonzero(vals == 0.0) > 100
+        for s in _levels(f):
+            assert distribution_function(f, s) == _reference_distribution(f, s)
+
+    def test_crossings_use_libm_logarithm(self):
+        # levels whose numpy logarithm differs from math.log in the last bit
+        # on this platform (none where the two agree); the crossing cells
+        # carry most of the mass, so such a bit shows in the result
+        rng = np.random.default_rng(21)
+        levels = [x for x in rng.uniform(0.2, 0.9, 50_000).tolist()
+                  if np.log(x) != math.log(x)][:8]
+        grid = log_grid(1e-2, 1.0, 32)
+        vals = np.full(grid.size, 0.1)
+        vals[10:13] = 1.0
+        vals[20] = 0.95
+        f = RadialFunction(grid, vals, 2)
+        for s in levels:
+            assert distribution_function(f, s) == _reference_distribution(f, s)
+
+    @pytest.mark.parametrize("vector", [False, True], ids=["scalar", "vector"])
+    def test_rearrangement_value(self, vector):
+        f = _vector_profile() if vector else seeded_profile(5, 2, -2.5)
+        for t in (1e-3, 0.1, 1.0):
+            assert rearrangement_value(f, t) == _reference_rearrangement(f, t)
 
 
 class TestRearrangement:
