@@ -185,7 +185,7 @@ class RadialFunction:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         meta = _csv_metadata(lines)
         rows = [ln for ln in lines if not ln.startswith("#") and not ln[0].isalpha()]
-        data = np.array([[float(x) for x in ln.split(",")] for ln in rows])
+        data = np.loadtxt(rows, delimiter=",", ndmin=2)
         tail = meta.get("tail_exponent")
         tail = None if tail in (None, "None") else float(tail)
         values = data[:, 1] if data.shape[1] == 2 else data[:, 1:]

@@ -21,14 +21,14 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy.lib.stride_tricks import sliding_window_view
 from scipy.signal import fftconvolve
+from scipy.special import ellipkm1, gamma, hyp2f1
 
 from .constants import ball_volume, sphere_area
 from .errors import (DomainError, GeometryViolated, ResolutionTooCoarse,
                      SingularOnDiagonal, UnboundedResult)
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
-from .kernels import KernelSpec
+from .kernels import KernelSpec, gradient_kernel
 from .norms import lp_norm
 
 _GL16 = np.polynomial.legendre.leggauss(16)
@@ -38,103 +38,79 @@ _GL16 = np.polynomial.legendre.leggauss(16)
 # angular slices W-hat(u) = integral over S^{n-1} of the kernel at e1 - u w
 # ---------------------------------------------------------------------------
 
-def _angular_slice_n2(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Trapezoid on [0, 2 pi) with node count adapted to the singularity scale.
+_ALPHA_ONE_GUARD = 3e-5  # |alpha - 1| below which n = 2 slices interpolate
 
-    Each quadrature level is evaluated in blocks of rows, each temporary
-    holding at most max(_BLOCK, nodes) elements whatever len(u) is; every
-    row sums on its own, so the blocking does not change a bit.
+
+def _circle_slice(alpha: float, u: np.ndarray) -> np.ndarray:
+    """integral over S^1 of |e1 - u w|^{alpha-2}: 2 pi 2F1(lam, lam; 1; s^2)
+    with lam = (2 - alpha)/2 and s = min(u, 1/u), times u^{alpha-2} if u > 1.
+
+    The terms of the connection formula in _circle_hyp cancel like
+    eps/|alpha - 1|, so orders within _ALPHA_ONE_GUARD of 1 (but not 1)
+    interpolate the 2F1 factor quadratically in alpha through alpha = 1 and
+    1 +- _ALPHA_ONE_GUARD.
     """
-    a_n = kernel.params.alpha - kernel.params.n
+    d = _ALPHA_ONE_GUARD
+    if alpha == 1.0 or abs(alpha - 1.0) >= d:
+        inner = _circle_hyp(alpha, u)
+    else:
+        lo, mid, hi = (_circle_hyp(a, u) for a in (1.0 - d, 1.0, 1.0 + d))
+        x = (alpha - 1.0) / d
+        inner = mid + x * (hi - lo) / 2.0 + x * x * (hi - 2.0 * mid + lo) / 2.0
+    return np.maximum(u, 1.0) ** (alpha - 2.0) * inner
+
+
+def _circle_hyp(alpha: float, u: np.ndarray) -> np.ndarray:
+    """2 pi 2F1(lam, lam; 1; s^2): the complete elliptic integral at alpha = 1
+    (DLMF 19.2), else near u = 1 the 1 - z connection formula (DLMF 15.8.4),
+    with 1 - s^2 taken from u without cancellation."""
+    big = np.maximum(u, 1.0)
+    if alpha == 1.0:
+        return 4.0 * big / (1.0 + u) * ellipkm1(((1.0 - u) / (1.0 + u)) ** 2)
+    lam, e = (2.0 - alpha) / 2.0, alpha - 1.0
+    w = np.abs((1.0 - u) * (1.0 + u)) / big**2  # 1 - s^2
     out = np.empty_like(u)
-    delta = np.abs(np.log(np.clip(u, 1e-300, None)))
-    # resolve the complex singularity at distance ~ delta from the real axis
-    target = np.clip((64.0 / np.clip(delta, 1e-8, None)).astype(int), 1024, 1 << 19)
-    level = np.ceil(np.log2(target))
-    for lv in np.unique(level):
-        n_nodes = int(2**lv)
-        rows = np.nonzero(level == lv)[0]
-        theta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        step = max(1, _BLOCK // n_nodes)
-        for start in range(0, rows.size, step):
-            block = rows[start: start + step]
-            uu = u[block][:, None]
-            q2 = 1.0 - 2.0 * uu * ct + uu**2
-            q2 = np.clip(q2, 1e-300, None)
-            if kernel.is_constant_angular:
-                vals = kernel.constant_angular_value * q2 ** (a_n / 2.0)
-            else:
-                norm = np.sqrt(q2)
-                vx, vy = (1.0 - uu * ct) / norm, (-uu * st) / norm
-                omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
-                ang = np.asarray(kernel.angular(omegas))
-                if kernel.is_vector:
-                    ang = ang.reshape(vx.shape + (kernel.vector_arity,))
-                    proj = ang[..., 0] * ct + ang[..., 1] * st
-                    vals = proj * q2 ** (a_n / 2.0)
-                else:
-                    vals = ang.reshape(vx.shape) * q2 ** (a_n / 2.0)
-            out[block] = vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
-    return out
-
-
-def _angular_slice_n3(kernel: KernelSpec, u: np.ndarray) -> np.ndarray:
-    """Colatitude reduction on S^2; closed form for constant angular parts."""
-    alpha = kernel.params.alpha
-    if kernel.is_constant_angular:
-        a = kernel.constant_angular_value
-        um = np.clip(np.abs(1.0 - u), 1e-300, None)
-        if abs(alpha - 1.0) < 1e-14:
-            val = (1.0 / u) * np.log((1.0 + u) / um)
-        else:
-            val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
-        return 2.0 * math.pi * a * val
-    # zonal vector case: integrand reduces to a single colatitude integral
-    if not kernel.is_vector:
-        raise DomainError("n=3 radial reduction supports constant angular or "
-                          "gradient kernels")
-    probe = np.asarray(kernel.angular(np.array([[1.0, 0.0, 0.0]])))
-    scale = float(np.linalg.norm(probe[0]))
-    return _zonal_gradient_slice(u, kernel.params.n, alpha, scale)
-
-
-def _zonal_gradient_slice(u: np.ndarray, n: int, alpha: float, scale: float) -> np.ndarray:
-    """integral over S^{n-1} of scale * ((e1 - u w)/|e1 - u w|) . w * |e1-u w|^{a-n},
-    by dyadic-panel Gauss-Legendre refined toward theta = 0."""
-    panels = []
-    top = math.pi
-    for _ in range(52):
-        panels.append((top / 2.0, top))
-        top /= 2.0
-    panels.append((0.0, top))
-    x16, w16 = _GL16
-    uu = u[:, None]
-    total = np.zeros_like(u)
-    for lo, hi in panels:
-        theta = 0.5 * (hi - lo) * x16 + 0.5 * (hi + lo)
-        wt = 0.5 * (hi - lo) * w16
-        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        q2 = np.clip(1.0 - 2.0 * uu * ct + uu**2, 1e-300, None)
-        integrand = scale * (ct - uu) * q2 ** ((alpha - n - 1) / 2.0)
-        total += np.sum(integrand * st ** (n - 2) * wt[None, :], axis=1)
-    return sphere_area(n - 1) * total
+    far = w >= 0.5
+    out[far] = hyp2f1(lam, lam, 1.0, np.minimum(u, 1.0 / u)[far] ** 2)
+    wn = w[~far]
+    out[~far] = (gamma(e) / gamma(1.0 - lam) ** 2 * hyp2f1(lam, lam, 1.0 - e, wn)
+                 + wn**e * gamma(-e) / gamma(lam) ** 2
+                 * hyp2f1(1.0 - lam, 1.0 - lam, 1.0 + e, wn))
+    return 2.0 * math.pi * out
 
 
 def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
-    """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r)."""
+    """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r).
+
+    Closed forms for the built-in kernels: constant angular parts in
+    n = 2 (_circle_slice) and n = 3 (colatitude reduction), and the two
+    gradient kernels, which are constants times the gradient of the
+    Newtonian kernel, so by Newton's shell theorem their projected slice
+    is -u^{1-n} for u > 1 and 0 for u < 1.  Other kernels raise DomainError.
+    """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u <= 0):
         raise DomainError("radius ratio must be positive")
     if np.any(u == 1.0):
         raise SingularOnDiagonal("angular weight is singular at r = rho")
-    n = kernel.params.n
-    if n == 2:
-        out = _angular_slice_n2(kernel, u)
-    elif n == 3:
-        out = _angular_slice_n3(kernel, u)
-    else:
+    n, alpha = kernel.params.n, kernel.params.alpha
+    if n not in (2, 3):
         raise DomainError("radial reduction implemented for n in {2, 3}")
+    if kernel.is_constant_angular and n == 2:
+        out = kernel.constant_angular_value * _circle_slice(alpha, u)
+    elif kernel.is_constant_angular:
+        a = kernel.constant_angular_value
+        um = np.abs(1.0 - u)
+        if abs(alpha - 1.0) < 1e-14:
+            val = (1.0 / u) * np.log((1.0 + u) / um)
+        else:
+            val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
+        out = 2.0 * math.pi * a * val
+    elif kernel.is_vector and alpha == 1.0 and kernel == gradient_kernel(n, 1):
+        out = np.where(u > 1.0, -(u ** (1.0 - n)), 0.0)
+    else:
+        raise DomainError("radial slices exist for constant angular parts and "
+                          "the gradient kernels only")
     return out if out.size > 1 else float(out[0])
 
 
@@ -184,7 +160,6 @@ class AngularWeightTable:
 _TABLE_CACHE: OrderedDict[tuple, AngularWeightTable] = OrderedDict()
 _TABLE_CACHE_SIZE = 32  # tables kept, least recently used evicted first
 _BAND = 4  # off-diagonal cells on each side that hold cell averages
-_BLOCK = 1 << 18  # elements per temporary row block in an n = 2 slice
 
 
 def _diag_cell_average(kernel: KernelSpec, h: float) -> float:
@@ -265,11 +240,44 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightT
 # ---------------------------------------------------------------------------
 
 def _uniform_log_step(grid: np.ndarray) -> float:
+    """The log step of a uniform-in-log grid, from its whole span: dt[0]
+    alone errs by about eps |log r0| / h."""
     t = np.log(grid)
-    dt = np.diff(t)
-    if not np.allclose(dt, dt[0], rtol=1e-8, atol=1e-12):
+    if t.size < 2 or not np.allclose(np.diff(t), (t[-1] - t[0]) / (t.size - 1),
+                                     rtol=1e-8, atol=1e-12):
         raise DomainError("radial convolution needs a uniform-in-log grid")
-    return float(dt[0])
+    return float((t[-1] - t[0]) / (t.size - 1))
+
+
+def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
+                     h: float, a_n: float) -> tuple:
+    """r_i^{a-n} sum_j weights_j table[j - i + m - 1], with a bound per row.
+
+    Bias 0 correlates weights with the table and scales by r^{a-n}; bias 1
+    correlates weights rho^{a-n} with the table times u^{n-a}, which gives
+    the result on its own scale (the FFTLog power-law bias, Hamilton 2000).
+    FFT roundoff of a correlation is bounded by 64 eps |w|_1 |table|_inf on
+    its own scale; each row keeps the bias with the smaller bound.  Rows
+    whose bound still exceeds 1e-4 of their value (a potential that is 0 or
+    changes sign there) are summed directly, each in a fixed order.
+    """
+    m = grid.size
+    scale = grid**a_n
+    w1 = weights * scale
+    t1 = table * np.exp(np.arange(1 - m, m) * (-a_n * h))
+    corr0 = scale * fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
+    corr1 = fftconvolve(w1, t1[::-1], mode="full")[m - 1: 2 * m - 1]
+    eps64 = 64.0 * np.finfo(float).eps
+    bound0 = scale * (eps64 * np.sum(np.abs(weights)) * np.max(np.abs(table)))
+    bound1 = eps64 * np.sum(np.abs(w1)) * np.max(np.abs(t1))
+    vals = np.where(bound1 < bound0, corr1, corr0)
+    bound = np.minimum(bound0, bound1)
+    nz = np.nonzero(weights)[0]
+    for i in np.nonzero(bound > 1e-4 * np.abs(vals))[0]:
+        terms = table[nz - i + (m - 1)] * weights[nz]
+        vals[i] = scale[i] * np.sum(terms)
+        bound[i] = scale[i] * eps64 * np.sum(np.abs(terms))
+    return vals, bound
 
 
 def radial_convolve(f: RadialFunction, kernel: KernelSpec,
@@ -301,30 +309,7 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
     m = f.grid.size
     table = angular_weight_table(kernel, h, m).window(m)
     weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
-    corr = fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
-    # FFT roundoff is absolute on the global product scale, so rows whose
-    # true answer sits near or below that floor come out as noise; recompute
-    # them by direct summation, where roundoff stays relative to the row's
-    # own terms.  Row r needs table[nz - r + m - 1]: a copy of the table
-    # window that starts at nz[0] - r + m - 1, with columns selected only
-    # where the nonzero weights have gaps.
-    nz = np.nonzero(weights)[0]
-    if nz.size:
-        noise_floor = 64.0 * np.finfo(float).eps * float(np.sum(np.abs(weights))) \
-            * float(np.max(np.abs(table)))
-        suspect = np.nonzero(np.abs(corr) < 1e4 * noise_floor)[0]
-        wnz = weights[nz]
-        span = int(nz[-1] - nz[0]) + 1
-        windows = sliding_window_view(table, span)
-        for start in range(0, suspect.size, 256):
-            rows = suspect[start: start + 256]
-            block = windows[nz[0] - rows + (m - 1)]
-            if span > nz.size:
-                # np.take keeps the block C-ordered, so the product sums
-                # each row in the same order as a full gather would
-                block = np.take(block, nz - nz[0], axis=1)
-            corr[rows] = block @ wnz
-    vals = f.grid ** (p.alpha - p.n) * corr
+    vals, _ = _log_correlation(weights, table, f.grid, h, p.alpha - p.n)
 
     tail = 0.0
     if f.tail_exponent is not None and f.values[-1] != 0.0:

@@ -113,6 +113,22 @@ class TestSerializationBytes:
             assert f.to_csv() == _reference_radial_csv(f)
             assert f.to_json() == _reference_radial_json(f)
 
+    def test_radial_csv_parse_is_float_of_each_field(self):
+        # from_csv parses in one numpy call; every value must equal float()
+        # of its field, including -0.0, subnormals and the extremes
+        rng = np.random.default_rng(11)
+        vals = rng.normal(size=GRID.size) * np.exp(rng.uniform(-700, 700, GRID.size))
+        vals[:4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        for f in (RadialFunction(GRID, vals, 3, -2.5),
+                  RadialFunction(GRID, rng.normal(size=(GRID.size, 2)), 2)):
+            text = f.to_csv()
+            rows = [ln.split(",") for ln in text.splitlines()[2:]]
+            ref = np.array([[float(x) for x in row] for row in rows])
+            back = RadialFunction.from_csv(text)
+            parsed = np.column_stack([back.grid, back.values])
+            assert np.array_equal(parsed.view(np.int64), ref.view(np.int64))
+            assert back.n == f.n and back.tail_exponent == f.tail_exponent
+
     @pytest.mark.parametrize("n, res", [(2, 48), (3, 12)])
     def test_cartesian(self, n, res):
         rng = np.random.default_rng(n)

@@ -84,6 +84,36 @@ class TestDeterminism:
         assert j1 == j2
         assert r1.provenance["config_hash"] == r2.provenance["config_hash"]
 
+    def test_output_does_not_depend_on_blas_threads(self, tmp_path):
+        # `sil run` in two processes, OpenBLAS pinned to 1 and to 2 threads:
+        # every file and stdout byte-identical apart from the timestamp
+        import os
+        import re
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        procs = {}
+        for threads in ("1", "2"):
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads,
+                       OMP_NUM_THREADS=threads, MKL_NUM_THREADS=threads,
+                       PYTHONPATH=os.pathsep.join(
+                           [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+            procs[threads] = subprocess.Popen(
+                [sys.executable, "-m", "sil.cli", "run", "--seed", "0",
+                 "--out", str(tmp_path / threads)],
+                env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+        out = {t: p.communicate(timeout=600) for t, p in procs.items()}
+        assert all(p.returncode == 0 for p in procs.values()), out
+        assert out["1"][0] == out["2"][0]
+        names = sorted(os.listdir(tmp_path / "1"))
+        assert len(names) == 9 and names == sorted(os.listdir(tmp_path / "2"))
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+        for name in names:
+            one, two = ((tmp_path / t / name).read_text() for t in ("1", "2"))
+            assert stamp.sub("", one) == stamp.sub("", two), name
+
     def test_persistence(self, tmp_path):
         sc = Scenario("lemma_suite", Params(2, 1.0), seed=1, sweep=[1e-1])
         summary = run_all([sc], out_dir=str(tmp_path))

@@ -4,14 +4,15 @@ from collections import OrderedDict
 
 import numpy as np
 import pytest
-from scipy.signal import fftconvolve
 
 from sil import potentials
 from sil.constants import riesz_normalization
 from sil.errors import (DomainError, SingularOnDiagonal, UnboundedResult)
+from sil.extremals import adams_family, coupling_eps
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid, trapezoid_weights_log)
-from sil.kernels import (KernelSpec, bessel_kernel, gradient_kernel,
+from sil.harness import DEFAULT_SWEEPS, _random_profile
+from sil.kernels import (KernelSpec, bessel_kernel, constant_kernel, gradient_kernel,
                          hyperbolic_green, hyperbolic_h2_exact, riesz_kernel)
 from sil.norms import lp_norm
 from sil.params import Params
@@ -58,12 +59,14 @@ class TestAngularWeight:
 
     def test_projected_vector_weight(self):
         # a vector kernel's weight is projected on the source direction:
-        # a finite nonzero scalar, homogeneous of degree alpha - n
+        # a finite nonzero scalar outside the shell, homogeneous of degree
+        # alpha - n; inside it Newton's shell theorem makes it exactly 0
         k = gradient_kernel(2, 1)
-        w = angular_weight(k, 1.0, 0.5)
-        assert np.isfinite(w) and abs(w) > 0
-        w2 = angular_weight(k, 2.0, 1.0)
+        w = angular_weight(k, 1.0, 2.0)
+        assert np.isfinite(w) and w == pytest.approx(-0.5, rel=1e-15)
+        w2 = angular_weight(k, 2.0, 4.0)
         assert w2 == pytest.approx(2.0 ** (1 - 2) * w, rel=1e-9)
+        assert angular_weight(k, 1.0, 0.5) == 0.0
 
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_quadrature_oracle_near_diagonal(self, alpha):
@@ -104,50 +107,90 @@ class TestAngularWeight:
             assert angular_weight(K2, r, rho) == pytest.approx(exact, rel=1e-9)
 
 
-def _unblocked_slice_n2(kernel, u):
-    """Every row of a quadrature level in one block: the reference for the
-    row-blocked evaluation of potentials._angular_slice_n2."""
-    a_n = kernel.params.alpha - kernel.params.n
-    out = np.empty_like(u)
-    delta = np.abs(np.log(np.clip(u, 1e-300, None)))
-    target = np.clip((64.0 / np.clip(delta, 1e-8, None)).astype(int), 1024, 1 << 19)
-    for lv in np.unique(np.ceil(np.log2(target))):
-        n_nodes = int(2**lv)
-        mask = np.ceil(np.log2(target)) == lv
-        uu = u[mask][:, None]
-        theta = np.arange(n_nodes) * (2.0 * math.pi / n_nodes)
-        ct, st = np.cos(theta)[None, :], np.sin(theta)[None, :]
-        q2 = np.clip(1.0 - 2.0 * uu * ct + uu**2, 1e-300, None)
-        if kernel.is_constant_angular:
-            vals = kernel.constant_angular_value * q2 ** (a_n / 2.0)
-        else:
-            norm = np.sqrt(q2)
-            vx, vy = (1.0 - uu * ct) / norm, (-uu * st) / norm
-            omegas = np.stack([vx.ravel(), vy.ravel()], axis=-1)
-            ang = np.asarray(kernel.angular(omegas))
-            ang = ang.reshape(vx.shape + (kernel.vector_arity,))
-            vals = (ang[..., 0] * ct + ang[..., 1] * st) * q2 ** (a_n / 2.0)
-        out[mask] = vals.sum(axis=1) * (2.0 * math.pi / n_nodes)
-    return out
+def _circle_slice_mp(alpha, u):
+    """2 pi 2F1(lam, lam; 1; s^2), s = min(u, 1/u), times u^{alpha-2} for u > 1,
+    in mpmath."""
+    import mpmath as mp
+    with mp.workdps(40):
+        lam, u = mp.mpf(2 - alpha) / 2, mp.mpf(u)
+        s = min(u, 1 / u)
+        return float(max(u, 1) ** (alpha - 2) * 2 * mp.pi * mp.hyp2f1(lam, lam, 1, s * s))
 
 
-SLICE_KERNELS = [riesz_kernel(Params(2, 0.5)), K2, riesz_kernel(Params(2, 1.5)),
-                 gradient_kernel(2, 1)]
-SLICE_IDS = ["riesz_half", "riesz_1", "riesz_3half", "gradient"]
+class TestClosedFormSlices:
+    U = np.array([1e-9, 0.2, 0.7, 0.9, 1 - 1e-3, 1 - 1e-6, 1 + 1e-6, 1 + 1e-3,
+                  1.2, 3.0, 1e9])
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 1.9])
+    def test_riesz_n2_against_mpmath(self, alpha):
+        k = riesz_kernel(Params(2, alpha))
+        got = potentials.angular_slice(k, self.U)
+        ref = np.array([_circle_slice_mp(alpha, u) for u in self.U])
+        assert np.max(np.abs(got / ref - 1.0)) <= 1e-14
+
+    @pytest.mark.parametrize("offset", [-1e-6, 2e-5, -2.9e-5, 3.1e-5])
+    def test_riesz_n2_orders_near_one(self, offset):
+        # inside the guard the 2F1 factor is interpolated in alpha; at its
+        # edge the connection formula cancels most: both stay near 1e-11
+        alpha = 1.0 + offset
+        got = potentials.angular_slice(riesz_kernel(Params(2, alpha)), self.U)
+        ref = np.array([_circle_slice_mp(alpha, u) for u in self.U])
+        assert np.max(np.abs(got / ref - 1.0)) <= 3e-11
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gradient_slices_against_mpmath(self, n):
+        # the projected sphere integral by mpmath quadrature, split around
+        # the near-singular colatitude |1 - u|
+        import mpmath as mp
+        k = gradient_kernel(n, 1)
+        for u in (0.5, 1 - 1e-6, 1 - 1e-3, 1 + 1e-6, 1 + 1e-3, 2.0):
+            with mp.workdps(30):
+                uu = mp.mpf(u)
+                q = lambda th: 1 - 2 * uu * mp.cos(th) + uu * uu
+                if n == 2:  # 2 x integral over [0, pi] of (z . w) / (2 pi |z|^2)
+                    f = lambda th: (mp.cos(th) - uu) / q(th) / mp.pi
+                else:  # 2 pi x integral over [0, pi] of (z . w) / (4 pi |z|^3) sin
+                    f = lambda th: (mp.cos(th) - uu) / q(th) ** 1.5 * mp.sin(th) / 2
+                d = abs(1 - uu)
+                exact = float(mp.quad(f, [0, d / 10, d, 10 * d, 0.1, mp.pi]))
+            got = potentials.angular_slice(k, u)
+            assert abs(got - exact) <= 1e-15
+            assert u > 1 or got == 0.0
+
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_gradient_potential_inverts_the_gradient(self, n):
+        # u = T(u') for u = exp(-r^2): the radial field (y/|y|) u'(|y|) is
+        # the gradient of u, and T_g f(r) = -integral_r^inf h
+        g = log_grid(1e-6, 1e2, 4001)  # 500 nodes per decade
+        du = -2.0 * g * np.exp(-g**2)
+        tf = radial_convolve(RadialFunction(g, du, n), gradient_kernel(n, 1))
+        inside = (g >= 1e-4) & (g <= 1.0)
+        assert np.max(np.abs(tf.values - np.exp(-g**2))[inside]) <= 1e-5
+
+    @pytest.mark.parametrize("n,alpha", [(2, 0.5), (2, 1.0), (2, 1.5),
+                                         (3, 0.5), (3, 1.0), (3, 2.0)])
+    def test_gegenbauer_means_are_the_taylor_series(self, n, alpha):
+        # W-hat(u) = |S^{n-1}| 2F1(lam, lam - n/2 + 1; n/2; u^2) for u < 1,
+        # lam = (n - alpha)/2: its u^{2j} coefficients are the sphere means
+        import mpmath as mp
+        from sil.constants import sphere_area
+        lam = (n - alpha) / 2.0
+        means = potentials.gegenbauer_sphere_means(n, alpha, 10)
+        series = np.array([float(sphere_area(n) * mp.rf(lam, j)
+                                 * mp.rf(lam - n / 2 + 1, j)
+                                 / (mp.rf(n / 2, j) * mp.factorial(j)))
+                           for j in range(11)])
+        assert np.allclose(means, series, rtol=1e-12, atol=1e-12 * series[0])
+
+    def test_non_constant_scalar_kernel_raises(self):
+        k = KernelSpec(kind="homogeneous", params=P2,
+                       angular=lambda om: 1.0 + om[:, 0] ** 2)
+        with pytest.raises(DomainError):
+            potentials.angular_slice(k, 0.5)
 
 
 class TestRowBlocks:
-    # offsets k h, |k| <= 700, h = 0.01: levels from 1,024 to 8,192 nodes,
-    # with 1,388 rows on the 1,024-node level (six blocks of 256 rows)
-    U = np.exp(0.01 * np.concatenate([np.arange(-700, 0), np.arange(1, 701)]))
-
-    @pytest.mark.parametrize("kernel", SLICE_KERNELS, ids=SLICE_IDS)
-    def test_blocks_keep_the_bits(self, kernel, monkeypatch):
-        ref = _unblocked_slice_n2(kernel, self.U)
-        assert np.array_equal(potentials._angular_slice_n2(kernel, self.U), ref)
-        # blocks of 3 rows on the smallest level, 1 row above it
-        monkeypatch.setattr(potentials, "_BLOCK", 3 * 1024 + 5)
-        assert np.array_equal(potentials._angular_slice_n2(kernel, self.U), ref)
+    # a cold table is built in memory that does not grow with the grid
 
     @pytest.mark.parametrize("kernel", [K2, gradient_kernel(2, 1)],
                              ids=["riesz", "gradient"])
@@ -167,16 +210,16 @@ class TestRowBlocks:
 
 class TestWeightTableCache:
     def test_angular_callable_is_part_of_the_key(self):
-        # two kernels with the default label that differ only in their
-        # angular part must not share a cached table
-        k1 = KernelSpec(kind="homogeneous", params=P2,
-                        angular=lambda om: np.ones(len(om)))
-        k5 = KernelSpec(kind="homogeneous", params=P2,
-                        angular=lambda om: np.full(len(om), 5.0))
-        t1 = angular_weight_table(k1, 0.05, 64)
-        t5 = angular_weight_table(k5, 0.05, 64)
-        assert t5 is not t1
-        assert t5.values[-1] == pytest.approx(5.0 * t1.values[-1], rel=1e-12)
+        # a kernel that copies the gradient kernel's fields but not its
+        # angular callable must not be served the gradient kernel's table;
+        # it has no closed-form slice, so building its own table fails
+        grad = gradient_kernel(2, 1)
+        copy = KernelSpec(kind="homogeneous", params=grad.params,
+                          angular=lambda om: 5.0 * grad.angular(om),
+                          vector_arity=2, label=grad.label)
+        angular_weight_table(grad, 0.05, 64)
+        with pytest.raises(DomainError):
+            angular_weight_table(copy, 0.05, 64)
 
     def test_gradient_kernel_tables_are_shared(self):
         k = gradient_kernel(2, 1)
@@ -218,6 +261,14 @@ class TestWeightTableCache:
         assert calls == []
         assert short is fresh
         assert np.array_equal(short.window(120), fresh.values[180:419])
+
+    def test_log_step_comes_from_the_span(self):
+        # the first step of a grid reaching down to 1e-47 errs in the 12th
+        # digit; the span gives all six adachi_rate grids one step, ln 10/400
+        steps = {potentials._uniform_log_step(
+                     adams_family(K2, coupling_eps(2, 2.0, theta)).profile.grid)
+                 for theta in DEFAULT_SWEEPS["adachi_rate"]}
+        assert steps == {math.log(10.0) / 400}
 
     def test_log_step_is_an_exact_key(self):
         # steps that agree to 14 digits are still different steps
@@ -301,6 +352,67 @@ class TestRadialConvolve:
                                      np.where(tf.grid <= lam * R, tf.values, 0.0), 2)
             assert lp_norm(cut, pc) ** pc == pytest.approx(
                 lam ** (-p.n) * lp_norm(cut_ref, pc) ** pc, rel=1e-3)
+
+
+def _bumps(rng, grid, support=1.0):
+    t = np.log(grid)
+    vals = sum(rng.uniform(0.2, 2.0)
+               * np.exp(-((t - rng.uniform(math.log(support * 1e-3), math.log(support)))
+                          / rng.uniform(0.2, 1.5)) ** 2)
+               for _ in range(rng.integers(2, 5)))
+    return np.where(grid <= support, vals, 0.0)
+
+
+_ADACHI = constant_kernel(Params(2, 1.0, q=2.0), 0.5)
+_G3 = log_grid(1e-6, 1e3, 3601)
+
+# (source, kernel) for every scenario family, random bumps and Riesz n = 3
+ORACLE_CASES = {
+    "adams": lambda: (adams_family(K2, 1e-4).profile, K2),
+    "adachi_0.98": lambda: (adams_family(_ADACHI, coupling_eps(2, 2.0, 0.98)).profile,
+                            _ADACHI),
+    "adachi_0.995": lambda: (adams_family(_ADACHI, coupling_eps(2, 2.0, 0.995)).profile,
+                             _ADACHI),
+    "random_profile": lambda: (_random_profile(np.random.default_rng(13),
+                                               log_grid(1e-6, 1e3, 3000), 2), K2),
+    "bumps_half": lambda: (RadialFunction(GRID, _bumps(np.random.default_rng(14), GRID), 2),
+                           riesz_kernel(Params(2, 0.5))),
+    "riesz3": lambda: (RadialFunction(_G3, _bumps(np.random.default_rng(15), _G3), 3), K3),
+    "gradient2": lambda: (adams_family(gradient_kernel(2, 1), 1e-3, corrected=False).profile,
+                          gradient_kernel(2, 1)),
+    "gradient3": lambda: (adams_family(gradient_kernel(3, 1), 1e-3).profile,
+                          gradient_kernel(3, 1)),
+}
+
+
+class TestCorrelationOracle:
+    @pytest.mark.parametrize("case", list(ORACLE_CASES))
+    def test_rows_match_fsum(self, case):
+        # seeded rows against math.fsum of the same discrete sum: rtol 1e-12
+        # inside B_1; rows far out, or where Tf is ~0 against its own terms,
+        # are judged absolutely on the scale of those terms.  The bound per
+        # row must cover the measured error everywhere.
+        f, kernel = ORACLE_CASES[case]()
+        p = kernel.params
+        g, m = f.grid, f.grid.size
+        h = potentials._uniform_log_step(g)
+        table = angular_weight_table(kernel, h, m).window(m)
+        weights = trapezoid_weights_log(g) * g ** (p.n - 1) * f.values
+        vals, bound = potentials._log_correlation(weights, table, g, h, p.alpha - p.n)
+        assert np.array_equal(radial_convolve(f, kernel).values, vals)
+        nz = np.nonzero(weights)[0]
+        rows = np.random.default_rng(7).choice(m, 80, replace=False)
+        for i in rows:
+            terms = table[nz - i + (m - 1)] * weights[nz]
+            scale = g[i] ** (p.alpha - p.n)
+            exact = scale * math.fsum(terms)
+            own = scale * math.fsum(np.abs(terms))
+            err = abs(vals[i] - exact)
+            assert err <= bound[i], (i, g[i], err, bound[i])
+            if g[i] <= 1.0 and abs(exact) >= 1e-3 * own:
+                assert err <= 1e-12 * abs(exact), (i, g[i], err, exact)
+            else:
+                assert err <= 1e-12 * own, (i, g[i], err, own)
 
 
 class TestCartesianConvolve:
@@ -441,33 +553,6 @@ class TestGradientKernelPotential:
         assert np.all(np.isfinite(tf.values))
         # the potential of an outward radial-vector source is nonzero at 0+
         assert abs(tf.values[0]) > 1e-3
-
-    def test_fallback_with_gaps_matches_the_gather(self):
-        # interior zeros in the source make the direct-sum rows select
-        # columns of the table window; they must equal the full 2-D index
-        # gather of the table bit for bit
-        k = gradient_kernel(2, 1)
-        g = log_grid(1e-6, 1e3, 2049)
-        bump = np.exp(-(np.log(g) / 0.7) ** 2) * (g < 5.0)
-        f = RadialFunction(g, bump * ((g < 1e-3) | (g > 1e-1)), 2)
-        out = radial_convolve(f, k).values
-
-        m = g.size
-        h = float(np.diff(np.log(g))[0])
-        table = angular_weight_table(k, h, m).window(m)
-        weights = trapezoid_weights_log(g) * g ** (2 - 1) * f.values
-        corr = fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
-        nz = np.nonzero(weights)[0]
-        assert nz[-1] - nz[0] + 1 > nz.size  # the weights have gaps
-        floor = 64.0 * np.finfo(float).eps * np.sum(np.abs(weights)) \
-            * np.max(np.abs(table))
-        suspect = np.nonzero(np.abs(corr) < 1e4 * floor)[0]
-        assert suspect.size > 256  # more than one block of rows
-        for start in range(0, suspect.size, 256):  # the BLAS call per block
-            rows = suspect[start: start + 256]
-            idx = nz[None, :] - rows[:, None] + (m - 1)
-            expected = g[rows] ** (k.params.alpha - 2) * (table[idx] @ weights[nz])
-            assert np.array_equal(out[rows], expected)
 
     def test_kernel_decides_the_reduction(self):
         # source is only a consistency check: naming the reduction the
