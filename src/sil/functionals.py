@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Optional, Tuple
 
 import numpy as np
+from scipy.integrate import quad
 
 from .constants import moser_gamma, sharp_gamma
 from .errors import (DivergentIntegral, DomainError, HypothesisViolated,
@@ -241,7 +242,6 @@ def _tail_estimate(u: RadialFunction, spec: FunctionalSpec) -> float:
     if nu.kind not in ("lebesgue", "radial"):
         return 0.0
     # int_{r_max}^inf gamma^k |u|^{power k} / k! weight dr, leading term
-    from scipy.integrate import quad
     r_max = float(u.grid[-1])
     coef = spec.gamma_coeff**k * mag_end ** (spec.power * k) / math.factorial(k)
     val, _ = quad(

@@ -192,15 +192,20 @@ class RadialFunction:
         return RadialFunction(data[:, 0], values, int(meta.get("n", 2)), tail)
 
     def to_json(self) -> str:
-        vals = self.values if self.is_vector else self.values[:, None]
-        return json.dumps({
+        head = json.dumps({
             "schema": 1,
             "kind": "radial",
             "n": self.n,
             "tail_exponent": self.tail_exponent,
             "r": self.grid.tolist(),
-            "values": vals.tolist(),
         })
+        vals = json.dumps(self.values.tolist())
+        if not self.is_vector:
+            # scalar values nest as [[v], ...]: rewrite the flat list's text
+            # rather than build a one-element list per node, which would set
+            # off the cyclic garbage collector during long exports
+            vals = "[[" + vals[1:-1].replace(", ", "], [") + "]]"
+        return head[:-1] + ', "values": ' + vals + "}"
 
     @staticmethod
     def from_json(text: str) -> "RadialFunction":

@@ -516,7 +516,10 @@ def parse_config(path: str) -> List[Scenario]:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
-    seed = int(cfg.get("seed", 0))
+    try:
+        seed = int(cfg.get("seed", 0))
+    except (TypeError, ValueError) as exc:
+        raise ConfigError(f"config {path}: seed: {exc}") from exc
     out = []
     for i, entry in enumerate(cfg.get("scenarios", [])):
         try:

@@ -13,6 +13,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 
 from .constants import sphere_area
 from .errors import DomainError, GrowthViolated, NegativeDensity
@@ -65,10 +66,8 @@ class MeasureDensity:
         if self.kind == "hyperplane":
             return 2.0 * r
         if self.kind == "hyperbolic":
-            from scipy.integrate import quad
             val, _ = quad(lambda s: math.sinh(s) ** (self.n - 1), 0.0, r)
             return sphere_area(self.n) * val
-        from scipy.integrate import quad
         val, _ = quad(
             lambda s: float(self.radial_density(np.array([s]))[0]) * s ** (self.n - 1),
             0.0, r, limit=200)
@@ -106,7 +105,6 @@ class MeasureDensity:
             # integrate in polar coordinates about the origin: shells around
             # the ball's center pass through the density singularity, while
             # origin-centered shells meet the ball in a bounded wedge
-            from scipy.integrate import quad
             c = center_radius
 
             def wedge(rho):

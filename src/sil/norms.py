@@ -12,6 +12,7 @@ import math
 from typing import Optional, Union
 
 import numpy as np
+from scipy.integrate import quad
 
 from .constants import sphere_area
 from .errors import DomainError, NonIntegrableTail
@@ -64,7 +65,6 @@ def _tail_integral(f: RadialFunction, p: float, nu: Optional[MeasureDensity]) ->
                 f"tail exponent {f.tail_exponent} makes the p={p} norm diverge")
         return sphere_area(f.n) * mag_end**p * r_max**f.n / (-expo)
     # generic weight: quadrature out to where the integrand is negligible
-    from scipy.integrate import quad
     val, _ = quad(
         lambda r: (mag_end * (r / r_max) ** f.tail_exponent) ** p
         * float(measure.radial_weight(np.array([r]))[0]),

@@ -15,6 +15,7 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.integrate import quad
 
 from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
 from .errors import (DomainError, ExponentConstraintViolated, JInfinite,
@@ -321,7 +322,6 @@ def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
         return 0.0
     if beta * gamma_exp <= 1.0:
         raise DomainError("log-correction constant diverges: beta*gamma <= 1")
-    from scipy.integrate import quad
     val, _ = quad(lambda x: (1.0 + h1 * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
                   0.0, np.inf, limit=200)
     return val

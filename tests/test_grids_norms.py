@@ -109,7 +109,14 @@ class TestSerializationBytes:
         scalar = RadialFunction(GRID, rng.normal(size=GRID.size) * np.exp(-GRID),
                                 2, -2.5)
         vector = RadialFunction(GRID, rng.normal(size=(GRID.size, 3)), 2)
-        for f in (scalar, vector, radial(lambda r: -np.zeros_like(r))):
+        # to_json writes scalar values from the flat list's text: -0.0,
+        # subnormals, the extremes, and NaN/Infinity in the other fields
+        edges = rng.normal(size=GRID.size)
+        edges[:4] = [-0.0, 5e-324, -2.2250738585072014e-308, 1.7976931348623157e308]
+        grid_inf = np.append(GRID[:-1], np.inf)
+        for f in (scalar, vector, radial(lambda r: -np.zeros_like(r)),
+                  RadialFunction(grid_inf, edges, 3, math.nan),
+                  RadialFunction(grid_inf, edges[:, None], 2, -math.inf)):
             assert f.to_csv() == _reference_radial_csv(f)
             assert f.to_json() == _reference_radial_json(f)
 

@@ -126,6 +126,50 @@ class TestDeterminism:
         assert summary["counts"]
 
 
+class TestImportGraph:
+    def test_import_and_run_load_no_heavy_scipy(self, tmp_path):
+        # a fresh process: importing sil and its CLI leaves out the scipy
+        # subpackages that scipy.signal would pull in, and a run of every
+        # scenario kind imports no scipy module inside the timed work
+        import os
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        scenarios = [
+            {"id": "ruf_sharp"}, {"id": "ruf_supercritical"},
+            {"id": "adachi_rate", "sweep": [0.92, 0.95]},
+            {"id": "trace_sharp", "sigma": 0.5},
+            {"id": "hyperbolic", "n": 3, "alpha": 2.0},
+            {"id": "bessel", "n": 3, "sweep": []},
+            {"id": "lemma_suite"}]
+        for sc in scenarios:
+            sc.setdefault("sweep", [1e-1, 1e-2, 1e-3])
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": 0, "scenarios": scenarios}))
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import sil\n"
+            "from sil import cli\n"
+            "before = set(sys.modules)\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main(['run', '--config', {str(cfg)!r}, '--out', {str(tmp_path / 'out')!r}])\n"
+            "added = sorted(m for m in set(sys.modules) - before if m.startswith('scipy'))\n"
+            "print(json.dumps({'loaded': sorted(before), 'added': added}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        for heavy in ("scipy.signal", "scipy.stats", "scipy.interpolate",
+                      "scipy.ndimage"):
+            assert heavy not in out["loaded"]
+        assert len(os.listdir(tmp_path / "out")) == len(scenarios) + 1
+        assert out["added"] == []
+
+
 class TestDichotomyScenarios:
     def test_supercritical_rate_on_deep_sweep(self):
         # the center blow-up driver reaches its predicted rate once the
@@ -272,6 +316,13 @@ class TestCli:
         cfg = tmp_path / "cfg.json"
         cfg.write_text("{broken")
         assert main(["run", "--config", str(cfg)]) == 2
+
+    @pytest.mark.parametrize("seed", [None, "x", [3]])
+    def test_bad_seed_exit_code(self, tmp_path, capsys, seed):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"seed": seed, "scenarios": []}))
+        assert main(["run", "--config", str(cfg)]) == 2
+        assert "seed" in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -415,6 +415,29 @@ class TestCorrelationOracle:
                 assert err <= 1e-12 * own, (i, g[i], err, own)
 
 
+class TestFullConvolve:
+    """potentials._full_convolve is scipy.signal.fftconvolve's "full" mode,
+    bit for bit, without importing scipy.signal."""
+
+    @pytest.mark.parametrize("m", [1, 2, 7, 401, 3601, 4096, 19164])
+    def test_log_correlation_shapes(self, m):
+        from scipy.signal import fftconvolve
+        rng = np.random.default_rng(m)
+        weights = rng.normal(size=m) * np.exp(rng.uniform(-30, 30, m))
+        table = rng.normal(size=2 * m - 1)
+        assert np.array_equal(potentials._full_convolve(weights, table[::-1]),
+                              fftconvolve(weights, table[::-1], mode="full"))
+
+    @pytest.mark.parametrize("shape", [(64, 64), (9, 9, 9)])
+    def test_cartesian_shapes(self, shape):
+        from scipy.signal import fftconvolve
+        rng = np.random.default_rng(len(shape))
+        f = rng.normal(size=shape)
+        kv = rng.normal(size=tuple(2 * s - 1 for s in shape))
+        assert np.array_equal(potentials._full_convolve(f, kv),
+                              fftconvolve(f, kv, mode="full"))
+
+
 class TestCartesianConvolve:
     def test_matches_radial_engine(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
