@@ -22,7 +22,7 @@ class NumericError(SilError, ArithmeticError):
 
 
 class NonIntegrableTail(NumericError):
-    """Requested norm diverges given the declared tail exponent."""
+    """A norm or whole-space functional diverges through the declared tail."""
 
 
 class NegativeDensity(DomainError):
@@ -43,10 +43,6 @@ class SingularOnDiagonal(DomainError):
 
 class UnboundedResult(NumericError):
     """Convolution diverges for the given input tail."""
-
-
-class ResolutionTooCoarse(NumericError):
-    """Cartesian grid too coarse to resolve the kernel singularity."""
 
 
 class GeometryViolated(DomainError):
@@ -88,10 +84,6 @@ class GrowthViolated(NumericError):
 
 class DivergentIntegral(DomainError):
     """Non-regularized whole-space exponential integral requested."""
-
-
-class NonIntegrable(NumericError):
-    """Whole-space functional diverges for the given input."""
 
 
 class JInfinite(NumericError):

@@ -84,6 +84,11 @@ class Scenario:
             self.sweep = list(DEFAULT_SWEEPS[self.id])
         if self.sweep != sorted(self.sweep) and self.sweep != sorted(self.sweep, reverse=True):
             raise ConfigError("sweep must be monotone")
+        if self.id in ("ruf_supercritical", "trace_sharp") and len(
+                {e for e in self.sweep if e <= RATE_FIT_EPS_MAX}) < 2:
+            raise ConfigError(
+                f"{self.id} fits its rate over eps <= {RATE_FIT_EPS_MAX}: "
+                "the sweep needs two distinct points there")
 
 
 @dataclass
@@ -516,12 +521,19 @@ def parse_config(path: str) -> List[Scenario]:
             cfg = json.load(fh)
     except (OSError, json.JSONDecodeError) as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
+    if not isinstance(cfg, dict):
+        raise ConfigError(f"config {path}: expected a JSON object")
     try:
         seed = int(cfg.get("seed", 0))
     except (TypeError, ValueError) as exc:
         raise ConfigError(f"config {path}: seed: {exc}") from exc
+    entries = cfg.get("scenarios", [])
+    if not isinstance(entries, list):
+        raise ConfigError(f"config {path}: scenarios must be a list")
     out = []
-    for i, entry in enumerate(cfg.get("scenarios", [])):
+    for i, entry in enumerate(entries):
+        if not isinstance(entry, dict):
+            raise ConfigError(f"scenario #{i}: expected a JSON object")
         try:
             params = Params(n=int(entry.get("n", 2)),
                             alpha=float(entry.get("alpha", 1.0)),

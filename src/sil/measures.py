@@ -9,14 +9,16 @@ certificates (Q, sigma) ride along for the trace inequalities.
 from __future__ import annotations
 
 import math
+import warnings
 from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
+from scipy.integrate import IntegrationWarning, quad
 
 from .constants import sphere_area
-from .errors import DomainError, GrowthViolated, NegativeDensity
+from .errors import (DomainError, GrowthViolated, NegativeDensity,
+                     NonIntegrableTail)
 
 
 @dataclass(frozen=True)
@@ -72,6 +74,43 @@ class MeasureDensity:
             lambda s: float(self.radial_density(np.array([s]))[0]) * s ** (self.n - 1),
             0.0, r, limit=200)
         return sphere_area(self.n) * val
+
+    def tail_integral(self, r_max: float, expo: float, coef: float = 1.0) -> float:
+        """coef * int_{|x| > r_max} (|x|/r_max)^expo dnu: a power tail declared
+        beyond the last grid node, integrated out to infinity.
+
+        Closed form for Lebesgue and the line; the hyperbolic volume grows
+        like e^{(n-1) r}, which no power tail offsets; radial densities go
+        through quadrature.  Raises NonIntegrableTail when the integral
+        diverges, including when quadrature warns.
+        """
+        if self.kind == "lebesgue":
+            if expo + self.n >= 0:
+                raise NonIntegrableTail(
+                    f"tail r^{expo:+.3g} is not integrable in dimension {self.n}")
+            return sphere_area(self.n) * coef * r_max**self.n / (-(expo + self.n))
+        if self.kind == "hyperplane":
+            if expo + 1.0 >= 0:
+                raise NonIntegrableTail(
+                    f"tail r^{expo:+.3g} is not integrable on a line")
+            return 2.0 * coef * r_max / (-(expo + 1.0))
+        if self.kind == "hyperbolic":
+            raise NonIntegrableTail(
+                "no power tail is integrable under the hyperbolic volume")
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", IntegrationWarning)
+            try:
+                val, _ = quad(
+                    lambda r: (r / r_max) ** expo
+                    * float(self.radial_weight(np.array([r]))[0]),
+                    r_max, np.inf, limit=200)
+            except IntegrationWarning as exc:
+                raise NonIntegrableTail(
+                    f"tail r^{expo:+.3g} does not converge under the density"
+                ) from exc
+        if not math.isfinite(val):
+            raise NonIntegrableTail("tail integral diverges under the density")
+        return coef * val
 
     def spot_check_growth(self, rng=None, samples: int = 24, tol: float = 1e-6) -> None:
         """Verify nu(B(x,r)) <= Q r^{sigma n} on sampled balls.

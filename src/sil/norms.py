@@ -1,8 +1,8 @@
 """Lebesgue norms on radial and Cartesian grids, plus the paired norms.
 
 Radial integrals use trapezoid quadrature in log-radius with the measure's
-radial weight; tails beyond the last node integrate analytically through
-the declared tail exponent.  The same node masses feed the rearrangement
+radial weight; the declared power tail beyond the last node is the
+measure's own tail integral.  The same node masses feed the rearrangement
 machinery so that equimeasurability is exact up to the shared quadrature.
 """
 
@@ -12,10 +12,8 @@ import math
 from typing import Optional, Union
 
 import numpy as np
-from scipy.integrate import quad
 
-from .constants import sphere_area
-from .errors import DomainError, NonIntegrableTail
+from .errors import DomainError
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .measures import MeasureDensity, lebesgue
 
@@ -51,29 +49,6 @@ def cells(f: Field, nu: Optional[MeasureDensity] = None):
             np.concatenate([[head_mass(f, nu)], node_masses(f, nu)]))
 
 
-def _tail_integral(f: RadialFunction, p: float, nu: Optional[MeasureDensity]) -> float:
-    """Analytic tail of int |f|^p dnu beyond the last node, or 0/raise."""
-    mag_end = float(f.magnitude()[-1])
-    if f.tail_exponent is None or mag_end == 0.0:
-        return 0.0
-    measure = nu if nu is not None else lebesgue(f.n)
-    r_max = float(f.grid[-1])
-    if measure.kind == "lebesgue":
-        expo = p * f.tail_exponent + f.n
-        if expo >= 0:
-            raise NonIntegrableTail(
-                f"tail exponent {f.tail_exponent} makes the p={p} norm diverge")
-        return sphere_area(f.n) * mag_end**p * r_max**f.n / (-expo)
-    # generic weight: quadrature out to where the integrand is negligible
-    val, _ = quad(
-        lambda r: (mag_end * (r / r_max) ** f.tail_exponent) ** p
-        * float(measure.radial_weight(np.array([r]))[0]),
-        r_max, np.inf, limit=200)
-    if not math.isfinite(val):
-        raise NonIntegrableTail("tail integral diverges under the given measure")
-    return val
-
-
 def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None,
             return_info: bool = False):
     """(int |f|^p dnu)^{1/p} by composite quadrature.
@@ -92,13 +67,16 @@ def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None,
         value = total ** (1.0 / p)
         return (value, {"truncation_error": 0.0}) if return_info else value
 
+    measure = nu if nu is not None else lebesgue(f.n)
     mag = f.magnitude()
-    masses = node_masses(f, nu)
+    masses = node_masses(f, measure)
     bulk = float(np.sum(masses * mag**p))
-    head = head_mass(f, nu) * float(mag[0]) ** p
-    tail = _tail_integral(f, p, nu)
-    truncation = 0.0
-    if f.tail_exponent is None and mag[-1] != 0.0:
+    head = head_mass(f, measure) * float(mag[0]) ** p
+    tail = truncation = 0.0
+    if f.tail_exponent is not None and mag[-1] != 0.0:
+        tail = measure.tail_integral(float(f.grid[-1]), p * f.tail_exponent,
+                                     float(mag[-1]) ** p)
+    elif mag[-1] != 0.0:
         # hard truncation: estimate the dropped mass from the last decade's trend
         truncation = float(mag[-1]) ** p * masses[-1] / max(p, 1.0)
     value = (bulk + head + tail) ** (1.0 / p)

@@ -316,12 +316,14 @@ class GarsiaState:
 
 
 def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
-    """int_0^inf [(1 + H1 (1+x)^{-gamma})^beta - 1] dx, finite for
-    beta * gamma > 1; zero when H1 = 0."""
+    """int_0^inf [(1 + H1 (1+x)^{-gamma})^beta - 1] dx; zero when H1 = 0.
+
+    The integrand decays like beta H1 (1+x)^{-gamma}, so the constant is
+    finite only for gamma > 1."""
     if h1 == 0.0:
         return 0.0
-    if beta * gamma_exp <= 1.0:
-        raise DomainError("log-correction constant diverges: beta*gamma <= 1")
+    if gamma_exp <= 1.0:
+        raise DomainError("log-correction constant diverges: gamma <= 1")
     val, _ = quad(lambda x: (1.0 + h1 * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
                   0.0, np.inf, limit=200)
     return val

@@ -25,8 +25,8 @@ from scipy import fft as sp_fft
 from scipy.special import ellipkm1, gamma, hyp2f1
 
 from .constants import ball_volume, sphere_area
-from .errors import (DomainError, GeometryViolated, ResolutionTooCoarse,
-                     SingularOnDiagonal, UnboundedResult)
+from .errors import (DomainError, GeometryViolated, SingularOnDiagonal,
+                     UnboundedResult)
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec, gradient_kernel
 from .norms import lp_norm
@@ -403,24 +403,6 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
         avals = np.asarray(kernel.angular(stacked.reshape(-1, f.n))).reshape(r.shape)
         kv = avals * r ** (p.alpha - p.n)
     kv[center] = _origin_cell_integral(kernel, h) / h**f.n
-
-    # coarseness check: cell-average correction at distance 3h must be small
-    probe = np.zeros(f.n)
-    probe[0] = 3.0 * h
-    naive = (kernel.constant_angular_value if kernel.is_constant_angular else 1.0) \
-        * (3.0 * h) ** (p.alpha - p.n)
-    x8, w8 = np.polynomial.legendre.leggauss(8)
-    pts = probe[0] + (h / 2.0) * x8
-    if f.n == 2:
-        xx, yy = np.meshgrid(pts, (h / 2.0) * x8, indexing="ij")
-        ww = np.outer(w8, w8) * (h / 2.0) ** 2
-        avg = np.sum(ww * np.sqrt(xx**2 + yy**2) ** (p.alpha - p.n)) / h**2
-        avg *= kernel.constant_angular_value if kernel.is_constant_angular else 1.0
-    else:
-        avg = naive
-    if abs(avg - naive) > 0.1 * abs(naive):
-        raise ResolutionTooCoarse(
-            f"kernel cell-average correction at 3h is {abs(avg - naive) / abs(naive):.2%}")
 
     conv = _full_convolve(f.values, kv)
     sl = tuple([slice(res - 1, 2 * res - 1)] * f.n)

@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -8,8 +9,8 @@ from sil.cli import main
 from sil.errors import ConfigError
 from sil.extremals import adams_family
 from sil.grids import RadialFunction, log_grid
-from sil.harness import (Scenario, default_scenarios, parse_config,
-                         run_all, run_scenario)
+from sil.harness import (RATE_FIT_EPS_MAX, Scenario, default_scenarios,
+                         parse_config, run_all, run_scenario)
 from sil.kernels import gradient_kernel, riesz_kernel
 from sil.params import Params
 from sil.potentials import radial_convolve
@@ -25,6 +26,28 @@ class TestScenarioPlumbing:
             if sc.sweep:
                 diffs = np.diff(sc.sweep)
                 assert np.all(diffs > 0) or np.all(diffs < 0)
+
+    @pytest.mark.parametrize("sid,sigma", [("ruf_supercritical", 1.0),
+                                           ("trace_sharp", 0.5)])
+    @pytest.mark.parametrize("sweep", [[1e-1, 1e-2], [0.1, 0.01, 1e-3],
+                                       [1e-2, 1e-3, 1e-3]])
+    def test_rate_fit_window_needs_two_points(self, sid, sigma, sweep):
+        # the driver slope is fitted over eps <= RATE_FIT_EPS_MAX only
+        with pytest.raises(ConfigError, match="two distinct points"):
+            Scenario(sid, Params(2, 1.0, sigma=sigma), sweep=sweep)
+        Scenario(sid, Params(2, 1.0, sigma=sigma), sweep=sweep + [1e-4, 1e-5])
+
+    def test_shipped_sweeps_fill_the_rate_fit_window(self):
+        bench = os.path.join(os.path.dirname(os.path.dirname(
+            os.path.abspath(__file__))), "bench", "scenarios.json")
+        with open(bench) as fh:
+            entries = json.load(fh)["scenarios"]
+        pairs = [(e["id"], e["sweep"]) for e in entries] \
+            + [(sc.id, sc.sweep) for sc in default_scenarios()]
+        for sid, sweep in pairs:
+            if sid in ("ruf_supercritical", "trace_sharp"):
+                assert len([e for e in sweep if e <= RATE_FIT_EPS_MAX]) >= 2
+                Scenario(sid, Params(2, 1.0), sweep=sweep)
 
     def test_empty_scenario_list(self, tmp_path):
         summary = run_all([], out_dir=str(tmp_path))
@@ -138,9 +161,10 @@ class TestImportGraph:
         import sil
         src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
         scenarios = [
-            {"id": "ruf_sharp"}, {"id": "ruf_supercritical"},
+            {"id": "ruf_sharp"},
+            {"id": "ruf_supercritical", "sweep": [1e-2, 1e-3, 1e-4]},
             {"id": "adachi_rate", "sweep": [0.92, 0.95]},
-            {"id": "trace_sharp", "sigma": 0.5},
+            {"id": "trace_sharp", "sigma": 0.5, "sweep": [1e-2, 1e-3, 1e-4]},
             {"id": "hyperbolic", "n": 3, "alpha": 2.0},
             {"id": "bessel", "n": 3, "sweep": []},
             {"id": "lemma_suite"}]
@@ -297,6 +321,16 @@ class TestCli:
         assert out["J"] == pytest.approx(math.log(math.pi), rel=1e-9)
         assert out["integral"] > 0 and np.isfinite(out["fitted_C5"])
 
+    def test_garsia_rejects_divergent_log_correction(self, tmp_path, capsys):
+        # the Bessel profile carries H > 0 with gamma = 1, so C3 diverges
+        g = log_grid(1e-6, 1e2, 1024)
+        src = tmp_path / "f.csv"
+        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
+        code = main(["garsia", "--kernel", "bessel", "--n", "2", "--alpha",
+                     "1", "--f", str(src)])
+        assert code == 3
+        assert "diverges" in capsys.readouterr().err
+
     def test_functional_with_density_measure(self, tmp_path, capsys):
         g = log_grid(1e-6, 1e2, 1024)
         u = RadialFunction(g, 0.3 * np.exp(-g), 2)
@@ -323,6 +357,16 @@ class TestCli:
         cfg.write_text(json.dumps({"seed": seed, "scenarios": []}))
         assert main(["run", "--config", str(cfg)]) == 2
         assert "seed" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("cfg", [
+        [], {"scenarios": {"id": "ruf_sharp"}}, {"scenarios": "ruf_sharp"},
+        {"scenarios": [["ruf_sharp"]]}, {"scenarios": [3]},
+        {"scenarios": [{"id": "ruf_supercritical", "sweep": [0.1, 0.01]}]}])
+    def test_malformed_config_exit_code(self, tmp_path, capsys, cfg):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(cfg))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "Traceback" not in capsys.readouterr().err
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

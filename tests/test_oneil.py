@@ -3,12 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from sil.errors import (ExponentConstraintViolated, JInfinite,
+from sil.errors import (DomainError, ExponentConstraintViolated, JInfinite,
                         MassNotCaptured)
 from sil.grids import RadialFunction, log_grid
 from sil.kernels import bessel_kernel_spec, hyperbolic_kernel_spec, riesz_kernel
 from sil.norms import lp_norm
-from sil.oneil import (F_functional, dual_path_values,
+from sil.oneil import (F_functional, _c3_constant, dual_path_values,
                        garsia_integral, garsia_transform, kernel_profile,
                        level_set_measure, oneil_constant, oneil_rhs,
                        piecewise_kernel, state_from_phi)
@@ -165,6 +165,19 @@ class TestGarsiaTransform:
         assert state.c3 == 0.0
         assert state.c4 == pytest.approx(4.0, rel=1e-12)  # q C2 / beta
         assert state.d_star == pytest.approx(4.0 + math.log(math.pi), rel=1e-12)
+
+    def test_c3_closed_form(self):
+        # beta = gamma = 2: int_0^inf 2 H (1+x)^{-2} + H^2 (1+x)^{-4} dx
+        for h1 in (0.1, 1.0, 3.0):
+            assert _c3_constant(h1, 2.0, 2.0) == pytest.approx(
+                2.0 * h1 + h1**2 / 3.0, rel=1e-10)
+
+    @pytest.mark.parametrize("gamma_exp", [1.0, 0.5])
+    def test_c3_diverges_without_gamma_above_one(self, gamma_exp):
+        # the integrand decays like beta H1 (1+x)^{-gamma}: beta does not help
+        with pytest.raises(DomainError):
+            _c3_constant(0.1, gamma_exp, 2.0)
+        assert _c3_constant(0.0, gamma_exp, 2.0) == 0.0
 
 
 class TestPiecewiseKernel:

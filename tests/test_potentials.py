@@ -475,6 +475,23 @@ class TestCartesianConvolve:
         ts = cartesian_convolve(fsum, K2).values
         assert np.max(np.abs(ts - t1 - t2)) <= 1e-10 * np.max(np.abs(ts))
 
+    def test_angular_callable_matches_constant_kernel(self):
+        # a callable angular part takes the octant loop of the origin cell
+        # and the sampled-angle path; a constant one must reproduce the
+        # constant-kernel fast path
+        c = 0.7
+        flat = KernelSpec(kind="homogeneous", params=P2,
+                          angular=lambda om: np.full(len(om), c))
+        assert not flat.is_constant_angular
+        rng = np.random.default_rng(4)
+        f = CartesianField(2, 1.0, rng.normal(size=(48, 48)))
+        got = cartesian_convolve(f, flat).values
+        want = cartesian_convolve(f, constant_kernel(P2, c)).values
+        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
+        assert potentials._origin_cell_integral(flat, 0.1) == pytest.approx(
+            potentials._origin_cell_integral(constant_kernel(P2, c), 0.1),
+            rel=1e-12)
+
     def test_three_dimensional_matches_radial(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
         f3 = CartesianField.from_callable(
