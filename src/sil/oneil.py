@@ -436,27 +436,40 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     """|{F <= lam}| of the piecewise-linear interpolant of the samples
     (ys, fs), for each lam (an array for an array, a float for a scalar).
 
-    A segment with both ends at or below lam counts whole, a segment that
-    crosses lam counts its linearly interpolated part.  The segments are
-    vectorized one lam at a time, so the working memory stays O(segments)
-    whatever the number of levels; the sequential sum keeps the rounding
-    of a plain loop over the segments.
+    A segment counts whole at every lam at or above its upper end, and
+    counts its linearly interpolated part at every lam in [lower end,
+    upper end).  One pass serves all levels: the segments sorted by upper
+    end give the whole lengths as a prefix sum, and each segment's
+    crossing levels are a contiguous run of the sorted levels.  The
+    (segment, lam) crossing pairs are those a loop over the levels would
+    interpolate, so no term is negative and nothing cancels; the working
+    memory is O(segments + levels + crossing pairs).
     """
     ys = np.asarray(ys, dtype=float)
     fs = np.asarray(fs, dtype=float)
     lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
     dy = np.diff(ys)
-    out = np.zeros(lam_arr.shape)
-    if dy.size == 0:
-        return out if np.ndim(lams) else 0.0
-    for i, lam in enumerate(lam_arr):
-        below = fs <= lam
-        lo, hi = below[:-1], below[1:]
-        contrib = np.where(lo & hi, dy, 0.0)
-        k = np.flatnonzero(lo != hi)
-        frac = np.clip((lam - fs[k]) / (fs[k + 1] - fs[k]), 0.0, 1.0)
-        contrib[k] = dy[k] * np.where(lo[k], frac, 1.0 - frac)
-        out[i] = np.cumsum(contrib)[-1]
+    f0, f1 = fs[:-1], fs[1:]
+    # a NaN sample is below no level: its segments are never whole (hi is
+    # NaN) and cross every level from their other end up, as in a level loop
+    lo, hi = np.fmin(f0, f1), np.maximum(f0, f1)
+    order = np.argsort(lam_arr, kind="stable")
+    lam_sorted = lam_arr[order]
+    by_hi = np.argsort(hi, kind="stable")
+    whole = np.concatenate([[0.0], np.cumsum(dy[by_hi])])
+    measure = whole[np.searchsorted(hi[by_hi], lam_sorted, side="right")]
+    # segment k crosses the sorted levels first[k], ..., first[k] + count[k] - 1
+    first = np.searchsorted(lam_sorted, lo, side="left")
+    count = np.searchsorted(lam_sorted, hi, side="left") - first
+    seg = np.repeat(np.arange(dy.size), count)
+    idx = np.arange(seg.size) + np.repeat(first - (np.cumsum(count) - count),
+                                          count)
+    lam = lam_sorted[idx]
+    frac = np.clip((lam - f0[seg]) / (f1[seg] - f0[seg]), 0.0, 1.0)
+    part = dy[seg] * np.where(f0[seg] <= lam, frac, 1.0 - frac)
+    measure += np.bincount(idx, weights=part, minlength=lam_sorted.size)
+    out = np.empty(lam_arr.shape)
+    out[order] = measure
     return out if np.ndim(lams) else float(out[0])
 
 

@@ -322,6 +322,60 @@ class TestLevelSetMeasure:
         np.testing.assert_allclose(self.check(lams, ys, fs), expected,
                                    rtol=1e-14, atol=0.0)
 
+    def test_unsorted_and_repeated_levels(self):
+        rng = np.random.default_rng(31)
+        ys = np.sort(rng.uniform(0.0, 10.0, 300))
+        fs = np.cumsum(rng.normal(size=ys.size))
+        lams = rng.uniform(fs.min() - 1.0, fs.max() + 1.0, 60)
+        lams = rng.permutation(np.concatenate([lams, lams[:20], lams[:5]]))
+        got = self.check(lams, ys, fs)
+        for lam in np.unique(lams):
+            assert np.ptp(got[lams == lam]) == 0.0
+
+    def test_levels_at_sample_values(self):
+        rng = np.random.default_rng(32)
+        ys = np.cumsum(rng.uniform(0.01, 0.1, 400))
+        fs = rng.normal(size=ys.size)
+        lams = rng.choice(fs, 50, replace=False)
+        self.check(lams, ys, fs)
+
+    def test_flat_runs_at_levels(self):
+        rng = np.random.default_rng(33)
+        levels = rng.integers(-4, 5, 80).astype(float)
+        fs = np.repeat(levels, rng.integers(1, 6, levels.size))
+        ys = np.linspace(0.0, 20.0, fs.size)
+        self.check(np.arange(-5.0, 6.0), ys, fs)
+        self.check(np.arange(-5.0, 6.0) + 0.5, ys, fs)
+
+    def test_zigzag_crosses_many_levels(self):
+        # every segment spans most of [-10, 10], so each crosses hundreds of
+        # the 500 levels
+        rng = np.random.default_rng(34)
+        ys = np.linspace(0.0, 50.0, 201)
+        fs = np.where(np.arange(ys.size) % 2 == 0, -10.0, 10.0) \
+            + rng.uniform(-1.0, 1.0, ys.size)
+        self.check(np.linspace(-9.5, 9.5, 500), ys, fs)
+
+    def test_no_crossing_segment(self):
+        # levels outside the range of F, and at the value of a flat F
+        rng = np.random.default_rng(35)
+        ys = np.cumsum(rng.uniform(0.1, 1.0, 50))
+        fs = rng.uniform(1.0, 2.0, ys.size)
+        got = self.check([3.0, 0.5, 2.0, -1.0], ys, fs)
+        length = ys[-1] - ys[0]
+        np.testing.assert_allclose(got, [length, 0.0, length, 0.0],
+                                   rtol=1e-14, atol=0.0)
+        flat = self.check([1.5, 1.5], ys, np.full(ys.size, 1.5))
+        np.testing.assert_allclose(flat, [length, length], rtol=1e-14, atol=0.0)
+
+    def test_nan_sample_spreads_like_the_loop(self):
+        rng = np.random.default_rng(36)
+        ys = np.linspace(0.0, 5.0, 60)
+        fs = rng.uniform(0.0, 1.0, ys.size)
+        fs[[10, 30, 31]] = np.nan
+        got = self.check(np.linspace(-0.5, 1.5, 41), ys, fs)
+        assert np.isnan(got).any() and not np.isnan(got).all()
+
     def test_scalar_level(self):
         ys, fs = [0.0, 1.0, 2.0], [0.0, 2.0, 0.0]
         assert isinstance(level_set_measure(1.0, ys, fs), float)
