@@ -124,6 +124,10 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
             vals = hyperbolic_green(p.n, g, mode="asymptotic", alpha=p.alpha)
             alpha_eff = p.alpha
         measure = hyperbolic_volume(p.n)
+    if alpha_eff >= p.n:
+        raise DomainError(
+            f"kernel order {alpha_eff} is not below the dimension {p.n}: the "
+            f"profile exponent beta = n/(n - alpha) is not finite")
     prof = RadialFunction(g, vals, p.n, tail_exponent=None)
     rearr = decreasing_rearrangement(prof, measure)
     beta_eff = p.n / (p.n - alpha_eff)

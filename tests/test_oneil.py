@@ -67,6 +67,10 @@ class TestKernelProfile:
         assert np.isfinite(prof.J)
         assert prof.beta == pytest.approx(3.0, rel=1e-12)
 
+    def test_hyperbolic_plane_has_no_power_profile(self):
+        with pytest.raises(DomainError):
+            kernel_profile(hyperbolic_kernel_spec(Params(2, 1.0)))
+
     @pytest.mark.parametrize("make", [
         lambda: RIESZ_PROFILE,
         lambda: kernel_profile(bessel_kernel_spec(Params(3, 1.0))),
