@@ -4,6 +4,11 @@ A measure is either Lebesgue, a radial density w(|x|) dx, the hyperbolic
 volume (geodesic polar weight sinh^{n-1}), or arc length on a line through
 the origin (n = 2).  Only the radial weight enters quadrature; growth
 certificates (Q, sigma) ride along for the trace inequalities.
+
+Every measure built here has closed-form ball masses and power tails;
+`quad` serves only a user's density, the hyperbolic volume for n >= 4 and
+off-center balls, and is imported where called, so that `import sil` does
+not load scipy.integrate.
 """
 
 from __future__ import annotations
@@ -14,7 +19,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import IntegrationWarning, quad
 
 from .constants import sphere_area
 from .errors import (DomainError, GrowthViolated, NegativeDensity,
@@ -27,6 +31,8 @@ class MeasureDensity:
 
     kind: 'lebesgue' | 'radial' | 'hyperbolic' | 'hyperplane'
     radial_density: w(r) for kind='radial' (w >= 0)
+    density_exponent: e for kind='radial' with w(r) = r^e, in place of
+        radial_density; ball masses and tails then have closed forms
     growth_Q, growth_sigma: certified bound nu(B(x,r)) <= Q r^{sigma n}
     """
 
@@ -35,12 +41,18 @@ class MeasureDensity:
     radial_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
     growth_Q: Optional[float] = None
     growth_sigma: float = 1.0
+    density_exponent: Optional[float] = None
 
     def __post_init__(self):
         if self.kind not in ("lebesgue", "radial", "hyperbolic", "hyperplane"):
             raise DomainError(f"unknown measure kind {self.kind!r}")
-        if self.kind == "radial" and self.radial_density is None:
-            raise DomainError("radial measure needs a density profile")
+        if self.kind == "radial" and \
+                (self.radial_density is None) == (self.density_exponent is None):
+            raise DomainError(
+                "radial measure needs a density profile or a power exponent")
+        if self.density_exponent is not None and self.density_exponent <= -self.n:
+            raise DomainError("power density r^e needs e > -n to be locally "
+                              "integrable")
         if not 0 < self.growth_sigma <= 1:
             raise DomainError("growth exponent sigma must lie in (0, 1]")
         if self.kind == "hyperplane" and self.n != 2:
@@ -52,7 +64,7 @@ class MeasureDensity:
         if self.kind == "lebesgue":
             return sphere_area(self.n) * r ** (self.n - 1)
         if self.kind == "radial":
-            w = np.asarray(self.radial_density(r), dtype=float)
+            w = self._density(r)
             if np.any(w < 0):
                 raise NegativeDensity("measure density must be nonnegative")
             return sphere_area(self.n) * w * r ** (self.n - 1)
@@ -61,17 +73,45 @@ class MeasureDensity:
         # hyperplane: arc length on a line through the origin, two rays
         return np.full_like(r, 2.0)
 
+    def _density(self, r: np.ndarray) -> np.ndarray:
+        """w(r) of a radial measure."""
+        if self.density_exponent is not None:
+            return np.asarray(r, dtype=float) ** self.density_exponent
+        return np.asarray(self.radial_density(r), dtype=float)
+
+    def _ball_exponent(self) -> Optional[float]:
+        """d with nu(B(0, r)) = omega r^d / d, for Lebesgue and power
+        densities; None for the other measures."""
+        if self.kind == "lebesgue":
+            return self.n
+        if self.density_exponent is not None:
+            return self.n + self.density_exponent
+        return None
+
     def ball_mass_origin(self, r: float) -> float:
-        """nu(B(0, r)), computed analytically where possible."""
+        """nu(B(0, r)): closed forms, with quadrature only for a user's
+        density and the hyperbolic volume for n >= 4."""
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
         if self.kind == "hyperplane":
             return 2.0 * r
+        d = self._ball_exponent()
+        if d is not None:
+            return sphere_area(self.n) * r**d / d
         if self.kind == "hyperbolic":
+            if self.n == 2:
+                # 2 pi (cosh r - 1) without its cancellation for small r
+                return 4.0 * math.pi * math.sinh(0.5 * r) ** 2
+            if self.n == 3:
+                return math.pi * _sinh_minus_identity(2.0 * r)
+            from scipy.integrate import quad
+
             val, _ = quad(lambda s: math.sinh(s) ** (self.n - 1), 0.0, r)
             return sphere_area(self.n) * val
+        from scipy.integrate import quad
+
         val, _ = quad(
-            lambda s: float(self.radial_density(np.array([s]))[0]) * s ** (self.n - 1),
+            lambda s: float(self._density(np.array([s]))[0]) * s ** (self.n - 1),
             0.0, r, limit=200)
         return sphere_area(self.n) * val
 
@@ -79,16 +119,19 @@ class MeasureDensity:
         """coef * int_{|x| > r_max} (|x|/r_max)^expo dnu: a power tail declared
         beyond the last grid node, integrated out to infinity.
 
-        Closed form for Lebesgue and the line; the hyperbolic volume grows
-        like e^{(n-1) r}, which no power tail offsets; radial densities go
-        through quadrature.  Raises NonIntegrableTail when the integral
-        diverges, including when quadrature warns.
+        Closed form for Lebesgue, power densities and the line; the
+        hyperbolic volume grows like e^{(n-1) r}, which no power tail
+        offsets; a user's density goes through quadrature.  Raises
+        NonIntegrableTail when the integral diverges, including when
+        quadrature warns.
         """
-        if self.kind == "lebesgue":
-            if expo + self.n >= 0:
+        d = self._ball_exponent()
+        if d is not None:
+            if expo + d >= 0:
                 raise NonIntegrableTail(
-                    f"tail r^{expo:+.3g} is not integrable in dimension {self.n}")
-            return sphere_area(self.n) * coef * r_max**self.n / (-(expo + self.n))
+                    f"tail r^{expo:+.3g} is not integrable against a ball mass "
+                    f"growing like r^{d:.3g}")
+            return sphere_area(self.n) * coef * r_max**d / (-(expo + d))
         if self.kind == "hyperplane":
             if expo + 1.0 >= 0:
                 raise NonIntegrableTail(
@@ -97,6 +140,8 @@ class MeasureDensity:
         if self.kind == "hyperbolic":
             raise NonIntegrableTail(
                 "no power tail is integrable under the hyperbolic volume")
+        from scipy.integrate import IntegrationWarning, quad
+
         with warnings.catch_warnings():
             warnings.simplefilter("error", IntegrationWarning)
             try:
@@ -156,18 +201,33 @@ class MeasureDensity:
                     return 0.0
                 else:
                     phi = math.acos(cos_phi)
-                w = float(self.radial_density(np.array([rho]))[0])
+                w = float(self._density(np.array([rho]))[0])
                 if self.n == 2:
                     angle = 2.0 * phi
                 else:
                     angle = 2.0 * math.pi * (1.0 - math.cos(phi))
                 return angle * w * rho ** (self.n - 1)
 
+            from scipy.integrate import quad
+
             lo = max(0.0, c - r)
             val, _ = quad(wedge, lo, c + r, limit=200,
                           points=[c, min(c + r, max(lo, 1e-12))])
             return val
         raise DomainError("off-center mass not available for this measure kind")
+
+
+def _sinh_minus_identity(x: float) -> float:
+    """sinh x - x; below x = 1, where the difference cancels, by its
+    series sum_{k>=1} x^{2k+1}/(2k+1)!, largest term first."""
+    if x >= 1.0:
+        return math.sinh(x) - x
+    term, total, k = x**3 / 6.0, 0.0, 3
+    while total + term != total:
+        total += term
+        term *= x * x / ((k + 1) * (k + 2))
+        k += 2
+    return total
 
 
 def lebesgue(n: int) -> MeasureDensity:
@@ -187,12 +247,11 @@ def singular_measure(n: int, sigma: float) -> MeasureDensity:
     """
     if not 0 < sigma <= 1:
         raise DomainError("sigma must lie in (0, 1]")
-    expo = (sigma - 1.0) * n
     q = sphere_area(n) / (sigma * n)
     return MeasureDensity(
         kind="lebesgue" if sigma == 1.0 else "radial",
         n=n,
-        radial_density=None if sigma == 1.0 else (lambda r, e=expo: np.asarray(r) ** e),
+        density_exponent=None if sigma == 1.0 else (sigma - 1.0) * n,
         growth_Q=q,
         growth_sigma=sigma,
     )

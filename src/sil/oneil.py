@@ -15,7 +15,6 @@ from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.integrate import quad
 
 from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
 from .errors import (DomainError, ExponentConstraintViolated, JInfinite,
@@ -328,6 +327,8 @@ def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
         return 0.0
     if gamma_exp <= 1.0:
         raise DomainError("log-correction constant diverges: gamma <= 1")
+    from scipy.integrate import quad
+
     val, _ = quad(lambda x: (1.0 + h1 * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
                   0.0, np.inf, limit=200)
     return val
@@ -447,7 +448,7 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     crossing levels are a contiguous run of the sorted levels.  The
     (segment, lam) crossing pairs are those a loop over the levels would
     interpolate, so no term is negative and nothing cancels; the working
-    memory is O(segments + levels + crossing pairs).
+    memory is O(segments + levels + crossing pairs).  A NaN level gives NaN.
     """
     ys = np.asarray(ys, dtype=float)
     fs = np.asarray(fs, dtype=float)
@@ -474,6 +475,7 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     measure += np.bincount(idx, weights=part, minlength=lam_sorted.size)
     out = np.empty(lam_arr.shape)
     out[order] = measure
+    out[np.isnan(lam_arr)] = np.nan
     return out if np.ndim(lams) else float(out[0])
 
 

@@ -8,8 +8,8 @@ from sil.errors import DomainError, NonIntegrableTail
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid)
 from sil.functionals import Domain, FunctionalSpec, mt_functional
-from sil.measures import (hyperbolic_volume, hyperplane_measure, lebesgue,
-                          singular_measure)
+from sil.measures import (MeasureDensity, hyperbolic_volume,
+                          hyperplane_measure, lebesgue, singular_measure)
 from sil.norms import lp_norm, pair_q_norm, q_norm, ruf_norm
 from sil.params import Params
 
@@ -313,3 +313,61 @@ class TestTailIntegral:
             lebesgue(2).tail_integral(1.0, -2.0)
         with pytest.raises(NonIntegrableTail):
             hyperplane_measure().tail_integral(1.0, -1.0)
+
+
+class TestClosedFormMasses:
+    """Ball masses and power tails of the built-in measures against mpmath
+    quadrature of their definitions at 40 digits."""
+
+    @staticmethod
+    def omega(mp, n):
+        return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+
+    # both sides of the n = 3 series cutoff at r = 1/2, and the radii
+    # 3.3e-5 ... 3.3e-3 the hyperbolic scenario asks for
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("r", [1e-8, 3.3e-5, 3.3e-3, 0.1, 0.4999,
+                                   0.5, 0.5001, 1.0, 3.0, 20.0])
+    def test_hyperbolic_ball_mass(self, n, r):
+        mp = pytest.importorskip("mpmath")
+        with mp.workdps(40):
+            want = self.omega(mp, n) * mp.quad(
+                lambda s: mp.sinh(s) ** (n - 1), [0, mp.mpf(r)])
+            got = hyperbolic_volume(n).ball_mass_origin(r)
+            assert abs(got / want - 1) <= 1e-14
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
+    def test_singular_ball_mass_and_tail(self, n, sigma):
+        mp = pytest.importorskip("mpmath")
+        nu = singular_measure(n, sigma)
+        e = mp.mpf((sigma - 1.0) * n)
+        with mp.workdps(40):
+            omega = self.omega(mp, n)
+            for r in (1e-6, 0.3, 2.0, 50.0):
+                want = omega * mp.quad(lambda s: s ** (e + n - 1),
+                                       [0, mp.mpf(r)])
+                assert abs(nu.ball_mass_origin(r) / want - 1) <= 1e-14
+            for r_max, expo, coef in ((0.5, -4.0, 1.7), (3.0, -sigma * n - 0.5,
+                                                         0.2)):
+                R = mp.mpf(r_max)
+                want = coef * omega * mp.quad(
+                    lambda s: (s / R) ** expo * s ** (e + n - 1), [R, mp.inf])
+                got = nu.tail_integral(r_max, expo, coef)
+                assert abs(got / want - 1) <= 1e-14
+
+    @pytest.mark.parametrize("n, sigma", [(2, 0.25), (2, 0.5), (3, 0.75)])
+    def test_singular_tail_diverges(self, n, sigma):
+        nu = singular_measure(n, sigma)
+        for expo in (-sigma * n, -sigma * n + 0.1, 0.0):
+            with pytest.raises(NonIntegrableTail):
+                nu.tail_integral(1.0, expo)
+
+    def test_power_density_is_declared(self):
+        nu = singular_measure(3, 0.5)
+        assert nu.radial_density is None and nu.density_exponent == -1.5
+        # r^e is locally integrable only for e > -n
+        with pytest.raises(DomainError):
+            MeasureDensity(kind="radial", n=2, density_exponent=-2.0)
+        with pytest.raises(DomainError):
+            MeasureDensity(kind="radial", n=2)

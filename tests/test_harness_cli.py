@@ -194,6 +194,60 @@ class TestImportGraph:
         assert out["added"] == []
 
 
+class TestLazyIntegrate:
+    def test_import_loads_no_integrate(self):
+        # built-in measures have closed-form ball masses and tails, so a
+        # fresh `import sil, sil.cli` leaves scipy.integrate (and the
+        # scipy.optimize it would pull in) unloaded
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        script = ("import json, sys\n"
+                  "import sil, sil.cli\n"
+                  "print(json.dumps(sorted(m for m in sys.modules"
+                  " if m.startswith('scipy'))))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        loaded = json.loads(proc.stdout.splitlines()[-1])
+        assert "scipy.integrate" not in loaded
+        assert "scipy.optimize" not in loaded
+
+    def test_csv_density_goes_through_quad(self, tmp_path, monkeypatch):
+        # a user's density has no closed-form ball mass: the head cell of
+        # the rearrangement comes from the lazily imported quad, and w = 1
+        # reproduces the Lebesgue rearrangement
+        import scipy.integrate
+
+        calls = []
+        quad = scipy.integrate.quad
+
+        def counting_quad(*args, **kwargs):
+            calls.append(args[1:3])
+            return quad(*args, **kwargs)
+
+        monkeypatch.setattr(scipy.integrate, "quad", counting_quad)
+        g = log_grid(1e-6, 1e2, 1024)
+        src = tmp_path / "f.csv"
+        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
+        dens = tmp_path / "w.csv"
+        dens.write_text(RadialFunction(g, np.ones_like(g), 2).to_csv())
+        tables = {}
+        for name, extra in (("lebesgue", []), ("density", ["--measure",
+                                                            str(dens)])):
+            dst = tmp_path / f"{name}.csv"
+            assert main(["rearrange", "--in", str(src), "--out", str(dst)]
+                        + extra) == 0
+            tables[name] = np.loadtxt(dst, delimiter=",", skiprows=1)
+            assert len(calls) == (0 if name == "lebesgue" else 1)
+        np.testing.assert_allclose(tables["density"], tables["lebesgue"],
+                                   rtol=1e-10, atol=0.0)
+
+
 class TestDichotomyScenarios:
     def test_supercritical_rate_on_deep_sweep(self):
         # the center blow-up driver reaches its predicted rate once the

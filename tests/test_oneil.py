@@ -380,6 +380,23 @@ class TestLevelSetMeasure:
         got = self.check(np.linspace(-0.5, 1.5, 41), ys, fs)
         assert np.isnan(got).any() and not np.isnan(got).all()
 
+    def test_nan_level_gives_nan(self):
+        got = level_set_measure([np.nan, 0.5], [0.0, 1.0, 2.0, 3.0],
+                                [0.0, 2.0, 1.0, 0.0])
+        assert np.isnan(got[0]) and got[1] == 0.75
+        assert np.isnan(level_set_measure(np.nan, [0.0, 1.0], [0.0, 1.0]))
+        # finite levels keep their bits when NaN levels ride along
+        rng = np.random.default_rng(37)
+        ys = np.sort(rng.uniform(0.0, 10.0, 300))
+        fs = np.cumsum(rng.normal(size=ys.size))
+        lams = rng.uniform(fs.min() - 1.0, fs.max() + 1.0, 60)
+        mixed = rng.permutation(np.concatenate([lams, np.full(7, np.nan)]))
+        got = level_set_measure(mixed, ys, fs)
+        finite = ~np.isnan(mixed)
+        assert np.isnan(got[~finite]).all()
+        np.testing.assert_array_equal(
+            got[finite], level_set_measure(mixed[finite], ys, fs))
+
     def test_scalar_level(self):
         ys, fs = [0.0, 1.0, 2.0], [0.0, 2.0, 0.0]
         assert isinstance(level_set_measure(1.0, ys, fs), float)
