@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from .constants import SharpConstants, sharp_gamma
-from .errors import ConfigError, NumericError, SilError
+from .errors import ConfigError, DomainError, NumericError, SilError
 from .functionals import Domain, FunctionalSpec, mt_functional
 from .grids import RadialFunction
 from .harness import default_scenarios, parse_config, run_all
@@ -36,9 +36,10 @@ from .extremals import (adams_family, hyperbolic_log_family, moser_log_family)
 
 
 def _params_from(args) -> Params:
-    return Params(n=args.n, alpha=args.alpha,
-                  q=getattr(args, "q", 1.0) or 1.0,
-                  sigma=getattr(args, "sigma", 1.0) or 1.0)
+    try:
+        return Params(n=args.n, alpha=args.alpha, q=args.q, sigma=args.sigma)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
 
 
 def _load_measure(text, n):

@@ -36,7 +36,7 @@ from .functionals import Domain, FunctionalSpec, holder_split_inequality, \
 from .grids import RadialFunction, log_grid
 from .kernels import (bessel_kernel, bessel_kernel_spec, constant_kernel,
                       hyperbolic_h2_exact, riesz_kernel)
-from .measures import singular_measure
+from .measures import lebesgue, singular_measure
 from .norms import lp_norm, pair_q_norm
 from .oneil import (garsia_integral, kernel_profile, oneil_rhs,
                     state_from_phi)
@@ -75,20 +75,22 @@ class Scenario:
     seed: int = 0
     delta: float = 0.25
     resolution: int = 400  # radial nodes per decade
-    kernel_scale: float = 1.0
+    kernel_scale: Optional[float] = None  # None: 0.5 for adachi_rate, else 1
 
     def __post_init__(self):
         if self.id not in DEFAULT_SWEEPS:
             raise ConfigError(f"unknown scenario id {self.id!r}")
         if not self.sweep:
             self.sweep = list(DEFAULT_SWEEPS[self.id])
+        if self.kernel_scale is None:
+            self.kernel_scale = 0.5 if self.id == "adachi_rate" else 1.0
         if self.sweep != sorted(self.sweep) and self.sweep != sorted(self.sweep, reverse=True):
             raise ConfigError("sweep must be monotone")
-        if self.id in ("ruf_supercritical", "trace_sharp") and len(
-                {e for e in self.sweep if e <= RATE_FIT_EPS_MAX}) < 2:
-            raise ConfigError(
-                f"{self.id} fits its rate over eps <= {RATE_FIT_EPS_MAX}: "
-                "the sweep needs two distinct points there")
+        window = {"ruf_supercritical": RATE_FIT_EPS_MAX, "hyperbolic": math.inf,
+                  "trace_sharp": RATE_FIT_EPS_MAX}.get(self.id)
+        if window is not None and len({e for e in self.sweep if e <= window}) < 2:
+            raise ConfigError(f"{self.id} fits a slope over eps <= {window}: "
+                              "the sweep needs two distinct points there")
 
 
 @dataclass
@@ -158,10 +160,8 @@ def _psi_sweep(sc: Scenario, coefficient_scale: float,
         ell = math.log(1.0 / psi.eps)
         j = int(np.argmin(np.abs(psi.potential.grid - psi.eps / 3.0)))
         center_pow = float(np.abs(psi.potential.values[j])) ** p.beta
-        if measure is None:
-            ball_mass = (sphere_area(p.n) / p.n) * (psi.eps / 3.0) ** p.n
-        else:
-            ball_mass = measure.ball_mass_origin(psi.eps / 3.0)
+        ball_mass = (lebesgue(p.n) if measure is None else measure) \
+            .ball_mass_origin(psi.eps / 3.0)
         center_driver = math.log(ball_mass) + gamma * center_pow
         points.append({
             "eps": psi.eps, "log_inv_eps": ell,
@@ -505,8 +505,7 @@ def default_scenarios(seed: int = 0) -> List[Scenario]:
     return [
         Scenario("ruf_sharp", Params(2, 1.0, q=2.0), seed=seed),
         Scenario("ruf_supercritical", Params(2, 1.0, q=2.0), seed=seed),
-        Scenario("adachi_rate", Params(2, 1.0, q=2.0), seed=seed,
-                 kernel_scale=0.5),
+        Scenario("adachi_rate", Params(2, 1.0, q=2.0), seed=seed),
         Scenario("trace_sharp", Params(2, 1.0, q=2.0, sigma=0.5), seed=seed),
         Scenario("hyperbolic", Params(3, 2.0, q=2.0), seed=seed),
         Scenario("bessel", Params(3, 1.0, q=2.0), seed=seed),
@@ -539,14 +538,14 @@ def parse_config(path: str) -> List[Scenario]:
                             alpha=float(entry.get("alpha", 1.0)),
                             q=float(entry.get("q", 2.0)),
                             sigma=float(entry.get("sigma", 1.0)))
-            scale_default = 0.5 if entry["id"] == "adachi_rate" else 1.0
             out.append(Scenario(
                 id=entry["id"], params=params,
                 sweep=[float(x) for x in entry.get("sweep", [])],
                 seed=int(entry.get("seed", seed)),
                 delta=float(entry.get("delta", 0.25)),
                 resolution=int(entry.get("resolution", 400)),
-                kernel_scale=float(entry.get("kernel_scale", scale_default))))
+                kernel_scale=float(entry["kernel_scale"])
+                if "kernel_scale" in entry else None))
         except (KeyError, TypeError, ValueError, SilError) as exc:
             raise ConfigError(f"scenario #{i}: {exc}") from exc
     return out

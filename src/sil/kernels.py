@@ -53,20 +53,11 @@ class KernelSpec:
     def is_vector(self) -> bool:
         return self.vector_arity > 1
 
-    def cache_key(self) -> tuple:
-        """Everything that determines an angular weight table; the angular
-        callable itself is part of it, so two kernels share a table only
-        when they share the callable."""
-        return (self.label, self.kind, self.params.n, self.params.alpha,
-                self.angular, self.constant_angular_value, self.vector_arity)
 
-
-def riesz_kernel(params: Params, normalized: bool = False) -> KernelSpec:
-    """|z|^{alpha-n}, optionally scaled by the inversion constant c_alpha."""
-    c = riesz_normalization(params.n, params.alpha) if normalized else 1.0
+def riesz_kernel(params: Params) -> KernelSpec:
+    """|z|^{alpha-n}, with angular part 1."""
     return KernelSpec(kind="homogeneous", params=params,
-                      constant_angular_value=c,
-                      label="riesz_c" if normalized else "riesz")
+                      constant_angular_value=1.0, label="riesz")
 
 
 def constant_kernel(params: Params, value: float, label: str = "const") -> KernelSpec:
@@ -82,7 +73,8 @@ def gradient_kernel(n: int, alpha: int) -> KernelSpec:
     degree alpha - n; for (n, alpha) = (2, 1) the angular part is
     omega / (2 pi).  The reciprocal of its sharp constant reproduces the
     first-order Moser constant for alpha = 1.  One spec per (n, alpha), so
-    every caller shares its angular callable and hence its weight tables.
+    every caller shares its angular callable and equal kernels compare
+    equal, which is how radial_convolve recognises gradient_kernel(n, 1).
     """
     if alpha % 2 == 0:
         raise DomainError("gradient kernel is defined for odd orders")

@@ -96,15 +96,13 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
             raise JInfinite(
                 "purely homogeneous kernels have a divergent tail integral; "
                 "truncate to a ball to make J finite")
-        # mass where the truncated kernel first vanishes
-        kappa = abs(kernel.constant_angular_value) if kernel.is_constant_angular \
-            else None
-        if kappa is None:
+        if not kernel.is_constant_angular:
             raise DomainError("profile truncation implemented for constant "
                               "angular parts")
+        # mass where the truncated kernel first vanishes
         t_cut = ball_volume(p.n) * truncation_radius**p.n
         k1 = _pure_profile(a_g, beta, t_cut)
-        j = _exact_pure_j(a_g, beta, t_cut)
+        j = _exact_pure_j(t_cut)
         return KernelProfile(beta=beta, A=a_g, H=0.0, gamma_exp=1.0,
                              B=a_g ** (1.0 / beta), J=j, k1star=k1,
                              t_cut=t_cut)
@@ -139,7 +137,7 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
                          B=a ** (1.0 / beta_eff) * (1.0 + h), J=j, k1star=k1)
 
 
-def _exact_pure_j(a: float, beta: float, t_cut: float) -> float:
+def _exact_pure_j(t_cut: float) -> float:
     """J of the truncated power profile: (1/A) int_1^{t_cut} (A/t) dt."""
     if t_cut <= 1.0:
         return 0.0

@@ -1,16 +1,16 @@
 """Convolution against singular homogeneous kernels.
 
 Radial reduction: the kernel decides it.  A scalar kernel with constant
-angular part acts on a radial profile; a vector kernel acts, by dot
-product, on the radial-vector field f(y) = (y/|y|) h(|y|), stored as the
-scalar profile h.  Either way the potential is radial and reduces to a
-1-D integral against the angular weight W(r, rho) = integral over
-S^{n-1} of g(r e1 - rho omega), projected on omega for vector kernels.
-On a uniform log grid W(r_j / r_i) depends only on j - i, so the
-convolution is a log-space correlation plus a corrected band around the
-integrable diagonal singularity.  Scalar kernels with other angular parts
-produce non-radial potentials and are rejected; use the Cartesian engine
-for those.
+angular part acts on a radial profile and reduces to a 1-D integral
+against the angular weight W(r, rho) = integral over S^{n-1} of
+g(r e1 - rho omega).  On a uniform log grid W(r_j / r_i) depends only on
+j - i, so the convolution is a log-space correlation plus a corrected band
+around the integrable diagonal singularity.  The gradient kernels act, by
+dot product, on the radial-vector field f(y) = (y/|y|) h(|y|), stored as
+the scalar profile h; by Newton's shell theorem the potential is
+-integral_r^inf h in every dimension, a cumulative sum with no table.
+Scalar kernels with other angular parts produce non-radial potentials and
+are rejected; use the Cartesian engine for those.
 """
 
 from __future__ import annotations
@@ -204,27 +204,29 @@ def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
 def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightTable:
     """A table of at least 2m - 1 entries for step h; use .window(m).
 
-    One table is cached per (kernel, h), with h the exact float: steps
-    that differ in the last digits give different entries.  A longer
-    request extends the cached table by its new far entries only.
+    Scalar kernels with a constant angular part only.  Cached on what fixes
+    the table, (n, alpha, constant angular value, h), with h the exact
+    float; a longer request extends the cached table by its new entries.
     """
-    key = (kernel.cache_key(), h)
+    if not kernel.is_constant_angular or kernel.is_vector:
+        raise DomainError("radial tables need a homogeneous kernel with a "
+                          "constant scalar angular part")
+    key = (kernel.params.n, kernel.params.alpha, kernel.constant_angular_value, h)
     old = _TABLE_CACHE.get(key)
     if old is not None:
         _TABLE_CACHE.move_to_end(key)
         if old.m >= m:
             return old
+    known = 0 if old is None else old.m  # offsets |k| < known are filled
     vals = np.empty(2 * m - 1)
     if old is None:
-        for j in range(1, _BAND + 1):
-            vals[(m - 1) + j] = _near_cell_average(kernel, j, h)
-            vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
         vals[m - 1] = _diag_cell_average(kernel, h)
-        known = _BAND + 1  # offsets |k| < known are filled
     else:
-        known = old.m
         vals[m - known: m + known - 1] = old.values
-    k = np.arange(known, m)
+    for j in range(max(known, 1), min(_BAND + 1, m)):
+        vals[(m - 1) + j] = _near_cell_average(kernel, j, h)
+        vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
+    k = np.arange(max(known, _BAND + 1), m)
     k = np.concatenate([-k[::-1], k])
     if k.size:
         vals[k + (m - 1)] = np.atleast_1d(angular_slice(kernel, np.exp(k * h)))
@@ -299,30 +301,38 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
     """T_g f on the grid of f; the kernel decides the reduction.
 
     A scalar kernel with constant angular part acts on the radial profile
-    f.  A vector kernel acts on f(y) = (y/|y|) h(|y|), with h stored as the
-    (scalar) values of f.  source, if given, must name that reduction
+    f.  gradient_kernel(n, 1) acts on f(y) = (y/|y|) h(|y|), with h stored
+    as the (scalar) values of f.  source, if given, must name that reduction
     ('scalar' or 'radial_vector').  Output carries the generic homogeneous
     tail exponent alpha - n unless tail_exponent_out overrides it.
     """
     p = kernel.params
-    if kernel.kind != "homogeneous":
-        raise DomainError("radial convolution expects a homogeneous kernel")
     if f.is_vector:
         raise DomainError("store a radial-vector field (y/|y|) h(|y|) as the "
                           "scalar profile h")
-    if not (kernel.is_vector or kernel.is_constant_angular):
-        raise DomainError("non-constant angular parts give non-radial potentials; "
-                          "use the cartesian engine")
     implied = "radial_vector" if kernel.is_vector else "scalar"
     if source is not None and source != implied:
         raise DomainError(f"kernel {kernel.label!r} reduces on {implied} "
                           f"sources, not {source!r}")
 
-    h = _uniform_log_step(f.grid)
-    m = f.grid.size
-    table = angular_weight_table(kernel, h, m).window(m)
-    weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
-    vals, _ = _log_correlation(weights, table, f.grid, h, p.alpha - p.n)
+    if kernel.is_vector:
+        if kernel != gradient_kernel(p.n, 1):
+            raise DomainError("the only vector kernels with a radial "
+                              "reduction are gradient_kernel(n, 1)")
+        # Newton's shell theorem: T f(r) = -integral_r^inf h, a trapezoid in
+        # log r summed from the outer end, so rows past the support are 0
+        hr = f.values * f.grid
+        segments = 0.5 * (hr[:-1] + hr[1:]) * np.diff(np.log(f.grid))
+        vals = np.append(-np.cumsum(segments[::-1])[::-1], 0.0)
+        far_coefficient = -1.0
+    else:
+        h = _uniform_log_step(f.grid)
+        m = f.grid.size
+        table = angular_weight_table(kernel, h, m).window(m)
+        weights = trapezoid_weights_log(f.grid) * f.grid ** (p.n - 1) * f.values
+        vals, _ = _log_correlation(weights, table, f.grid, h, p.alpha - p.n)
+        # W-hat(u) ~ far_coefficient * u^{a-n} as u -> inf, from entry m - 1
+        far_coefficient = table[-1] * math.exp((m - 1) * h) ** (p.n - p.alpha)
 
     tail = 0.0
     if f.tail_exponent is not None and f.values[-1] != 0.0:
@@ -330,8 +340,6 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
         if pt + p.alpha >= 0:
             raise UnboundedResult(
                 "source tail r^{:+.3g} makes the potential diverge".format(pt))
-        # W-hat(u) ~ far_coefficient * u^{a-n} as u -> inf, from entry m - 1
-        far_coefficient = table[-1] * math.exp((m - 1) * h) ** (p.n - p.alpha)
         tail = far_coefficient * float(f.values[-1]) \
             * float(f.grid[-1]) ** p.alpha / (-(pt + p.alpha))
     out_tail = (p.alpha - p.n) if tail_exponent_out is None else tail_exponent_out

@@ -432,6 +432,32 @@ class TestCli:
         assert main(["run", "--config", str(path)]) == 2
         assert "Traceback" not in capsys.readouterr().err
 
+    def test_hyperbolic_one_point_sweep_exit_code(self, tmp_path, capsys):
+        # the log-family slopes need two points; one is a config error
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, "scenarios": [
+            {"id": "hyperbolic", "n": 3, "alpha": 2.0, "sweep": [0.01]}]}))
+        assert main(["run", "--config", str(path)]) == 2
+        assert "two distinct points" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flag,value", [("--q", "0"), ("--sigma", "0"),
+                                            ("--q", "0.5")])
+    def test_bad_parameter_exit_code(self, capsys, flag, value):
+        # a parameter outside its range is a config error, never rewritten
+        assert main(["constants", flag, value]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and value in err
+
+    def test_potential_on_three_nodes(self, tmp_path, capsys):
+        # a grid shorter than the corrected band around the diagonal
+        src = tmp_path / "f.csv"
+        g = np.array([0.1, 0.2, 0.4])
+        src.write_text(RadialFunction(g, np.array([1.0, 0.5, 0.25]), 2).to_csv())
+        dst = tmp_path / "tf.csv"
+        assert main(["potential", "--in", str(src), "--out", str(dst)]) == 0
+        tf = RadialFunction.from_csv(dst.read_text())
+        assert tf.grid.size == 3 and np.all(np.isfinite(tf.values))
+
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({

@@ -157,10 +157,10 @@ class TestClosedFormSlices:
             assert abs(got - exact) <= 1e-15
             assert u > 1 or got == 0.0
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_gradient_potential_inverts_the_gradient(self, n):
         # u = T(u') for u = exp(-r^2): the radial field (y/|y|) u'(|y|) is
-        # the gradient of u, and T_g f(r) = -integral_r^inf h
+        # the gradient of u, and T_g f(r) = -integral_r^inf h in every n
         g = log_grid(1e-6, 1e2, 4001)  # 500 nodes per decade
         du = -2.0 * g * np.exp(-g**2)
         tf = radial_convolve(RadialFunction(g, du, n), gradient_kernel(n, 1))
@@ -192,8 +192,7 @@ class TestClosedFormSlices:
 class TestRowBlocks:
     # a cold table is built in memory that does not grow with the grid
 
-    @pytest.mark.parametrize("kernel", [K2, gradient_kernel(2, 1)],
-                             ids=["riesz", "gradient"])
+    @pytest.mark.parametrize("kernel", [K2], ids=["riesz"])
     def test_cold_build_memory_is_bounded(self, kernel, monkeypatch):
         # a whole-level evaluation needs about 120 MB per temporary here
         monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
@@ -210,21 +209,40 @@ class TestRowBlocks:
 
 class TestWeightTableCache:
     def test_angular_callable_is_part_of_the_key(self):
-        # a kernel that copies the gradient kernel's fields but not its
-        # angular callable must not be served the gradient kernel's table;
-        # it has no closed-form slice, so building its own table fails
+        # the key holds the constant angular value only, so a kernel with an
+        # angular callable, vector or scalar, gets no table at all
         grad = gradient_kernel(2, 1)
-        copy = KernelSpec(kind="homogeneous", params=grad.params,
-                          angular=lambda om: 5.0 * grad.angular(om),
-                          vector_arity=2, label=grad.label)
-        angular_weight_table(grad, 0.05, 64)
-        with pytest.raises(DomainError):
-            angular_weight_table(copy, 0.05, 64)
+        scalar = KernelSpec(kind="homogeneous", params=P2,
+                            angular=lambda om: np.ones(len(om)))
+        for kernel in (grad, scalar):
+            with pytest.raises(DomainError):
+                angular_weight_table(kernel, 0.05, 64)
 
-    def test_gradient_kernel_tables_are_shared(self):
-        k = gradient_kernel(2, 1)
-        table = angular_weight_table(k, 0.05, 64)
-        assert angular_weight_table(gradient_kernel(2, 1), 0.05, 64) is table
+    def test_key_is_what_fixes_the_table(self, monkeypatch):
+        # kernels that differ in label or q but not in (n, alpha, constant
+        # angular value) share one table; another value gets its own
+        monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
+        table = angular_weight_table(K2, 0.05, 64)
+        same = constant_kernel(Params(2, 1.0, q=2.0), 1.0, label="other")
+        assert angular_weight_table(same, 0.05, 64) is table
+        half = angular_weight_table(constant_kernel(P2, 0.5), 0.05, 64)
+        assert half is not table
+
+    @pytest.mark.parametrize("kernel", [K2, K3], ids=["riesz2", "riesz3"])
+    def test_short_grids_are_windows(self, kernel, monkeypatch):
+        # grids of 2-4 nodes are shorter than the corrected band: their
+        # tables are the centred windows of a longer one, and growing a
+        # short table gives the longer table bit for bit
+        h = 0.0311
+        monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
+        long = angular_weight_table(kernel, h, 8)
+        for m in (2, 3, 4):
+            monkeypatch.setattr(potentials, "_TABLE_CACHE", OrderedDict())
+            short = angular_weight_table(kernel, h, m)
+            assert short.m == m
+            assert np.array_equal(short.values, long.window(m))
+            assert np.array_equal(angular_weight_table(kernel, h, 8).values,
+                                  long.values)
 
     def test_cache_is_bounded(self):
         # once the bound is exceeded the least recently used table is
@@ -239,8 +257,7 @@ class TestWeightTableCache:
         assert rebuilt is not first
         assert np.array_equal(rebuilt.values, first.values)
 
-    @pytest.mark.parametrize("kernel", [K2, K3, gradient_kernel(2, 1)],
-                             ids=["riesz2", "riesz3", "gradient2"])
+    @pytest.mark.parametrize("kernel", [K2, K3], ids=["riesz2", "riesz3"])
     def test_longer_request_grows_the_table(self, kernel, monkeypatch):
         # a longer grid extends the cached table to exactly the entries of
         # a fresh build; a shorter one is served without evaluating W-hat
@@ -378,10 +395,18 @@ ORACLE_CASES = {
     "bumps_half": lambda: (RadialFunction(GRID, _bumps(np.random.default_rng(14), GRID), 2),
                            riesz_kernel(Params(2, 0.5))),
     "riesz3": lambda: (RadialFunction(_G3, _bumps(np.random.default_rng(15), _G3), 3), K3),
+}
+
+# (radial-vector source, gradient kernel): truncated powers with a gap at
+# the origin in n = 2, 3, and seeded bumps that change sign in n = 4
+GRADIENT_CASES = {
     "gradient2": lambda: (adams_family(gradient_kernel(2, 1), 1e-3, corrected=False).profile,
                           gradient_kernel(2, 1)),
     "gradient3": lambda: (adams_family(gradient_kernel(3, 1), 1e-3).profile,
                           gradient_kernel(3, 1)),
+    "gradient4": lambda: (RadialFunction(
+        _G3, _bumps(np.random.default_rng(16), _G3) * np.cos(7.0 * np.log(_G3)), 4),
+        gradient_kernel(4, 1)),
 }
 
 
@@ -413,6 +438,50 @@ class TestCorrelationOracle:
                 assert err <= 1e-12 * abs(exact), (i, g[i], err, exact)
             else:
                 assert err <= 1e-12 * own, (i, g[i], err, own)
+
+    @pytest.mark.parametrize("case", list(GRADIENT_CASES))
+    def test_gradient_rows_match_fsum(self, case):
+        # every row against -math.fsum of the same trapezoid segments
+        # 1/2 (h_j r_j + h_{j+1} r_{j+1}) dt_j, j >= i: rtol 1e-12 unless
+        # the row is ~0 against its own terms, then absolutely on their
+        # scale; rows outside the support are exactly +0.0
+        f, kernel = GRADIENT_CASES[case]()
+        assert f.values[-1] == 0.0  # no far tail: the rows are the sum
+        vals = radial_convolve(f, kernel, source="radial_vector").values
+        hr = f.values * f.grid
+        terms = 0.5 * (hr[:-1] + hr[1:]) * np.diff(np.log(f.grid))
+        outside = np.arange(f.grid.size) > np.nonzero(f.values)[0][-1]
+        assert np.any(outside)
+        assert np.all(vals[outside] == 0.0) and not np.any(np.signbit(vals[outside]))
+        for i in np.nonzero(~outside)[0]:
+            exact = -math.fsum(terms[i:])
+            own = math.fsum(np.abs(terms[i:]))
+            err = abs(vals[i] - exact)
+            if abs(exact) >= 1e-3 * own:
+                assert err <= 1e-12 * abs(exact), (i, f.grid[i], err, exact)
+            else:
+                assert err <= 1e-12 * own, (i, f.grid[i], err, own)
+
+    def test_direct_rows_match_fsum(self):
+        # a one-hot table and weights spanning 1e20: the FFT bound of the
+        # small rows exceeds 1e-4 of their value, so they are summed
+        # directly, and must then be exact
+        m, d = 200, 3
+        g = log_grid(1e-2, 1e2, m)
+        h = potentials._uniform_log_step(g)
+        table = np.zeros(2 * m - 1)
+        table[m - 1 + d] = 1.0
+        signs = np.random.default_rng(17).choice([-1.0, 1.0], m)
+        weights = signs * np.geomspace(1.0, 1e-20, m)
+        vals, _ = potentials._log_correlation(weights, table, g, h, 0.0)
+        fft_bound = 64.0 * np.finfo(float).eps * np.sum(np.abs(weights))
+        exact = np.array([math.fsum(table[np.arange(m) - i + (m - 1)] * weights)
+                          for i in range(m)])
+        # rows 100x below the switch are direct whatever the FFT noise
+        small = np.abs(exact) < 1e-2 * fft_bound / 1e-4
+        assert np.count_nonzero(small) > m // 3
+        assert np.array_equal(vals[small], exact[small])
+        assert np.allclose(vals, exact, rtol=1e-12, atol=fft_bound)
 
 
 class TestFullConvolve:
