@@ -307,6 +307,9 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
     tail exponent alpha - n unless tail_exponent_out overrides it.
     """
     p = kernel.params
+    if f.n != p.n:
+        raise DomainError(f"profile in dimension {f.n}, kernel in "
+                          f"dimension {p.n}")
     if f.is_vector:
         raise DomainError("store a radial-vector field (y/|y|) h(|y|) as the "
                           "scalar profile h")
@@ -385,11 +388,12 @@ def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
 
 
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
-    """Discrete convolution by FFT with 2x zero padding.
+    """Discrete convolution by a cyclic real FFT of the box against the
+    kernel sampled on every displacement the box holds.
 
     The kernel sample at zero displacement is replaced by its exact cell
     average; with the source supported inside the box, displacements never
-    exceed the padded range, so no additional far-field term enters values
+    exceed the sampled range, so no additional far-field term enters values
     inside the box.
     """
     p = kernel.params
@@ -400,7 +404,7 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     h = f.h
     res = f.resolution
     offsets = (np.arange(2 * res - 1) - (res - 1)) * h
-    grids = np.meshgrid(*([offsets] * f.n), indexing="ij")
+    grids = np.meshgrid(*([offsets] * f.n), indexing="ij", sparse=True)
     r = np.sqrt(sum(g**2 for g in grids))
     center = tuple([res - 1] * f.n)
     r[center] = 1.0
@@ -412,7 +416,13 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
         kv = avals * r ** (p.alpha - p.n)
     kv[center] = _origin_cell_integral(kernel, h) / h**f.n
 
-    conv = _full_convolve(f.values, kv)
+    # Per axis the linear convolution has length 3 res - 2 and the box keeps
+    # entries res - 1 ... 2 res - 2.  A cyclic one of length L >= 2 res - 1
+    # adds to entry k only the linear entries k +- L, which lie below 0 or
+    # past 3 res - 3 for every kept k, so nothing wraps into the box.
+    fshape = [sp_fft.next_fast_len(2 * res - 1, True)] * f.n
+    conv = sp_fft.irfftn(sp_fft.rfftn(f.values, fshape)
+                         * sp_fft.rfftn(kv, fshape), fshape)
     sl = tuple([slice(res - 1, 2 * res - 1)] * f.n)
     return CartesianField(f.n, f.extent, conv[sl] * h**f.n)
 

@@ -171,7 +171,10 @@ def rearrangement_value(f: Field, t: float,
     distribution function (with its sub-cell crossing interpolation).
 
     Pointwise-accurate inversion; the sorted-profile path is exact in the
-    equimeasurability sense but pins values to whole cells.
+    equimeasurability sense but pins values to whole cells.  Linear steps
+    resolve nothing below max|f| 2^-60; when f*(t) lies there, 60 more
+    steps bisect geometrically down to the smallest normal float, and
+    f*(t) below that is 0.
     """
     if t <= 0:
         raise DomainError("mass level must be positive")
@@ -186,6 +189,18 @@ def rearrangement_value(f: Field, t: float,
             hi = mid
         else:
             lo = mid
+    if lo == 0.0:
+        lo = float(np.finfo(float).tiny)
+        if distribution_function(f, lo, nu) <= t:
+            return 0.0
+        for _ in range(60):
+            # the product of square roots neither underflows nor overflows
+            mid = math.sqrt(lo) * math.sqrt(hi)
+            if distribution_function(f, mid, nu) <= t:
+                hi = mid
+            else:
+                lo = mid
+        return math.sqrt(lo) * math.sqrt(hi)
     return 0.5 * (lo + hi)
 
 

@@ -1,13 +1,16 @@
 import json
 import math
 import os
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from sil import harness
 from sil.cli import main
 from sil.errors import ConfigError
 from sil.extremals import adams_family
+from sil.functionals import holder_split_inequality
 from sil.grids import RadialFunction, log_grid
 from sil.harness import (RATE_FIT_EPS_MAX, Scenario, default_scenarios,
                          parse_config, run_all, run_scenario)
@@ -147,6 +150,57 @@ class TestDeterminism:
         lines = (tmp_path / "summary.csv").read_text().strip().splitlines()
         assert lines[0] == "scenario,verdict" and len(lines) == 2
         assert summary["counts"]
+
+
+class TestSplitMonteCarlo:
+    """The lemma suite's split-inequality Monte Carlo draws in chunks the
+    values the whole-array draws of acceptance criterion 12 take."""
+
+    @staticmethod
+    def _one_shot(rng):
+        m = 10**6
+        a = rng.uniform(0.0, 10.0, m)
+        b = rng.uniform(0.0, 10.0, m)
+        theta = rng.uniform(0.0, 1.0, m)
+        beta = rng.uniform(1.01, 8.0, m)
+        return a, b, theta, beta
+
+    def test_same_draws_count_and_state(self, monkeypatch):
+        chunks = []
+
+        def recording(*arrays):
+            chunks.append(arrays)
+            return holder_split_inequality(*arrays)
+
+        monkeypatch.setattr(harness, "holder_split_inequality", recording)
+        chunked = np.random.default_rng(53)
+        count = harness._split_violations(chunked)
+        whole = np.random.default_rng(53)
+        arrays = self._one_shot(whole)
+        lhs, rhs = holder_split_inequality(*arrays)
+        assert count == int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-12))
+        assert chunked.bit_generator.state == whole.bit_generator.state
+        assert len(chunks) > 1
+        for j, array in enumerate(arrays):
+            assert np.array_equal(np.concatenate([c[j] for c in chunks]), array)
+        # the count adds over chunks: count lhs > rhs with the roles of a
+        # and b swapped in, which about half the draws violate
+        monkeypatch.setattr(harness, "holder_split_inequality",
+                            lambda a, b, theta, beta: (a, b))
+        swapped = harness._split_violations(np.random.default_rng(53))
+        a, b = arrays[:2]
+        assert swapped == int(np.sum(a > b * (1 + 1e-12) + 1e-12)) > 0
+
+    def test_workspace_is_bounded(self):
+        # the whole-array draws peak at about 69 MB
+        rng = np.random.default_rng(53)
+        tracemalloc.start()
+        try:
+            harness._split_violations(rng)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 4 * 2**20
 
 
 class TestImportGraph:
@@ -457,6 +511,20 @@ class TestCli:
         assert main(["potential", "--in", str(src), "--out", str(dst)]) == 0
         tf = RadialFunction.from_csv(dst.read_text())
         assert tf.grid.size == 3 and np.all(np.isfinite(tf.values))
+
+    @pytest.mark.parametrize("kernel,n", [("riesz", "3"), ("gradient", "4")])
+    def test_potential_rejects_other_dimension(self, tmp_path, capsys,
+                                               kernel, n):
+        # the CSV says n = 2; a kernel in another dimension is an error,
+        # not a potential relabelled n = 3 or 4
+        src = tmp_path / "f.csv"
+        g = np.array([0.1, 0.2, 0.4])
+        src.write_text(RadialFunction(g, np.array([1.0, 0.5, 0.25]), 2).to_csv())
+        dst = tmp_path / "tf.csv"
+        assert main(["potential", "--kernel", kernel, "--n", n, "--alpha", "1",
+                     "--in", str(src), "--out", str(dst)]) != 0
+        assert "dimension" in capsys.readouterr().err
+        assert not dst.exists()
 
     def test_run_writes_outputs(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"

@@ -338,6 +338,14 @@ class TestRadialConvolve:
         with pytest.raises(DomainError):
             radial_convolve(disk(), k)
 
+    @pytest.mark.parametrize("kernel", [riesz_kernel(Params(3, 1.0)),
+                                        gradient_kernel(4, 1)],
+                             ids=["riesz", "gradient"])
+    def test_dimension_mismatch_rejected(self, kernel):
+        # a 2-D profile never yields a potential in another dimension
+        with pytest.raises(DomainError, match="dimension"):
+            radial_convolve(disk(), kernel)
+
     def test_dilation_identities(self):
         # f_lam(x) = lam^a f(lam x): profile norm invariant, potential
         # norm scales by lam^{-n/p}, and T f_lam(x/lam) = T f(x)
@@ -560,6 +568,35 @@ class TestCartesianConvolve:
         assert potentials._origin_cell_integral(flat, 0.1) == pytest.approx(
             potentials._origin_cell_integral(constant_kernel(P2, c), 0.1),
             rel=1e-12)
+
+    @pytest.mark.parametrize("n,res,angular", [
+        (2, 128, None), (3, 24, None),
+        (2, 96, lambda om: 1.0 + 0.3 * om[:, 0] ** 2)],
+        ids=["n2", "n3", "n2_callable"])
+    def test_cyclic_fft_matches_full_length(self, n, res, angular):
+        # the kernel on full meshgrid arrays and the full linear convolution
+        # cut to the box: the cyclic FFT of length >= 2 res - 1 wraps
+        # nothing into the box
+        params = Params(n, 1.0)
+        kernel = riesz_kernel(params) if angular is None else KernelSpec(
+            kind="homogeneous", params=params, angular=angular)
+        f = CartesianField(n, 1.0, np.random.default_rng(n).normal(size=(res,) * n))
+        h = f.h
+        offsets = (np.arange(2 * res - 1) - (res - 1)) * h
+        grids = np.meshgrid(*([offsets] * n), indexing="ij")
+        r = np.sqrt(sum(g**2 for g in grids))
+        center = (res - 1,) * n
+        r[center] = 1.0
+        if angular is None:
+            kv = r ** (1.0 - n)
+        else:
+            unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
+            kv = angular(unit).reshape(r.shape) * r ** (1.0 - n)
+        kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
+        full = potentials._full_convolve(f.values, kv)
+        want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
+        got = cartesian_convolve(f, kernel).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     def test_three_dimensional_matches_radial(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)

@@ -210,6 +210,18 @@ class TestRearrangement:
             assert prof.fstar_at(t) == pytest.approx(
                 math.sqrt(math.pi / t), rel=5e-3)
 
+    def test_inversion_below_linear_bisection(self):
+        # exp(-(r/a)^2) in 2-D: f*(t) = exp(-t / (pi a^2)), here ~1e-27 and
+        # ~1e-35, far below max|f| 2^-60 ~ 8.7e-19
+        a = 0.01
+        f = RadialFunction(GRID, np.exp(-(GRID / a) ** 2), 2)
+        for t in (0.0195, 0.025):
+            assert rearrangement_value(f, t) == pytest.approx(
+                math.exp(-t / (math.pi * a * a)), rel=2e-3, abs=0.0)
+        # past the support's measure f* is exactly 0
+        disk = RadialFunction(GRID, indicator_values(GRID, 0.1), 2)
+        assert rearrangement_value(disk, 1.0) == 0.0
+
     def test_equimeasurability(self):
         rng = np.random.default_rng(11)
         for _ in range(10):
