@@ -174,7 +174,8 @@ class ExtremalFamily:
     stores the radial magnitude with vector=True (the field is
     (y/|y|) * profile).  potential is T_g of the profile, filled in by
     attach_potential; norm_pth_power caches ||f||_{n/a}^{n/a};
-    potential_norm_pth the same for T f.
+    potential_norm_pth the same for T f.  proj_coeffs is read-only, as the
+    arrays of every RadialFunction are, so callers can share a family.
     """
 
     kind: str
@@ -272,6 +273,7 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     values[j_one] *= 0.5
     if corrected:
         coeffs = _radial_projection_coeffs(n, alpha, eps_snapped, c_phi, vector)
+        coeffs.setflags(write=False)
         powers = (2 * np.arange(len(coeffs)) + 1) if vector else 2 * np.arange(len(coeffs))
         poly = np.zeros_like(grid)
         inside = grid <= 1.0

@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import copy
 import csv
+import functools
 import hashlib
 import json
 import math
@@ -28,8 +29,8 @@ import numpy as np
 from . import __version__
 from .constants import riesz_normalization, sphere_area
 from .errors import ConfigError, SilError
-from .extremals import (adams_family, attach_potential, coupling_eps,
-                        dilated_family, gradient_norm_pth,
+from .extremals import (ExtremalFamily, adams_family, attach_potential,
+                        coupling_eps, dilated_family, gradient_norm_pth,
                         hyperbolic_log_family, moser_log_family,
                         normalize_ruf)
 from .functionals import Domain, FunctionalSpec, holder_split_inequality, \
@@ -142,19 +143,30 @@ def _provenance(sc: Scenario) -> dict:
 # family sweep shared by the Ruf/trace scenarios
 # ---------------------------------------------------------------------------
 
+# the default scenarios of sil run ask for 22 keys, so it never evicts
+@functools.lru_cache(maxsize=32)
+def _riesz_family(n: int, alpha: float, eps: float,
+                  per_decade: int) -> ExtremalFamily:
+    """The corrected Riesz family with its potential attached, built once
+    per process for each key.  The Riesz angular value is 1, and q and
+    sigma do not enter the family, so (n, alpha, eps, per_decade) is all
+    that fixes it.  Every array of the family is read-only, so a caller
+    cannot change what the next one is served."""
+    return attach_potential(adams_family(riesz_kernel(Params(n, alpha)), eps,
+                                         per_decade=per_decade))
+
+
 def _psi_sweep(sc: Scenario, coefficient_scale: float,
                measure=None) -> List[dict]:
     """Normalized-family sweep: exponential functional over B_1 at
     coefficient_scale / A_g, plus the center blow-up driver diagnostics."""
     p = sc.params
-    kernel = riesz_kernel(p)
     a_g = sphere_area(p.n) / p.n
     n_a_g = p.n * a_g
     gamma = coefficient_scale / a_g
     points = []
     for eps in sc.sweep:
-        fam = attach_potential(adams_family(kernel, eps,
-                                            per_decade=sc.resolution))
+        fam = _riesz_family(p.n, p.alpha, eps, sc.resolution)
         psi = normalize_ruf(fam)
         spec = FunctionalSpec.sharp(p, gamma, Domain.ball(1.0), measure=measure)
         value = mt_functional(psi.potential, spec)
@@ -460,10 +472,20 @@ def _split_violations(rng: np.random.Generator) -> int:
     return count
 
 
+@functools.lru_cache(maxsize=8)
+def _split_violation_count(seed: int) -> int:
+    """_split_violations on a fresh generator seeded with seed: the count
+    depends on nothing else, so the half-resolution rerun of lemma_suite
+    reuses it.  sil run asks for one seed."""
+    return _split_violations(np.random.default_rng(seed))
+
+
 def _run_lemma_suite(sc: Scenario) -> ScenarioResult:
     p = sc.params
     rng = np.random.default_rng(sc.seed)
-    checks = {"split_violations": _split_violations(rng)}
+    checks = {"split_violations": _split_violation_count(sc.seed)}
+    # the random profiles below draw where _split_violations leaves rng
+    rng.bit_generator.advance(len(_SPLIT_RANGES) * _SPLIT_DRAWS)
     # regularization sandwich on random profiles
     grid = log_grid(1e-6, 1e3, max(int(2000 * sc.resolution / 400), 512))
     sandwich_fail = 0
@@ -477,13 +499,10 @@ def _run_lemma_suite(sc: Scenario) -> ScenarioResult:
             sandwich_fail += 1
     checks["sandwich_violations"] = sandwich_fail
     # additive-shift bounds along the normalized family
-    kernel = riesz_kernel(p)
     a_g = sphere_area(p.n) / p.n
     shift_fail = 0
-    psis = []
-    for eps in sc.sweep:
-        fam = attach_potential(adams_family(kernel, eps, per_decade=sc.resolution))
-        psis.append(normalize_ruf(fam))
+    psis = [normalize_ruf(_riesz_family(p.n, p.alpha, eps, sc.resolution))
+            for eps in sc.sweep]
     spec = FunctionalSpec(gamma_coeff=1.0 / a_g, power=p.beta,
                           domain=Domain.ball(1.0))
     c0 = max(mt_functional(ps.potential, spec).value for ps in psis)

@@ -1,6 +1,8 @@
+import dataclasses
 import json
 import math
 import os
+import re
 import tracemalloc
 
 import numpy as np
@@ -201,6 +203,124 @@ class TestSplitMonteCarlo:
         finally:
             tracemalloc.stop()
         assert peak <= 4 * 2**20
+
+
+def _clear_memos():
+    harness._riesz_family.cache_clear()
+    harness._split_violation_count.cache_clear()
+
+
+def _array_fields(obj, prefix=""):
+    """(name, array) for every numpy array held by a dataclass, recursively."""
+    for f in dataclasses.fields(obj):
+        value = getattr(obj, f.name)
+        if isinstance(value, np.ndarray):
+            yield prefix + f.name, value
+        elif dataclasses.is_dataclass(value):
+            yield from _array_fields(value, f"{prefix}{f.name}.")
+
+
+class TestFamilyMemo:
+    """sil run builds each Riesz family and each split-inequality Monte
+    Carlo count once per process, and a memo hit gives the bits a cold
+    build gives."""
+
+    @staticmethod
+    def _bench_scenarios(tmp_path, seed=0):
+        # the seven scenarios of the benchmark's config, seed filled in
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "scenarios.json")
+        with open(path) as fh:
+            cfg = json.load(fh)
+        cfg["seed"] = seed
+        for entry in cfg["scenarios"]:
+            entry["seed"] = seed
+        out = tmp_path / "config.json"
+        out.write_text(json.dumps(cfg))
+        return parse_config(str(out))
+
+    def test_each_family_and_count_is_built_once(self, tmp_path, monkeypatch):
+        families, counts = [], []
+
+        def counting_family(*args, **kwargs):
+            families.append(args)
+            return adams_family(*args, **kwargs)
+
+        def counting_split(rng):
+            counts.append(rng)
+            return split(rng)
+
+        split = harness._split_violations
+        monkeypatch.setattr(harness, "adams_family", counting_family)
+        monkeypatch.setattr(harness, "_split_violations", counting_split)
+        scenarios = self._bench_scenarios(tmp_path)
+        assert len(scenarios) == 7
+        _clear_memos()
+        try:
+            run_all(scenarios)
+            info = harness._riesz_family.cache_info()
+        finally:
+            _clear_memos()
+        # 22 Riesz families of ruf_sharp, ruf_supercritical, trace_sharp and
+        # lemma_suite at both resolutions, plus adachi_rate's 12
+        assert len(families) == 34
+        assert info.misses == info.currsize == 22 and info.hits == 52
+        # lemma_suite's full- and half-resolution passes share one count
+        assert len(counts) == 1
+
+    def test_profiles_draw_where_the_monte_carlo_leaves_rng(self, monkeypatch):
+        # cold or warm, the sandwich profiles start 4 * 10^6 draws on
+        expected = np.random.default_rng(11)
+        harness._split_violations(expected)
+        states = []
+
+        class Drawn(Exception):
+            pass
+
+        def recording(rng, *args, **kwargs):
+            states.append(rng.bit_generator.state)
+            raise Drawn
+
+        monkeypatch.setattr(harness, "_random_profile", recording)
+        sc = Scenario("lemma_suite", Params(2, 1.0), seed=11, sweep=[1e-1])
+        _clear_memos()
+        for _ in range(2):
+            with pytest.raises(Drawn):
+                run_scenario(sc, check_resolution=False)
+        assert harness._split_violation_count.cache_info().hits == 1
+        assert states == [expected.bit_generator.state] * 2
+
+    def test_memo_hits_are_read_only(self):
+        fam = harness._riesz_family(2, 1.0, 1e-2, 100)
+        assert harness._riesz_family(2, 1.0, 1e-2, 100) is fam
+        arrays = dict(_array_fields(fam))
+        assert {"profile.grid", "profile.values", "potential.grid",
+                "potential.values", "proj_coeffs"} <= set(arrays)
+        for array in arrays.values():
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
+
+    def test_warm_runs_equal_cold_runs(self):
+        stamp = re.compile(r'"timestamp": "[^"]*"')
+
+        def output(sc, check):
+            result = run_scenario(sc, check_resolution=check)
+            return stamp.sub("", result.to_json())
+
+        runs = []
+        for sc in default_scenarios(0):
+            runs.append((sc, True))
+            # run_scenario's half-resolution rerun, whose output it drops
+            half = dataclasses.replace(sc, resolution=max(sc.resolution // 2, 50))
+            runs.append((half, False))
+        cold = []
+        for sc, check in runs:
+            _clear_memos()
+            cold.append(output(sc, check))
+        for sc, check in runs:  # every memo entry of the runs is now built
+            output(sc, check)
+        warm = [output(sc, check) for sc, check in runs]
+        assert warm == cold
 
 
 class TestImportGraph:
