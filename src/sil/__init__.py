@@ -10,7 +10,7 @@ from .constants import (SharpConstants, adachi_dilation, ball_volume,
                         kernel_sharp_constant, moser_gamma,
                         riesz_normalization, sharp_gamma, sphere_area)
 from .kernels import (KernelSpec, bessel_kernel, gradient_kernel,
-                      hyperbolic_green, riesz_kernel)
+                      hyperbolic_h2_exact, riesz_kernel)
 from .measures import MeasureDensity, lebesgue, singular_measure
 from .norms import lp_norm, q_norm, ruf_norm
 from .rearrange import (RearrangedProfile, decreasing_rearrangement,

@@ -62,7 +62,10 @@ def _kernel_from(name: str, params: Params):
     if name == "bessel":
         return bessel_kernel_spec(params)
     if name == "hyperbolic":
-        return hyperbolic_kernel_spec(params)
+        try:
+            return hyperbolic_kernel_spec(params)
+        except DomainError as exc:
+            raise ConfigError(str(exc)) from exc
     raise ConfigError(f"unknown kernel {name!r}")
 
 

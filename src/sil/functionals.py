@@ -362,22 +362,16 @@ def shifted_functional_bounds(tf: Field, K: float, p_f: float,
 # trace measures
 # ---------------------------------------------------------------------------
 
-def trace_measure(kind: str, params: Params, density=None) -> MeasureDensity:
+def trace_measure(kind: str, params: Params) -> MeasureDensity:
     """Measures with certified growth for the trace inequalities.
 
     'singular': density |x|^{(sigma-1) n}; 'hyperplane': arc length on a
-    line (n = 2); 'custom_density': user radial density, growth bound
-    spot-checked.
+    line (n = 2).
     """
     if kind == "singular":
         nu = singular_measure(params.n, params.sigma)
     elif kind == "hyperplane":
         nu = hyperplane_measure()
-    elif kind == "custom_density":
-        if density is None:
-            raise DomainError("custom_density needs a density callable")
-        nu = MeasureDensity(kind="radial", n=params.n, radial_density=density,
-                            growth_sigma=params.sigma, growth_Q=None)
     else:
         raise DomainError(f"unknown trace measure kind {kind!r}")
     nu.spot_check_growth(rng=0)

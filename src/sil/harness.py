@@ -316,7 +316,7 @@ def _run_hyperbolic(sc: Scenario) -> ScenarioResult:
     # exact tail-integral kernel vs closed form (dimension 3)
     rho = np.array([0.3, 0.5, 1.0, 2.0, 4.0])
     numeric = hyperbolic_h2_exact(3, rho)
-    closed = (1.0 / np.tanh(rho) - 1.0) / (4.0 * math.pi)
+    closed = 1.0 / (2.0 * math.pi * np.expm1(2.0 * rho))
     checks["h2_max_rel_err"] = float(np.max(np.abs(numeric - closed) / closed))
     # local Riesz match at small geodesic radius
     c2 = riesz_normalization(3, 2.0)

@@ -1,5 +1,5 @@
 """Kernel specifications: homogeneous angular kernels, the Bessel kernel,
-and hyperbolic Green kernels.
+and the hyperbolic Green kernel.
 
 A homogeneous kernel is g(z) = a(z/|z|) |z|^{alpha-n} with a scalar or
 vector angular part a on the sphere; the vector components share the same
@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import kv
+from scipy.special import hyp2f1, kv
 
 from .constants import riesz_normalization, sphere_area
 from .errors import DegenerateOddCase, DomainError
@@ -25,7 +25,8 @@ from .params import Params
 class KernelSpec:
     """A convolution kernel.
 
-    kind: 'homogeneous' | 'bessel' | 'hyperbolic_exact' | 'hyperbolic_asymptotic'
+    kind: 'homogeneous' | 'bessel' | 'hyperbolic' (the order-2 Green
+          kernel, so alpha must be 2)
     angular: callable on an array of unit vectors (K, n) returning (K,) or
              (K, m) values; None means the constant scalar part.
     constant_angular_value: fast path for angular parts that are constant.
@@ -39,9 +40,11 @@ class KernelSpec:
     label: str = "kernel"
 
     def __post_init__(self):
-        if self.kind not in ("homogeneous", "bessel",
-                             "hyperbolic_exact", "hyperbolic_asymptotic"):
+        if self.kind not in ("homogeneous", "bessel", "hyperbolic"):
             raise DomainError(f"unknown kernel kind {self.kind!r}")
+        if self.kind == "hyperbolic" and self.params.alpha != 2.0:
+            raise DomainError(f"the hyperbolic Green kernel has order 2, "
+                              f"got alpha={self.params.alpha}")
         if self.angular is not None and self.constant_angular_value is not None:
             object.__setattr__(self, "constant_angular_value", None)
 
@@ -115,60 +118,22 @@ def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:
 
 
 def hyperbolic_h2_exact(n: int, rho) -> np.ndarray:
-    """Green kernel of the hyperbolic Laplacian:
-    H_2(rho) = (1/omega_{n-1}) int_rho^inf sinh^{1-n} r dr.
+    """Green kernel of the hyperbolic Laplacian, the order-2 kernel on H^n:
 
-    The substitution u = e^{-r} maps the tail onto (0, e^{-rho}] where the
-    integrand is smooth; fixed Gauss-Legendre there is exact to tolerance.
+    H_2(rho) = (1/omega_{n-1}) int_rho^inf sinh^{1-n} r dr
+             = 2^k e^{-k rho} / (k omega_{n-1})
+               * 2F1(k/2, k; k/2 + 1; e^{-2 rho}),   k = n - 1,
+
+    by x = e^{-2r}, which turns the tail into an incomplete beta function
+    (DLMF 8.17.7, 15.4).  Upward recursions in k cancel at large rho;
+    this form does not.
     """
     rho = np.atleast_1d(np.asarray(rho, dtype=float))
     if np.any(rho <= 0):
         raise DomainError("geodesic radius must be positive")
-    x, w = np.polynomial.legendre.leggauss(160)
-    # int_rho^inf dr / sinh^{n-1} r ; r = rho - log(z), z in (0, 1]
-    z = 0.5 * (x + 1.0)
-    wz = 0.5 * w
-    rr = rho[:, None] - np.log(np.clip(z, 1e-300, None))
-    vals = np.where(z > 0, np.sinh(rr) ** (1 - n) / np.clip(z, 1e-300, None), 0.0)
-    out = np.sum(wz * vals, axis=1)
-    out /= sphere_area(n)
-    return out if out.size > 1 else float(out[0])
-
-
-def hyperbolic_green(n: int, rho, mode: str = "exact_H2",
-                     alpha: Optional[float] = None) -> np.ndarray:
-    """Hyperbolic Green kernel values.
-
-    mode 'exact_H2': numerical tail integral of sinh^{1-n} (order 2).
-    mode 'asymptotic': matched model for general order alpha --
-      c_alpha rho^{alpha-n} for rho <= 0.5, the decay envelope
-      c' rho^{-1+alpha/2} e^{-(n-1) rho} for rho >= 2 (c' pinned by
-      continuity with the small-rho model at rho = 2), log-linear
-      interpolation of log H on (0.5, 2).  The blend on (0.5, 2) is a
-      modeling choice, adequate for tail-integrability bookkeeping.
-    """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
-    if mode == "exact_H2":
-        return hyperbolic_h2_exact(n, rho)
-    if mode != "asymptotic":
-        raise DomainError(f"unknown hyperbolic mode {mode!r}")
-    if alpha is None:
-        raise DomainError("asymptotic mode needs the kernel order alpha")
-    c = riesz_normalization(n, alpha)
-    lo, hi = 0.5, 2.0
-    h_lo = c * lo ** (alpha - n)
-    c_prime = c * hi ** (alpha - n) / (hi ** (-1.0 + alpha / 2.0)
-                                       * math.exp(-(n - 1) * hi))
-    h_hi = c_prime * hi ** (-1.0 + alpha / 2.0) * math.exp(-(n - 1) * hi)
-    out = np.empty_like(rho)
-    small = rho <= lo
-    large = rho >= hi
-    mid = ~small & ~large
-    out[small] = c * rho[small] ** (alpha - n)
-    out[large] = c_prime * rho[large] ** (-1.0 + alpha / 2.0) * np.exp(-(n - 1) * rho[large])
-    if np.any(mid):
-        t = (np.log(rho[mid]) - math.log(lo)) / (math.log(hi) - math.log(lo))
-        out[mid] = np.exp((1 - t) * math.log(h_lo) + t * math.log(h_hi))
+    k = n - 1
+    out = (2.0**k / (k * sphere_area(n)) * np.exp(-k * rho)
+           * hyp2f1(0.5 * k, k, 0.5 * k + 1.0, np.exp(-2.0 * rho)))
     return out if out.size > 1 else float(out[0])
 
 
@@ -176,6 +141,6 @@ def bessel_kernel_spec(params: Params) -> KernelSpec:
     return KernelSpec(kind="bessel", params=params, label="bessel")
 
 
-def hyperbolic_kernel_spec(params: Params, exact: bool = True) -> KernelSpec:
-    kind = "hyperbolic_exact" if exact else "hyperbolic_asymptotic"
-    return KernelSpec(kind=kind, params=params, label=kind)
+def hyperbolic_kernel_spec(params: Params) -> KernelSpec:
+    """The Green kernel hyperbolic_h2_exact; params.alpha must be 2."""
+    return KernelSpec(kind="hyperbolic", params=params, label="hyperbolic")

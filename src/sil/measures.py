@@ -5,10 +5,11 @@ volume (geodesic polar weight sinh^{n-1}), or arc length on a line through
 the origin (n = 2).  Only the radial weight enters quadrature; growth
 certificates (Q, sigma) ride along for the trace inequalities.
 
-Every measure built here has closed-form ball masses and power tails;
-`quad` serves only a user's density, the hyperbolic volume for n >= 4 and
-off-center balls, and is imported where called, so that `import sil` does
-not load scipy.integrate.
+Every measure built here has closed-form ball masses and power tails,
+the hyperbolic volume through one Gauss hypergeometric function for every
+n; `quad` serves only a user's density and off-center balls, and is
+imported where called, so that `import sil` does not load
+scipy.integrate.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+from scipy.special import hyp2f1
 
 from .constants import sphere_area
 from .errors import (DomainError, GrowthViolated, NegativeDensity,
@@ -90,7 +92,9 @@ class MeasureDensity:
 
     def ball_mass_origin(self, r: float) -> float:
         """nu(B(0, r)): closed forms, with quadrature only for a user's
-        density and the hyperbolic volume for n >= 4."""
+        density.  The hyperbolic volume omega int_0^r sinh^{n-1} is
+        omega sinh^n r / n * 2F1(1/2, n/2; n/2 + 1; -sinh^2 r), by
+        t = sinh^2 s (DLMF 8.17.7, 15.4)."""
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
         if self.kind == "hyperplane":
@@ -99,15 +103,9 @@ class MeasureDensity:
         if d is not None:
             return sphere_area(self.n) * r**d / d
         if self.kind == "hyperbolic":
-            if self.n == 2:
-                # 2 pi (cosh r - 1) without its cancellation for small r
-                return 4.0 * math.pi * math.sinh(0.5 * r) ** 2
-            if self.n == 3:
-                return math.pi * _sinh_minus_identity(2.0 * r)
-            from scipy.integrate import quad
-
-            val, _ = quad(lambda s: math.sinh(s) ** (self.n - 1), 0.0, r)
-            return sphere_area(self.n) * val
+            s = math.sinh(r)
+            return float(sphere_area(self.n) * s**self.n / self.n
+                         * hyp2f1(0.5, 0.5 * self.n, 0.5 * self.n + 1.0, -s * s))
         from scipy.integrate import quad
 
         val, _ = quad(
@@ -215,19 +213,6 @@ class MeasureDensity:
                           points=[c, min(c + r, max(lo, 1e-12))])
             return val
         raise DomainError("off-center mass not available for this measure kind")
-
-
-def _sinh_minus_identity(x: float) -> float:
-    """sinh x - x; below x = 1, where the difference cancels, by its
-    series sum_{k>=1} x^{2k+1}/(2k+1)!, largest term first."""
-    if x >= 1.0:
-        return math.sinh(x) - x
-    term, total, k = x**3 / 6.0, 0.0, 3
-    while total + term != total:
-        total += term
-        term *= x * x / ((k + 1) * (k + 2))
-        k += 2
-    return total
 
 
 def lebesgue(n: int) -> MeasureDensity:

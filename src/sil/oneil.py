@@ -20,7 +20,7 @@ from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
 from .errors import (DomainError, ExponentConstraintViolated, JInfinite,
                      MassNotCaptured, TailNotConverged)
 from .grids import RadialFunction, log_grid
-from .kernels import (KernelSpec, bessel_kernel, hyperbolic_green)
+from .kernels import KernelSpec, bessel_kernel, hyperbolic_h2_exact
 from .measures import hyperbolic_volume
 from .params import Params
 from .rearrange import RearrangedProfile, decreasing_rearrangement
@@ -89,8 +89,8 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     numerically from a radial sampling.
     """
     p = kernel.params
+    beta = p.beta
     if kernel.kind == "homogeneous":
-        beta = p.beta
         a_g = kernel_sharp_constant(kernel)
         if truncation_radius is None:
             raise JInfinite(
@@ -106,35 +106,24 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
         return KernelProfile(beta=beta, A=a_g, H=0.0, gamma_exp=1.0,
                              B=a_g ** (1.0 / beta), J=j, k1star=k1,
                              t_cut=t_cut)
-    # sampled kernels: rearrange a radial sampling (hyperbolic kernels
+    # sampled kernels: rearrange a radial sampling (the hyperbolic kernel
     # against the hyperbolic volume) and fit the bound constants
     if kernel.kind == "bessel":
         g = grid if grid is not None else log_grid(1e-5, 60.0, 4096)
         vals = bessel_kernel(p.n, p.alpha, g)
-        alpha_eff, measure = p.alpha, None
+        measure = None
     else:
         g = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
-        if kernel.kind == "hyperbolic_exact":
-            vals = hyperbolic_green(p.n, g, mode="exact_H2")
-            alpha_eff = 2.0
-        else:
-            vals = hyperbolic_green(p.n, g, mode="asymptotic", alpha=p.alpha)
-            alpha_eff = p.alpha
+        vals = hyperbolic_h2_exact(p.n, g)
         measure = hyperbolic_volume(p.n)
-    if alpha_eff >= p.n:
-        raise DomainError(
-            f"kernel order {alpha_eff} is not below the dimension {p.n}: the "
-            f"profile exponent beta = n/(n - alpha) is not finite")
     prof = RadialFunction(g, vals, p.n, tail_exponent=None)
     rearr = decreasing_rearrangement(prof, measure)
-    beta_eff = p.n / (p.n - alpha_eff)
-    c_a = riesz_normalization(p.n, alpha_eff)
-    a = ball_volume(p.n) * c_a**beta_eff
+    a = ball_volume(p.n) * riesz_normalization(p.n, p.alpha)**beta
     k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
-    j = _tail_j(k1, a, beta_eff)
-    h = _fit_profile_h(k1, a, beta_eff)
-    return KernelProfile(beta=beta_eff, A=a, H=h, gamma_exp=1.0,
-                         B=a ** (1.0 / beta_eff) * (1.0 + h), J=j, k1star=k1)
+    j = _tail_j(k1, a, beta)
+    h = _fit_profile_h(k1, a, beta)
+    return KernelProfile(beta=beta, A=a, H=h, gamma_exp=1.0,
+                         B=a ** (1.0 / beta) * (1.0 + h), J=j, k1star=k1)
 
 
 def _exact_pure_j(t_cut: float) -> float:

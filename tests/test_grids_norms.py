@@ -323,16 +323,18 @@ class TestClosedFormMasses:
     def omega(mp, n):
         return 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
 
-    # both sides of the n = 3 series cutoff at r = 1/2, and the radii
-    # 3.3e-5 ... 3.3e-3 the hyperbolic scenario asks for
-    @pytest.mark.parametrize("n", [2, 3])
+    # among them the radii 3.3e-5 ... 3.3e-3 the hyperbolic scenario asks for
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
     @pytest.mark.parametrize("r", [1e-8, 3.3e-5, 3.3e-3, 0.1, 0.4999,
                                    0.5, 0.5001, 1.0, 3.0, 20.0])
     def test_hyperbolic_ball_mass(self, n, r):
         mp = pytest.importorskip("mpmath")
         with mp.workdps(40):
-            want = self.omega(mp, n) * mp.quad(
-                lambda s: mp.sinh(s) ** (n - 1), [0, mp.mpf(r)])
+            # s = r u keeps the integrand near 1 for small r, where mpmath's
+            # absolute error target would swamp a mass of order r^n
+            r_mp = mp.mpf(r)
+            want = self.omega(mp, n) * r_mp**n * mp.quad(
+                lambda u: (mp.sinh(r_mp * u) / r_mp) ** (n - 1), [0, 1])
             got = hyperbolic_volume(n).ball_mass_origin(r)
             assert abs(got / want - 1) <= 1e-14
 

@@ -560,14 +560,17 @@ class TestCli:
         assert "diverges" in capsys.readouterr().err
 
     def test_garsia_rejects_hyperbolic_plane(self, tmp_path, capsys):
-        # the exact H^2 Green function has order alpha = n = 2: no finite beta
+        # the hyperbolic Green kernel has order 2: on the plane alpha = n,
+        # which leaves no finite beta, and any other --alpha is refused
+        # rather than silently replaced by 2
         g = log_grid(1e-6, 1e2, 1024)
-        src = tmp_path / "f.csv"
-        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
-        code = main(["garsia", "--kernel", "hyperbolic", "--n", "2", "--alpha",
-                     "1", "--f", str(src)])
-        assert code == 3
-        assert "not below the dimension" in capsys.readouterr().err
+        for n in (2, 3):
+            src = tmp_path / "f.csv"
+            src.write_text(RadialFunction(g, np.exp(-g), n).to_csv())
+            code = main(["garsia", "--kernel", "hyperbolic", "--n", str(n),
+                         "--alpha", "1", "--f", str(src)])
+            assert code == 2
+            assert "order 2" in capsys.readouterr().err
 
     def test_functional_with_density_measure(self, tmp_path, capsys):
         g = log_grid(1e-6, 1e2, 1024)

@@ -13,7 +13,7 @@ from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid, trapezoid_weights_log)
 from sil.harness import DEFAULT_SWEEPS, _random_profile
 from sil.kernels import (KernelSpec, bessel_kernel, constant_kernel, gradient_kernel,
-                         hyperbolic_green, hyperbolic_h2_exact, riesz_kernel)
+                         hyperbolic_h2_exact, riesz_kernel)
 from sil.norms import lp_norm
 from sil.params import Params
 from sil.potentials import (angular_weight, angular_weight_table,
@@ -677,10 +677,29 @@ class TestHyperbolicGreen:
         envelope = vals * np.exp(2.0 * rho)
         assert np.max(envelope) / np.min(envelope) <= 1.05
 
-    def test_asymptotic_model_continuous(self):
-        rho = np.linspace(0.05, 8.0, 300)
-        vals = hyperbolic_green(3, rho, mode="asymptotic", alpha=2.0)
-        assert np.all(np.diff(np.log(vals)) < 0)
+    @staticmethod
+    def _tail_integral(n, rho):
+        """(1/omega_{n-1}) int_rho^inf sinh^{1-n} by mpmath quadrature at 50
+        digits, in r = rho + s with the integrand scaled by e^{(n-1) rho}
+        to order one: breakpoints doubling from rho (the scale of the
+        singular end) up to 1, then doubling up to 64, then infinity."""
+        import mpmath as mp
+
+        with mp.workdps(50):
+            rho = mp.mpf(rho)
+            pts = [mp.mpf(0)] + [rho * 2**j for j in range(40) if rho * 2**j < 1] \
+                + [mp.mpf(2) ** j for j in range(7)] + [mp.inf]
+            body = mp.quad(lambda s: (mp.exp(rho) / mp.sinh(rho + s)) ** (n - 1),
+                           pts)
+            omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            return float(body * mp.exp(-(n - 1) * rho) / omega)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_against_mpmath(self, n):
+        # 1e-5 is where kernel_profile's grid starts, 40 where it ends
+        rho = [1e-5, 1e-3, 0.05, 0.3, 1.0, 4.0, 10.0, 40.0]
+        want = [self._tail_integral(n, r) for r in rho]
+        assert hyperbolic_h2_exact(n, np.array(rho)) == pytest.approx(want, rel=1e-12)
 
 
 class TestGradientKernelPotential:
