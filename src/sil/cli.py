@@ -195,23 +195,26 @@ def build_parser() -> argparse.ArgumentParser:
     run.add_argument("--seed", type=int, default=None)
     run.set_defaults(func=cmd_run)
 
-    def common(p, kernel_default=None):
+    # the sharp constants and the radial engine take homogeneous kernels
+    # only; the Garsia chain also samples the Bessel and hyperbolic ones
+    homogeneous = ["riesz", "gradient"]
+
+    def common(p, kernel_default=None,
+               kernels=homogeneous + ["bessel", "hyperbolic"]):
         p.add_argument("--n", type=int, default=2)
         p.add_argument("--alpha", type=float, default=1.0)
         p.add_argument("--sigma", type=float, default=1.0)
         p.add_argument("--q", type=float, default=1.0)
         if kernel_default is not None:
-            p.add_argument("--kernel", default=kernel_default,
-                           choices=["riesz", "gradient", "bessel", "hyperbolic"])
+            p.add_argument("--kernel", default=kernel_default, choices=kernels)
 
     cst = sub.add_parser("constants", help="print the sharp constants as JSON")
     common(cst)
-    cst.add_argument("--kernel", default=None,
-                     choices=["riesz", "gradient", "bessel", "hyperbolic"])
+    cst.add_argument("--kernel", default=None, choices=homogeneous)
     cst.set_defaults(func=cmd_constants)
 
     pot = sub.add_parser("potential", help="convolve a radial profile")
-    common(pot, kernel_default="riesz")
+    common(pot, kernel_default="riesz", kernels=homogeneous)
     pot.add_argument("--in", dest="infile", required=True)
     pot.add_argument("--out", default=None)
     pot.set_defaults(func=cmd_potential)

@@ -15,6 +15,8 @@ are rejected; use the Cartesian engine for those.
 
 from __future__ import annotations
 
+import functools
+import itertools
 import math
 from collections import OrderedDict
 from dataclasses import dataclass
@@ -32,6 +34,7 @@ from .kernels import KernelSpec, gradient_kernel
 from .norms import lp_norm
 
 _GL16 = np.polynomial.legendre.leggauss(16)
+_SLAB_BYTES = 1 << 19  # bytes of samples per slab in cartesian_convolve
 
 
 # ---------------------------------------------------------------------------
@@ -353,13 +356,23 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
 # cartesian convolution
 # ---------------------------------------------------------------------------
 
+@functools.lru_cache(maxsize=2)
+def _leggauss(order: int):
+    """Gauss-Legendre nodes and weights on [-1, 1] for the origin cell's two
+    rules, computed once per order."""
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
+
+
 def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
     """Exact-to-quadrature integral of g over the origin-centered cell."""
     n = kernel.params.n
     alpha = kernel.params.alpha
-    x64, w64 = np.polynomial.legendre.leggauss(64)
     if n == 2:
         # polar: int a(theta) R(theta)^alpha / alpha, R = half-width / max|cos|,|sin|
+        x64, w64 = _leggauss(64)
         theta = 0.25 * math.pi * (x64 + 1.0) / 2.0  # [0, pi/4]
         wt = 0.25 * math.pi * w64 / 2.0
         r_out = (h / 2.0) / np.cos(theta)
@@ -373,18 +386,75 @@ def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
             avals = np.asarray(kernel.angular(omegas), dtype=float)
             total += np.sum(wt * avals * r_out**alpha) / alpha
         return float(total)
-    # n = 3: tensor Gauss-Legendre on the positive octant of the cube
-    g32 = np.polynomial.legendre.leggauss(48)
-    x = (g32[0] + 1.0) * (h / 4.0)
-    w = g32[1] * (h / 4.0)
+    # n = 3: tensor Gauss-Legendre on the positive octant of the cube, and
+    # on its mirror images for an angular part that is not constant
+    x48, w48 = _leggauss(48)
+    x = (x48 + 1.0) * (h / 4.0)
+    w = w48 * (h / 4.0)
     xx, yy, zz = np.meshgrid(x, x, x, indexing="ij")
     ww = w[:, None, None] * w[None, :, None] * w[None, None, :]
     rr = np.sqrt(xx**2 + yy**2 + zz**2)
-    if not kernel.is_constant_angular:
-        raise DomainError("cartesian origin-cell average in 3-D supports "
-                          "constant angular parts")
-    return float(8.0 * kernel.constant_angular_value
-                 * np.sum(ww * rr ** (alpha - 3.0)))
+    radial = ww * rr ** (alpha - 3.0)
+    if kernel.is_constant_angular:
+        return float(8.0 * kernel.constant_angular_value * np.sum(radial))
+    unit = np.stack([xx, yy, zz], axis=-1) / rr[..., None]
+    total = 0.0
+    for signs in itertools.product((1.0, -1.0), repeat=3):
+        avals = np.asarray(kernel.angular((unit * signs).reshape(-1, 3)),
+                           dtype=float)
+        total += np.sum(radial * avals.reshape(radial.shape))
+    return float(total)
+
+
+def _cartesian_spectrum(rows, n: int, length: int, width: int) -> np.ndarray:
+    """scipy.fft.rfftn, at `length` per axis, of a width^n array padded
+    with zeros, whose rows first ... stop - 1 along axis 0 are
+    rows(first, stop).
+
+    The passes are rfftn's, in its order: a real FFT along the last axis of
+    slabs of about _SLAB_BYTES of samples, then complex FFTs over axes
+    0 ... n - 2 in place.  Lines that hold only padding transform to exact
+    zeros and are skipped, so the spectrum is rfftn's bit for bit.
+    """
+    spec = np.zeros((length,) * (n - 1) + (length // 2 + 1,), dtype=complex)
+    step = max(1, _SLAB_BYTES // (8 * width ** (n - 1)))
+    for first in range(0, width, step):
+        stop = min(first + step, width)
+        spec[(slice(first, stop),) + (slice(0, width),) * (n - 2)] = \
+            sp_fft.rfft(rows(first, stop), length, axis=-1)
+    for axis in range(n - 1):
+        lines = (slice(None),) * (axis + 1) + (slice(0, width),) * (n - 2 - axis)
+        sp_fft.fft(spec[lines], axis=axis, overwrite_x=True)
+    return spec
+
+
+def _kernel_rows(kernel: KernelSpec, h: float, res: int):
+    """(first, stop) -> the kernel on rows first ... stop - 1, along axis 0,
+    of the (2 res - 1)^n displacements a box of res^n cells holds; the
+    sample at zero displacement is the origin-cell average."""
+    p = kernel.params
+    offsets = (np.arange(2 * res - 1) - (res - 1)) * h
+    grids = np.meshgrid(*([offsets] * p.n), indexing="ij", sparse=True)
+    origin = _origin_cell_integral(kernel, h) / h**p.n
+
+    def rows(first: int, stop: int) -> np.ndarray:
+        slab = [grids[0][first:stop], *grids[1:]]
+        r = np.sqrt(sum(g**2 for g in slab))
+        center = (res - 1 - first,) + (res - 1,) * (p.n - 1)
+        held = first <= res - 1 < stop
+        if held:
+            r[center] = 1.0
+        if kernel.is_constant_angular:
+            kv = kernel.constant_angular_value * r ** (p.alpha - p.n)
+        else:
+            stacked = np.stack([g / r for g in slab], axis=-1)
+            avals = np.asarray(kernel.angular(stacked.reshape(-1, p.n))).reshape(r.shape)
+            kv = avals * r ** (p.alpha - p.n)
+        if held:
+            kv[center] = origin
+        return kv
+
+    return rows
 
 
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
@@ -395,6 +465,13 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     average; with the source supported inside the box, displacements never
     exceed the sampled range, so no additional far-field term enters values
     inside the box.
+
+    The workspace is the two half spectra: the kernel is sampled and
+    transformed in slabs of rows, neither input is copied into a padded
+    array, the product overwrites the source spectrum, and the inverse keeps
+    only the box along each axis as soon as that axis is done.  The
+    arithmetic is scipy.fft's rfftn and irfftn pass for pass, so the result
+    is theirs bit for bit.
     """
     p = kernel.params
     if kernel.kind != "homogeneous" or kernel.is_vector:
@@ -403,28 +480,27 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
         raise DomainError("field and kernel dimensions differ")
     h = f.h
     res = f.resolution
-    offsets = (np.arange(2 * res - 1) - (res - 1)) * h
-    grids = np.meshgrid(*([offsets] * f.n), indexing="ij", sparse=True)
-    r = np.sqrt(sum(g**2 for g in grids))
-    center = tuple([res - 1] * f.n)
-    r[center] = 1.0
-    if kernel.is_constant_angular:
-        kv = kernel.constant_angular_value * r ** (p.alpha - p.n)
-    else:
-        stacked = np.stack([g / r for g in grids], axis=-1)
-        avals = np.asarray(kernel.angular(stacked.reshape(-1, f.n))).reshape(r.shape)
-        kv = avals * r ** (p.alpha - p.n)
-    kv[center] = _origin_cell_integral(kernel, h) / h**f.n
-
+    n = f.n
     # Per axis the linear convolution has length 3 res - 2 and the box keeps
     # entries res - 1 ... 2 res - 2.  A cyclic one of length L >= 2 res - 1
     # adds to entry k only the linear entries k +- L, which lie below 0 or
     # past 3 res - 3 for every kept k, so nothing wraps into the box.
-    fshape = [sp_fft.next_fast_len(2 * res - 1, True)] * f.n
-    conv = sp_fft.irfftn(sp_fft.rfftn(f.values, fshape)
-                         * sp_fft.rfftn(kv, fshape), fshape)
-    sl = tuple([slice(res - 1, 2 * res - 1)] * f.n)
-    return CartesianField(f.n, f.extent, conv[sl] * h**f.n)
+    length = sp_fft.next_fast_len(2 * res - 1, True)
+    spec = _cartesian_spectrum(lambda first, stop: f.values[first:stop],
+                               n, length, res)
+    kernel_spec = _cartesian_spectrum(_kernel_rows(kernel, h, res), n,
+                                      length, 2 * res - 1)
+    spec *= kernel_spec
+    del kernel_spec
+    box = slice(res - 1, 2 * res - 1)
+    for axis in range(n - 1):
+        spec = sp_fft.ifft(spec, axis=axis, norm="forward", overwrite_x=True)
+        spec = spec[(slice(None),) * axis + (box,)]
+    # irfftn scales once, by 1 / L^n, in its last pass
+    conv = sp_fft.irfft(spec, length, axis=-1, norm="forward")[..., box]
+    out = conv * (1.0 / length**n)
+    out *= h**n
+    return CartesianField(n, f.extent, out)
 
 
 # ---------------------------------------------------------------------------

@@ -204,6 +204,30 @@ def rearrangement_value(f: Field, t: float,
     return 0.5 * (lo + hi)
 
 
+def _tail_stop(ts: np.ndarray, first: np.ndarray, n_strip: int) -> int:
+    """One past the last index k that the tail series of exp_regularized
+    sums, for arguments ts whose terms k = n_strip + 1 are `first`.
+
+    term_k / acc <= |t|^{k-N-1} (N+1)! / k! grows with |t|, so the largest
+    argument needs the most terms: its own recurrence, in the same float
+    operations, runs until a term falls below 1e-18 acc (at most
+    n_strip + 400).  Such a term is under half an ulp of acc, so the terms
+    it leaves out, or adds for smaller arguments, round away.
+    """
+    if ts.size == 0:
+        return n_strip + 2
+    i = int(np.argmax(np.abs(ts)))
+    x, term = abs(float(ts[i])), abs(float(first[i]))
+    acc = term
+    k = n_strip + 2
+    while True:
+        term = term * x / k
+        acc += term
+        k += 1
+        if not term > 1e-18 * max(acc, 1e-300) or k > n_strip + 400:
+            return k
+
+
 def exp_regularized(t, n_strip: int):
     """exp_N(t) = e^t - sum_{k<=N} t^k/k!, via the tail series for small t.
 
@@ -219,13 +243,10 @@ def exp_regularized(t, n_strip: int):
     ts = t[small]
     term = ts ** (n_strip + 1) / math.factorial(n_strip + 1)
     acc = term.copy()
-    k = n_strip + 2
-    while True:
-        term = term * ts / k
+    for k in range(n_strip + 2, _tail_stop(ts, term, n_strip)):
+        term *= ts
+        term /= k
         acc += term
-        k += 1
-        if not np.any(term > 1e-18 * np.maximum(acc, 1e-300)) or k > n_strip + 400:
-            break
     out[small] = acc
     tb = t[~small]
     poly = np.zeros_like(tb)

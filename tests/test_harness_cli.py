@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from sil import harness
-from sil.cli import main
+from sil.cli import build_parser, main
 from sil.errors import ConfigError
 from sil.extremals import adams_family
 from sil.functionals import holder_split_inequality
@@ -460,6 +460,32 @@ class TestCli:
         assert code == 0
         out = json.loads(capsys.readouterr().out)
         assert out["A_g"] == pytest.approx(math.pi, rel=1e-10)
+
+    @pytest.mark.parametrize("kernel", ["bessel", "hyperbolic"])
+    @pytest.mark.parametrize("command", ["constants", "potential"])
+    def test_homogeneous_commands_refuse_other_kernels(self, tmp_path, capsys,
+                                                       command, kernel):
+        # the sharp constants and the radial engine take homogeneous kernels
+        # only, so the parser refuses the others as a config error instead
+        # of a numeric failure
+        argv = [command, "--kernel", kernel, "--n", "3", "--alpha", "2"]
+        if command == "potential":
+            src = tmp_path / "f.csv"
+            g = log_grid(1e-6, 1e3, 512)
+            src.write_text(RadialFunction(g, np.exp(-g**2), 3).to_csv())
+            argv += ["--in", str(src), "--out", str(tmp_path / "tf.csv")]
+        with pytest.raises(SystemExit) as info:
+            main(argv)
+        assert info.value.code == 2
+        assert "invalid choice" in capsys.readouterr().err
+        assert not (tmp_path / "tf.csv").exists()
+
+    @pytest.mark.parametrize("kernel",
+                             ["riesz", "gradient", "bessel", "hyperbolic"])
+    def test_garsia_offers_every_kernel(self, kernel):
+        args = build_parser().parse_args(
+            ["garsia", "--kernel", kernel, "--f", "f.csv"])
+        assert args.kernel == kernel
 
     @pytest.mark.parametrize("kernel", ["riesz", "gradient"])
     def test_potential_roundtrip(self, tmp_path, capsys, kernel):

@@ -598,6 +598,63 @@ class TestCartesianConvolve:
         got = cartesian_convolve(f, kernel).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
+    @pytest.mark.parametrize("n,res", [(2, 512), (3, 64)])
+    def test_workspace_is_two_spectra(self, n, res):
+        # the source and kernel half spectra are the workspace: the kernel is
+        # built in slabs, no input is copied into a padded array and the
+        # product overwrites the source spectrum
+        from scipy.fft import next_fast_len
+        f = CartesianField(n, 1.0,
+                           np.random.default_rng(n).normal(size=(res,) * n))
+        kernel = riesz_kernel(Params(n, 1.0))
+        cartesian_convolve(f, kernel)  # quadrature nodes and FFT plans
+        length = next_fast_len(2 * res - 1, True)
+        spectrum = length ** (n - 1) * (length // 2 + 1) * 16
+        tracemalloc.start()
+        try:
+            cartesian_convolve(f, kernel)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * spectrum
+
+    def test_three_dimensional_callable_matches_full_length(self):
+        # an anisotropic angular part in 3-D: samples on every displacement,
+        # the origin cell averaged over all eight octants, and the full
+        # linear convolution cut to the box
+        n, res = 3, 20
+        angular = lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1] * om[:, 2]
+        kernel = KernelSpec(kind="homogeneous", params=Params(n, 1.5),
+                            angular=angular)
+        f = CartesianField(n, 1.0, np.random.default_rng(7).normal(size=(res,) * n))
+        h = f.h
+        offsets = (np.arange(2 * res - 1) - (res - 1)) * h
+        grids = np.meshgrid(*([offsets] * n), indexing="ij")
+        r = np.sqrt(sum(g**2 for g in grids))
+        center = (res - 1,) * n
+        r[center] = 1.0
+        unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
+        kv = angular(unit).reshape(r.shape) * r ** (1.5 - n)
+        kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
+        full = potentials._full_convolve(f.values, kv)
+        want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
+        got = cartesian_convolve(f, kernel).values
+        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    def test_three_dimensional_origin_cell_of_callable(self):
+        # a constant callable reproduces the constant path, and by the cube's
+        # symmetry om_0^2 averages to a third of 1
+        p = Params(3, 1.5)
+        flat = KernelSpec(kind="homogeneous", params=p,
+                          angular=lambda om: np.full(len(om), 0.7))
+        square = KernelSpec(kind="homogeneous", params=p,
+                            angular=lambda om: om[:, 0] ** 2)
+        const = potentials._origin_cell_integral(constant_kernel(p, 0.7), 0.1)
+        assert potentials._origin_cell_integral(flat, 0.1) == pytest.approx(
+            const, rel=1e-13)
+        assert 3.0 * potentials._origin_cell_integral(square, 0.1) \
+            == pytest.approx(const / 0.7, rel=1e-13)
+
     def test_three_dimensional_matches_radial(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
         f3 = CartesianField.from_callable(

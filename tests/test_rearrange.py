@@ -284,6 +284,48 @@ class TestExpRegularized:
         assert val == pytest.approx(1e-24 / 720.0, rel=1e-10)
 
 
+    def test_negative_arguments(self):
+        # the alternating tail series needs as many terms as |t| does; a
+        # count that watched the positive terms only stopped after one
+        for t, n in ((-5.0, 1), (-0.5, 0), (-2.0, 2), (-0.5, 1)):
+            exact = math.exp(t) - sum(t**k / math.factorial(k)
+                                      for k in range(n + 1))
+            assert exp_regularized(t, n) == pytest.approx(exact, rel=1e-13)
+
+    @staticmethod
+    def _adaptive_tail(ts, n_strip):
+        """The tail series summed until every term is below 1e-18 of its
+        sum (or n_strip + 400 terms), checked after each term: the loop
+        exp_regularized ran before it took the count from its largest
+        argument."""
+        term = ts ** (n_strip + 1) / math.factorial(n_strip + 1)
+        acc = term.copy()
+        k = n_strip + 2
+        while True:
+            term = term * ts / k
+            acc += term
+            k += 1
+            if not np.any(term > 1e-18 * np.maximum(acc, 1e-300)) \
+                    or k > n_strip + 400:
+                return acc
+
+    @pytest.mark.parametrize("n_strip", range(6))
+    def test_tail_series_matches_adaptive_loop(self, n_strip):
+        # a term under 1e-18 of the sum is under half an ulp, so the count
+        # taken from the largest argument leaves every sum bit for bit
+        rng = np.random.default_rng(n_strip)
+        sweep = np.concatenate([[0.0], np.logspace(-300, math.log10(800.0), 6000)])
+        batches = [sweep] + [
+            np.exp(rng.uniform(math.log(1e-300), math.log(800.0), size))
+            for size in rng.integers(1, 60, 40)] + [sweep[i:i + 1]
+                                                    for i in range(0, 6001, 97)]
+        for t in batches:
+            small = t < n_strip + 1.0
+            got = np.atleast_1d(exp_regularized(t, n_strip))
+            assert np.array_equal(got[small],
+                                  self._adaptive_tail(t[small], n_strip))
+
+
 class TestSandwich:
     def test_zero(self):
         f = RadialFunction(GRID, np.zeros_like(GRID), 2)
