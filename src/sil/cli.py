@@ -42,11 +42,29 @@ def _params_from(args) -> Params:
         raise ConfigError(str(exc)) from exc
 
 
+def _read_profile(path: str) -> RadialFunction:
+    """The radial profile in the CSV file at path; a file that cannot be
+    opened or parsed is a config error."""
+    try:
+        with open(path) as fh:
+            return RadialFunction.from_csv(fh.read())
+    except (OSError, ValueError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}") from exc
+
+
+def _write(text: str, path) -> None:
+    """text to the file at path, or to stdout when path is None."""
+    if path:
+        with open(path, "w") as fh:
+            fh.write(text)
+    else:
+        sys.stdout.write(text)
+
+
 def _load_measure(text, n):
     if text in (None, "lebesgue"):
         return None
-    with open(text) as fh:
-        prof = RadialFunction.from_csv(fh.read())
+    prof = _read_profile(text)
     return MeasureDensity(kind="radial", n=n,
                           radial_density=lambda r: prof.interp(r))
 
@@ -95,38 +113,24 @@ def cmd_constants(args) -> int:
 def cmd_potential(args) -> int:
     params = _params_from(args)
     kernel = _kernel_from(args.kernel, params)
-    with open(args.infile) as fh:
-        f = RadialFunction.from_csv(fh.read())
-    tf = radial_convolve(f, kernel)
-    out = tf.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    tf = radial_convolve(_read_profile(args.infile), kernel)
+    _write(tf.to_csv(), args.out)
     return 0
 
 
 def cmd_rearrange(args) -> int:
-    with open(args.infile) as fh:
-        f = RadialFunction.from_csv(fh.read())
+    f = _read_profile(args.infile)
     nu = _load_measure(args.measure, f.n)
     prof = decreasing_rearrangement(f, nu)
     lines = ["t,fstar,fstarstar"]
     for t, a, b in zip(prof.t_grid, prof.fstar, prof.fstarstar):
         lines.append(f"{t:.17g},{a:.17g},{b:.17g}")
-    text = "\n".join(lines) + "\n"
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(text)
-    else:
-        sys.stdout.write(text)
+    _write("\n".join(lines) + "\n", args.out)
     return 0
 
 
 def cmd_functional(args) -> int:
-    with open(args.infile) as fh:
-        u = RadialFunction.from_csv(fh.read())
+    u = _read_profile(args.infile)
     params = _params_from(args)
     base = sharp_gamma(params.n, int(params.alpha)) if args.gamma is None \
         else args.gamma
@@ -154,12 +158,7 @@ def cmd_extremal(args) -> int:
         fam = hyperbolic_log_family(args.n, args.alpha, args.eps)
     else:
         raise ConfigError(f"unknown family kind {args.kind!r}")
-    out = fam.profile.to_csv()
-    if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(out)
-    else:
-        sys.stdout.write(out)
+    _write(fam.profile.to_csv(), args.out)
     return 0
 
 
@@ -168,9 +167,7 @@ def cmd_garsia(args) -> int:
     kernel = _kernel_from(args.kernel, params)
     trunc = 1.0 if args.kernel == "riesz" else None
     prof = kernel_profile(kernel, truncation_radius=trunc)
-    with open(args.f) as fh:
-        f = RadialFunction.from_csv(fh.read())
-    fs = decreasing_rearrangement(f)
+    fs = decreasing_rearrangement(_read_profile(args.f))
     state = garsia_transform(fs, prof, params)
     res = garsia_integral(state)
     lam_probe = np.linspace(-state.d_star, 10.0, 40)

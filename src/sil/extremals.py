@@ -142,6 +142,12 @@ def _power_integral(expo: float, lo: float, hi: float) -> float:
     return (hi**expo - lo**expo) / expo
 
 
+def _power_offset(vector: bool) -> int:
+    """o in the projection's powers rho^{2k + o}: radial-vector data pairs
+    with odd powers, scalar data with even ones."""
+    return 1 if vector else 0
+
+
 def _radial_projection_coeffs(n: int, alpha: float, eps: float, c_phi: float,
                               vector: bool) -> np.ndarray:
     """L^2(B_1) projection of the truncated power profile onto the
@@ -152,16 +158,11 @@ def _radial_projection_coeffs(n: int, alpha: float, eps: float, c_phi: float,
     Returns the coefficients c_k; this matches the full-ball projection by
     rotational averaging.
     """
-    if vector:
-        ks = np.arange(n)
-        gram = 1.0 / (ks[:, None] + ks[None, :] + 1.0 + n / 2.0) / 2.0
-        rhs = np.array([c_phi * _power_integral(2 * k + 1 - alpha + n, eps, 1.0)
-                        for k in ks])
-    else:
-        ks = np.arange(n + 1)
-        gram = 1.0 / (ks[:, None] + ks[None, :] + n / 2.0) / 2.0
-        rhs = np.array([c_phi * _power_integral(2 * k - alpha + n, eps, 1.0)
-                        for k in ks])
+    o = _power_offset(vector)
+    ks = np.arange(n + 1 - o)
+    gram = 1.0 / (ks[:, None] + ks[None, :] + o + n / 2.0) / 2.0
+    rhs = np.array([c_phi * _power_integral(2 * k + o - alpha + n, eps, 1.0)
+                    for k in ks])
     return np.linalg.solve(gram, rhs)
 
 
@@ -204,20 +205,13 @@ class ExtremalFamily:
         if self.kind not in ("adams_phi", "adams_corrected", "adams_normalized"):
             raise DomainError("moments available for truncated-power families")
         n, alpha = self.params.n, self.params.alpha
+        o = _power_offset(self.vector)
         out = np.empty(jmax + 1)
         for j in range(jmax + 1):
-            if self.vector:
-                val = self.c_phi * _power_integral(2 * j + 1 + n - alpha,
-                                                   self.eps, 1.0)
-                if self.proj_coeffs is not None:
-                    for k, c in enumerate(self.proj_coeffs):
-                        val -= c / (2 * j + 2 * k + 2 + n)
-            else:
-                val = self.c_phi * _power_integral(2 * j + n - alpha,
-                                                   self.eps, 1.0)
-                if self.proj_coeffs is not None:
-                    for k, c in enumerate(self.proj_coeffs):
-                        val -= c / (2 * j + 2 * k + n)
+            val = self.c_phi * _power_integral(2 * j + o + n - alpha, self.eps, 1.0)
+            if self.proj_coeffs is not None:
+                for k, c in enumerate(self.proj_coeffs):
+                    val -= c / (2 * j + 2 * k + 2 * o + n)
             out[j] = val
         return out
 
@@ -274,7 +268,7 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     if corrected:
         coeffs = _radial_projection_coeffs(n, alpha, eps_snapped, c_phi, vector)
         coeffs.setflags(write=False)
-        powers = (2 * np.arange(len(coeffs)) + 1) if vector else 2 * np.arange(len(coeffs))
+        powers = 2 * np.arange(len(coeffs)) + _power_offset(vector)
         poly = np.zeros_like(grid)
         inside = grid <= 1.0
         for c, k in zip(coeffs, powers):
@@ -293,8 +287,7 @@ def projection_sup_bound(fam: ExtremalFamily) -> float:
     if fam.proj_coeffs is None:
         return 0.0
     rho = np.linspace(0.0, 1.0, 2001)
-    powers = (2 * np.arange(len(fam.proj_coeffs)) + 1) if fam.vector \
-        else 2 * np.arange(len(fam.proj_coeffs))
+    powers = 2 * np.arange(len(fam.proj_coeffs)) + _power_offset(fam.vector)
     vals = sum(c * rho**k for c, k in zip(fam.proj_coeffs, powers))
     return float(np.max(np.abs(vals)))
 
@@ -308,7 +301,7 @@ def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
     """
     n, alpha = fam.params.n, fam.params.alpha
     if fam.kind == "adams_corrected":
-        tail = (alpha - n - (2 * n + 1)) if fam.vector else (alpha - n - (2 * n + 2))
+        tail = alpha - n - (2 * n + 2 - _power_offset(fam.vector))
     else:
         tail = alpha - n
     tf = radial_convolve(fam.profile, fam.kernel, tail_exponent_out=tail)

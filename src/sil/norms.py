@@ -49,14 +49,11 @@ def cells(f: Field, nu: Optional[MeasureDensity] = None):
             np.concatenate([[head_mass(f, nu)], node_masses(f, nu)]))
 
 
-def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None,
-            return_info: bool = False):
+def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None) -> float:
     """(int |f|^p dnu)^{1/p} by composite quadrature.
 
     Radial profiles use log-grid trapezoid with the measure weight plus
     analytic head/tail pieces; Cartesian fields use the midpoint rule.
-    When return_info is true, also returns a dict with the truncation-error
-    estimate for hard-truncated tails.
     """
     if p < 1:
         raise DomainError(f"norm exponent must be >= 1, got p={p}")
@@ -64,25 +61,18 @@ def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None,
         if nu is not None and nu.kind != "lebesgue":
             raise DomainError("cartesian norms support the Lebesgue measure")
         total = float(np.sum(np.abs(f.values) ** p)) * f.h**f.n
-        value = total ** (1.0 / p)
-        return (value, {"truncation_error": 0.0}) if return_info else value
+        return total ** (1.0 / p)
 
     measure = nu if nu is not None else lebesgue(f.n)
     mag = f.magnitude()
     masses = node_masses(f, measure)
     bulk = float(np.sum(masses * mag**p))
     head = head_mass(f, measure) * float(mag[0]) ** p
-    tail = truncation = 0.0
+    tail = 0.0
     if f.tail_exponent is not None and mag[-1] != 0.0:
         tail = measure.tail_integral(float(f.grid[-1]), p * f.tail_exponent,
                                      float(mag[-1]) ** p)
-    elif mag[-1] != 0.0:
-        # hard truncation: estimate the dropped mass from the last decade's trend
-        truncation = float(mag[-1]) ** p * masses[-1] / max(p, 1.0)
-    value = (bulk + head + tail) ** (1.0 / p)
-    if return_info:
-        return value, {"truncation_error": truncation}
-    return value
+    return (bulk + head + tail) ** (1.0 / p)
 
 
 def ruf_norm(f: RadialFunction, tf: RadialFunction, params) -> float:

@@ -244,17 +244,16 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightT
 # radial convolution
 # ---------------------------------------------------------------------------
 
-def _full_convolve(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Full linear convolution of two real arrays by real FFTs.
+def _cyclic_length(m: int) -> int:
+    """The real-FFT length, per axis, with which both engines convolve m
+    source samples with the 2m - 1 kernel entries of every offset they hold.
 
-    The same arithmetic as scipy.signal.fftconvolve(a, b, mode="full"),
-    bit for bit, without importing scipy.signal, which loads scipy.stats,
-    interpolate and ndimage and doubles the start-up time of `import sil`.
+    The linear convolution has length 3m - 2, and only its entries
+    m - 1 ... 2m - 2 are kept.  A cyclic one of length L >= 2m - 1 adds to
+    entry k only the linear entries k +- L, which lie below 0 or past
+    3m - 3 for every kept k, so nothing wraps into the kept range.
     """
-    shape = [sa + sb - 1 for sa, sb in zip(a.shape, b.shape)]
-    fshape = [sp_fft.next_fast_len(s, True) for s in shape]
-    out = sp_fft.irfftn(sp_fft.rfftn(a, fshape) * sp_fft.rfftn(b, fshape), fshape)
-    return out[tuple(slice(s) for s in shape)]
+    return sp_fft.next_fast_len(2 * m - 1, True)
 
 
 def _uniform_log_step(grid: np.ndarray) -> float:
@@ -280,11 +279,17 @@ def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
     changes sign there) are summed directly, each in a fixed order.
     """
     m = grid.size
+    length = _cyclic_length(m)
+
+    def correlate(w: np.ndarray, t: np.ndarray) -> np.ndarray:
+        spec = sp_fft.rfft(w, length) * sp_fft.rfft(t[::-1], length)
+        return sp_fft.irfft(spec, length)[m - 1: 2 * m - 1]
+
     scale = grid**a_n
     w1 = weights * scale
     t1 = table * np.exp(np.arange(1 - m, m) * (-a_n * h))
-    corr0 = scale * _full_convolve(weights, table[::-1])[m - 1: 2 * m - 1]
-    corr1 = _full_convolve(w1, t1[::-1])[m - 1: 2 * m - 1]
+    corr0 = scale * correlate(weights, table)
+    corr1 = correlate(w1, t1)
     eps64 = 64.0 * np.finfo(float).eps
     bound0 = scale * (eps64 * np.sum(np.abs(weights)) * np.max(np.abs(table)))
     bound1 = eps64 * np.sum(np.abs(w1)) * np.max(np.abs(t1))
@@ -458,8 +463,9 @@ def _kernel_rows(kernel: KernelSpec, h: float, res: int):
 
 
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
-    """Discrete convolution by a cyclic real FFT of the box against the
-    kernel sampled on every displacement the box holds.
+    """Discrete convolution by a cyclic real FFT, of length
+    _cyclic_length(res) per axis, of the box against the kernel sampled on
+    every displacement the box holds.
 
     The kernel sample at zero displacement is replaced by its exact cell
     average; with the source supported inside the box, displacements never
@@ -481,11 +487,7 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     h = f.h
     res = f.resolution
     n = f.n
-    # Per axis the linear convolution has length 3 res - 2 and the box keeps
-    # entries res - 1 ... 2 res - 2.  A cyclic one of length L >= 2 res - 1
-    # adds to entry k only the linear entries k +- L, which lie below 0 or
-    # past 3 res - 3 for every kept k, so nothing wraps into the box.
-    length = sp_fft.next_fast_len(2 * res - 1, True)
+    length = _cyclic_length(res)
     spec = _cartesian_spectrum(lambda first, stop: f.values[first:stop],
                                n, length, res)
     kernel_spec = _cartesian_spectrum(_kernel_rows(kernel, h, res), n,

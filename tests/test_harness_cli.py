@@ -651,6 +651,28 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and value in err
 
+    @pytest.mark.parametrize("case", ["cell", "ragged", "missing"])
+    @pytest.mark.parametrize("command", ["rearrange", "measure"])
+    def test_bad_input_csv_exit_code(self, tmp_path, capsys, case, command):
+        # an unparsable cell, a ragged row or a missing file is a config
+        # error (exit 2), not a traceback with the verdict-violation code
+        good = tmp_path / "good.csv"
+        g = log_grid(1e-3, 1e2, 64)
+        good.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
+        bad = tmp_path / "bad.csv"
+        rows = good.read_text().splitlines()
+        if case == "cell":
+            rows[-1] = rows[-1].split(",")[0] + ",abc"
+        elif case == "ragged":
+            rows[-1] += ",1.0"
+        if case != "missing":
+            bad.write_text("\n".join(rows) + "\n")
+        argv = ["rearrange", "--in", str(bad)] if command == "rearrange" \
+            else ["rearrange", "--in", str(good), "--measure", str(bad)]
+        assert main(argv + ["--out", str(tmp_path / "out.csv")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(bad) in err
+
     def test_potential_on_three_nodes(self, tmp_path, capsys):
         # a grid shorter than the corrected band around the diagonal
         src = tmp_path / "f.csv"

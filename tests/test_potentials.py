@@ -493,26 +493,22 @@ class TestCorrelationOracle:
 
 
 class TestFullConvolve:
-    """potentials._full_convolve is scipy.signal.fftconvolve's "full" mode,
-    bit for bit, without importing scipy.signal."""
+    """The cyclic correlation of _log_correlation, of length
+    next_fast_len(2m - 1), against the full linear convolution."""
 
     @pytest.mark.parametrize("m", [1, 2, 7, 401, 3601, 4096, 19164])
     def test_log_correlation_shapes(self, m):
+        # unbiased (a - n = 0), so every row is the kept entry m - 1 + i of
+        # scipy.signal.fftconvolve's "full" mode, within the row's bound
         from scipy.signal import fftconvolve
         rng = np.random.default_rng(m)
         weights = rng.normal(size=m) * np.exp(rng.uniform(-30, 30, m))
         table = rng.normal(size=2 * m - 1)
-        assert np.array_equal(potentials._full_convolve(weights, table[::-1]),
-                              fftconvolve(weights, table[::-1], mode="full"))
-
-    @pytest.mark.parametrize("shape", [(64, 64), (9, 9, 9)])
-    def test_cartesian_shapes(self, shape):
-        from scipy.signal import fftconvolve
-        rng = np.random.default_rng(len(shape))
-        f = rng.normal(size=shape)
-        kv = rng.normal(size=tuple(2 * s - 1 for s in shape))
-        assert np.array_equal(potentials._full_convolve(f, kv),
-                              fftconvolve(f, kv, mode="full"))
+        vals, bound = potentials._log_correlation(
+            weights, table, np.geomspace(1e-3, 1e3, m), 0.1, 0.0)
+        want = fftconvolve(weights, table[::-1], mode="full")[m - 1: 2 * m - 1]
+        err = np.abs(vals - want)
+        assert np.all(err <= bound), np.max(err / bound)
 
 
 class TestCartesianConvolve:
@@ -577,6 +573,7 @@ class TestCartesianConvolve:
         # the kernel on full meshgrid arrays and the full linear convolution
         # cut to the box: the cyclic FFT of length >= 2 res - 1 wraps
         # nothing into the box
+        from scipy.signal import fftconvolve
         params = Params(n, 1.0)
         kernel = riesz_kernel(params) if angular is None else KernelSpec(
             kind="homogeneous", params=params, angular=angular)
@@ -593,7 +590,7 @@ class TestCartesianConvolve:
             unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
             kv = angular(unit).reshape(r.shape) * r ** (1.0 - n)
         kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
-        full = potentials._full_convolve(f.values, kv)
+        full = fftconvolve(f.values, kv, mode="full")
         want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
         got = cartesian_convolve(f, kernel).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
@@ -622,6 +619,7 @@ class TestCartesianConvolve:
         # an anisotropic angular part in 3-D: samples on every displacement,
         # the origin cell averaged over all eight octants, and the full
         # linear convolution cut to the box
+        from scipy.signal import fftconvolve
         n, res = 3, 20
         angular = lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1] * om[:, 2]
         kernel = KernelSpec(kind="homogeneous", params=Params(n, 1.5),
@@ -636,7 +634,7 @@ class TestCartesianConvolve:
         unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
         kv = angular(unit).reshape(r.shape) * r ** (1.5 - n)
         kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
-        full = potentials._full_convolve(f.values, kv)
+        full = fftconvolve(f.values, kv, mode="full")
         want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
         got = cartesian_convolve(f, kernel).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
