@@ -53,10 +53,14 @@ def _read_profile(path: str) -> RadialFunction:
 
 
 def _write(text: str, path) -> None:
-    """text to the file at path, or to stdout when path is None."""
+    """text to the file at path, or to stdout when path is None; a file
+    that cannot be written is a config error."""
     if path:
-        with open(path, "w") as fh:
-            fh.write(text)
+        try:
+            with open(path, "w") as fh:
+                fh.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write {path}: {exc}") from exc
     else:
         sys.stdout.write(text)
 
@@ -164,6 +168,9 @@ def cmd_extremal(args) -> int:
 
 def cmd_garsia(args) -> int:
     params = _params_from(args)
+    if params.sigma != 1.0:
+        # the chain knows O'Neil's constant C0 for sigma = 1 only
+        raise ConfigError(f"garsia needs sigma = 1, got sigma={params.sigma}")
     kernel = _kernel_from(args.kernel, params)
     trunc = 1.0 if args.kernel == "riesz" else None
     prof = kernel_profile(kernel, truncation_radius=trunc)
@@ -176,8 +183,7 @@ def cmd_garsia(args) -> int:
     print(json.dumps({
         "schema": 1, "J": prof.J, "d_star": state.d_star,
         "fitted_C5": fitted_c5, "integral": res["integral"],
-        "bound_envelope": (1.0 + state.sigma * prof.J)
-        * float(np.exp(state.sigma * prof.J)),
+        "bound_envelope": (1.0 + prof.J) * float(np.exp(prof.J)),
     }, sort_keys=True))
     return 0
 

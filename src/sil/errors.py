@@ -57,10 +57,6 @@ class UnboundedDistribution(NumericError):
     """Distribution function is infinite at some positive level."""
 
 
-class ExponentConstraintViolated(DomainError):
-    """O'Neil exponent pair (p, q) violates its admissibility window."""
-
-
 class MassNotCaptured(NumericError):
     """Transformed profile grid failed to capture the required norm mass."""
 

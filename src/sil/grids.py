@@ -90,6 +90,21 @@ def _csv_metadata(lines) -> dict:
     return meta
 
 
+def _is_data_row(line: str) -> bool:
+    """False for '#' comments and the column-name header: a line that
+    starts with a letter and whose first field is not a float.  Rows such
+    as 'nan,2.0' or 'inf,4.0' are data, left for the finiteness checks."""
+    if line.startswith("#"):
+        return False
+    if not line[0].isalpha():
+        return True
+    try:
+        float(line.split(",", 1)[0])
+    except ValueError:
+        return False
+    return True
+
+
 @dataclass(frozen=True)
 class RadialFunction:
     """A radial profile sampled on a strictly increasing positive grid.
@@ -184,7 +199,7 @@ class RadialFunction:
     def from_csv(text: str) -> "RadialFunction":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         meta = _csv_metadata(lines)
-        rows = [ln for ln in lines if not ln.startswith("#") and not ln[0].isalpha()]
+        rows = [ln for ln in lines if _is_data_row(ln)]
         data = np.loadtxt(rows, delimiter=",", ndmin=2)
         tail = meta.get("tail_exponent")
         tail = None if tail in (None, "None") else float(tail)
@@ -307,9 +322,7 @@ class CartesianField:
         n = int(meta["n"])
         res = int(meta["resolution"])
         vals = np.zeros((res,) * n)
-        for ln in lines:
-            if ln.startswith("#") or ln[0].isalpha():
-                continue
+        for ln in filter(_is_data_row, lines):
             parts = ln.split(",")
             idx = tuple(int(x) for x in parts[:n])
             vals[idx] = float(parts[n])

@@ -408,13 +408,11 @@ def _run_oneil_garsia(sc: Scenario) -> ScenarioResult:
         tf = radial_convolve(f, kernel)
         fs = decreasing_rearrangement(f)
         tfs = decreasing_rearrangement(tf)
-        for t in np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 8)):
-            lhs = tfs.fstarstar_at(t)
-            rhs = oneil_rhs(fs, prof, float(t))
-            slack = (rhs - lhs) / max(rhs, 1e-12)
-            worst_slack = min(worst_slack, slack)
-            if slack < -1e-3:
-                checks["domination_violations"] += 1
+        ts = np.exp(rng.uniform(math.log(1e-3), math.log(10.0), 8))
+        rhs = oneil_rhs(fs, prof, ts)
+        slack = (rhs - tfs.fstarstar_at(ts)) / np.maximum(rhs, 1e-12)
+        worst_slack = min(worst_slack, float(slack.min()))
+        checks["domination_violations"] += int(np.sum(slack < -1e-3))
     checks["worst_slack"] = worst_slack
     # random admissible transformed profiles: lower bound and layer cake
     x = np.linspace(-40.0, 40.0, 2001)

@@ -2,9 +2,10 @@
 change of variables that reduces the sharp bound to a level-set estimate.
 
 The majorant for (Tf)**(t) combines a local average term with the tail
-integral of k1* f*; its first-term constant in the sigma = 1, p = 1,
-q = beta configuration is the classical O'Neil value beta' A^{1/beta}
-(times 1 + H when the kernel profile carries a log correction).
+integral of k1* f*.  The chain runs one configuration, sigma = 1, p = 1,
+q = beta, where the first-term constant is the classical O'Neil value
+C0 = beta' A^{1/beta} (times 1 + H when the kernel profile carries a log
+correction); any other exponent pair would need a fitted C0.
 """
 
 from __future__ import annotations
@@ -17,8 +18,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
-from .errors import (DomainError, ExponentConstraintViolated, JInfinite,
-                     MassNotCaptured, TailNotConverged)
+from .errors import (DomainError, JInfinite, MassNotCaptured,
+                     TailNotConverged)
 from .grids import RadialFunction, log_grid
 from .kernels import KernelSpec, bessel_kernel, hyperbolic_h2_exact
 from .measures import hyperbolic_volume
@@ -39,7 +40,6 @@ class KernelProfile:
     B: float
     J: float
     k1star: Callable[[np.ndarray], np.ndarray]
-    sigma: float = 1.0
     t_cut: Optional[float] = None  # pure truncated profiles vanish past this
 
     @cached_property
@@ -159,71 +159,44 @@ def _fit_profile_h(k1, a: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def oneil_constant(profile: KernelProfile) -> float:
-    """Classical first-term constant beta' A^{1/beta} (1 + H) of the
-    majorant in the sigma = 1, p = 1, q = beta configuration."""
+    """Classical first-term constant C0 = beta' A^{1/beta} (1 + H) of the
+    majorant."""
     beta = profile.beta
     bc = beta / (beta - 1.0)
     return bc * profile.A ** (1.0 / beta) * (1.0 + profile.H)
 
 
-def _pair_q(beta: float, sigma: float, p: float) -> float:
-    """The exponent q of the O'Neil pair: 1/q = 1/(sigma b) + (1/p - 1)/sigma."""
-    return 1.0 / (1.0 / (sigma * beta) + (1.0 / p - 1.0) / sigma)
+def _require_sigma_one(params: Params) -> None:
+    """The chain knows C0 for sigma = 1 only; nothing computes a fitted C0
+    for sigma < 1."""
+    if params.sigma != 1.0:
+        raise DomainError(f"the O'Neil-Garsia chain needs sigma = 1, "
+                          f"got sigma={params.sigma}")
 
 
-def check_exponents(beta: float, sigma: float, p: float, q: float) -> None:
-    lo = max(1.0, beta * (1.0 - sigma) / (beta - 1.0))
-    bc = beta / (beta - 1.0)
-    if not lo <= p < bc:
-        raise ExponentConstraintViolated(
-            f"need max(1, b(1-s)/(b-1)) <= p < b', got p={p}")
-    q_expected = _pair_q(beta, sigma, p)
-    if abs(q - q_expected) > 1e-9 * q_expected:
-        raise ExponentConstraintViolated(
-            f"q must satisfy 1/q = 1/(sigma b) + (1/p - 1)/sigma; expected "
-            f"{q_expected}, got {q}")
-    if q_expected <= p:
-        raise ExponentConstraintViolated("the pair needs q > p")
+def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t):
+    """Majorant C0 t^{-1/beta} int_0^t f* du + int_t^inf k1* f* du for
+    (Tf)**(t), with C0 = oneil_constant(profile); vectorized in t.
 
-
-def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t,
-              p: float = 1.0, q: Optional[float] = None,
-              sigma: float = 1.0, c0: Optional[float] = None):
-    """Majorant C0 t^{-1/q} int_0^{t^{1/s}} f* u^{-1+1/p} du
-    + int_{t^{1/s}}^inf k1* f* du for (Tf)**(t); vectorized in t.
-
-    C0 defaults to the classical value beta' A^{1/beta} (1 + H) in the
-    sigma = 1, p = 1, q = beta configuration (the value needed for the
-    majorant to actually dominate; a unit constant fails on concentrated
-    inputs).  For sigma < 1 pass a fitted C0.
+    The classical C0 is the value needed for the majorant to actually
+    dominate; a unit constant fails on concentrated inputs.
     """
-    beta = profile.beta
-    if q is None:
-        q = _pair_q(beta, sigma, p)
-    check_exponents(beta, sigma, p, q)
-    if c0 is None:
-        if sigma != 1.0 or p != 1.0:
-            raise DomainError("pass a fitted C0 outside the sigma=1, p=1 case")
-        c0 = oneil_constant(profile)
     t = np.atleast_1d(np.asarray(t, dtype=float))
-    t_s = t ** (1.0 / sigma)
     breaks = np.concatenate([[0.0], fstar.t_grid])
     vals = fstar.fstar
-    expo = 1.0 / p
-    # prefix sums of int f* u^{1/p - 1} du and int k1* f* du on the steps
-    pow_b = breaks**expo
-    s1 = np.concatenate([[0.0], np.cumsum(vals * np.diff(pow_b) / expo)])
+    # prefix sums of int f* du and int k1* f* du on the steps
+    s1 = np.concatenate([[0.0], np.cumsum(vals * np.diff(breaks))])
     k1a_b = profile.k1_antideriv(breaks)
     s2 = np.concatenate([[0.0], np.cumsum(vals * np.diff(k1a_b))])
-    j = np.clip(np.searchsorted(breaks, t_s, side="right") - 1, 0, len(vals) - 1)
-    inside = t_s < breaks[-1]
-    x = np.minimum(t_s, breaks[-1])
-    first = s1[j] + vals[j] * (x**expo - pow_b[j]) / expo * inside
-    first = np.where(t_s >= breaks[-1], s1[-1], first)
+    j = np.clip(np.searchsorted(breaks, t, side="right") - 1, 0, len(vals) - 1)
+    inside = t < breaks[-1]
+    x = np.minimum(t, breaks[-1])
+    first = s1[j] + vals[j] * (x - breaks[j]) * inside
+    first = np.where(t >= breaks[-1], s1[-1], first)
     partial2 = s2[j] + vals[j] * (profile.k1_antideriv(x) - k1a_b[j]) * inside
-    partial2 = np.where(t_s >= breaks[-1], s2[-1], partial2)
+    partial2 = np.where(t >= breaks[-1], s2[-1], partial2)
     second = s2[-1] - partial2
-    out = c0 * t ** (-1.0 / q) * first + second
+    out = oneil_constant(profile) * t ** (-1.0 / profile.beta) * first + second
     return out if out.size > 1 else float(out[0])
 
 
@@ -233,33 +206,29 @@ def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t,
 
 @dataclass
 class GarsiaState:
-    """The transformed profile phi(x) with its exponents and constants.
+    """The transformed profile phi(x) with its constants.
 
-    phi(x) = (1/sigma)^{1/b'} f*(e^{-x/sigma}) e^{-x (b-1)/(sigma b)}; the
-    change of variables is an isometry of the b'-norm.  C2 = C0^b / A and
-    H1 = H / sigma feed the piecewise comparison kernel; d* collects
-    C3 + C4 + sigma J.
+    phi(x) = f*(e^{-x}) e^{-x (b-1)/b}; the change of variables is an
+    isometry of the b'-norm.  C2 = C0^b / A and H feed the piecewise
+    comparison kernel; d* collects C3 + C4 + J, where C4 = q C2 / b is C2
+    at q = b.
     """
 
-    beta: float
-    sigma: float
-    q_exp: float
     x_grid: np.ndarray
     phi: np.ndarray
     profile: KernelProfile
-    c0: float
+    beta: float = field(init=False)
     c2: float = field(init=False)
-    h1: float = field(init=False)
     c3: float = field(init=False)
     c4: float = field(init=False)
     d_star: float = field(init=False)
 
     def __post_init__(self):
-        self.c2 = self.c0**self.beta / self.profile.A
-        self.h1 = self.profile.H / self.sigma
-        self.c3 = _c3_constant(self.h1, self.profile.gamma_exp, self.beta)
-        self.c4 = self.q_exp * self.c2 / self.beta
-        self.d_star = self.c3 + self.c4 + self.sigma * self.profile.J
+        self.beta = self.profile.beta
+        self.c2 = oneil_constant(self.profile)**self.beta / self.profile.A
+        self.c3 = _c3_constant(self.profile.H, self.profile.gamma_exp, self.beta)
+        self.c4 = self.c2
+        self.d_star = self.c3 + self.c4 + self.profile.J
 
     def phi_norm_bc(self) -> float:
         bc = self.beta / (self.beta - 1.0)
@@ -279,80 +248,71 @@ class GarsiaState:
         int g(x, y) phi(x) dx.
 
         left: the x <= 0 branch integral (constant in y);
-        mid(y): cumulative of (1 + H1 (1+x)^{-gamma}) phi over [0, y];
-        right(y) = C2^{1/b} e^{y/q} * tail(y), tail(y) = int_y^inf e^{-x/q} phi.
+        mid(y): cumulative of (1 + H (1+x)^{-gamma}) phi over [0, y];
+        right(y) = C2^{1/b} e^{y/b} * tail(y), tail(y) = int_y^inf e^{-x/b} phi.
         """
         x, phi = self.x_grid, self.phi
-        beta, sigma = self.beta, self.sigma
+        beta = self.beta
         neg = x <= 0
         if np.any(neg):
             gl = self.profile.A ** (-1.0 / beta) \
-                * np.asarray(self.profile.k1star(np.exp(-x[neg] / sigma))) \
-                * np.exp(-x[neg] / (sigma * beta))
+                * np.asarray(self.profile.k1star(np.exp(-x[neg]))) \
+                * np.exp(-x[neg] / beta)
             left = float(np.trapezoid(gl * phi[neg], x[neg]))
         else:
             left = 0.0
         pos = x >= 0
         xp = x[pos]
-        mid_integrand = (1.0 + self.h1
+        mid_integrand = (1.0 + self.profile.H
                          * (1.0 + xp) ** (-self.profile.gamma_exp)) * phi[pos]
         mid_cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (mid_integrand[1:] + mid_integrand[:-1]) * np.diff(xp))])
-        tail_integrand = np.exp(-xp / self.q_exp) * phi[pos]
+        tail_integrand = np.exp(-xp / beta) * phi[pos]
         pieces = 0.5 * (tail_integrand[1:] + tail_integrand[:-1]) * np.diff(xp)
-        # accumulate from the right: no cancellation for e^{y/q} to amplify
+        # accumulate from the right: no cancellation for e^{y/b} to amplify
         tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
         return left, xp, mid_cum, tail
 
 
-def _c3_constant(h1: float, gamma_exp: float, beta: float) -> float:
-    """int_0^inf [(1 + H1 (1+x)^{-gamma})^beta - 1] dx; zero when H1 = 0.
+def _c3_constant(h: float, gamma_exp: float, beta: float) -> float:
+    """int_0^inf [(1 + H (1+x)^{-gamma})^beta - 1] dx; zero when H = 0.
 
-    The integrand decays like beta H1 (1+x)^{-gamma}, so the constant is
+    The integrand decays like beta H (1+x)^{-gamma}, so the constant is
     finite only for gamma > 1."""
-    if h1 == 0.0:
+    if h == 0.0:
         return 0.0
     if gamma_exp <= 1.0:
         raise DomainError("log-correction constant diverges: gamma <= 1")
     from scipy.integrate import quad
 
-    val, _ = quad(lambda x: (1.0 + h1 * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
+    val, _ = quad(lambda x: (1.0 + h * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
                   0.0, np.inf, limit=200)
     return val
 
 
 def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
-                     params: Params, p: float = 1.0,
-                     c0: Optional[float] = None,
-                     x_max: float = 80.0) -> GarsiaState:
+                     params: Params, x_max: float = 80.0) -> GarsiaState:
     """Build phi on a symmetric x-window capturing all but 1e-6 of the
     b'-norm mass; asserts the change-of-variables isometry to 1e-4."""
+    _require_sigma_one(params)
     beta = profile.beta
-    sigma = params.sigma
     bc = beta / (beta - 1.0)
-    q = _pair_q(beta, sigma, p)
-    if c0 is None:
-        c0 = oneil_constant(profile) if (sigma == 1.0 and p == 1.0) else None
-    if c0 is None:
-        raise DomainError("pass a fitted C0 outside the sigma=1, p=1 case")
     x = np.linspace(-x_max, x_max, 8001)
     if fstar.t_grid.size <= 256:
         # few-step profiles: make the jump abscissae explicit double nodes so
         # the trapezoid rule sees the discontinuities exactly
-        xb = -sigma * np.log(np.clip(fstar.t_grid, 1e-300, None))
+        xb = -np.log(np.clip(fstar.t_grid, 1e-300, None))
         xb = xb[(xb > -x_max) & (xb < x_max)]
         x = np.sort(np.concatenate([x, xb - 1e-9, xb + 1e-9]))
-    phi = (1.0 / sigma) ** (1.0 / bc) \
-        * fstar.fstar_at(np.exp(-x / sigma)) * np.exp(-(beta - 1.0) / (sigma * beta) * x)
-    state = GarsiaState(beta=beta, sigma=sigma, q_exp=q,
-                        x_grid=x, phi=np.asarray(phi, dtype=float),
-                        profile=profile, c0=c0)
+    phi = fstar.fstar_at(np.exp(-x)) * np.exp(-(beta - 1.0) / beta * x)
+    state = GarsiaState(x_grid=x, phi=np.asarray(phi, dtype=float),
+                        profile=profile)
     # exact step-function isometry: the b'-mass inside the x-window equals
-    # the f* mass on [e^{-x_max/sigma}, e^{x_max/sigma}]; the window must
-    # capture all but 1e-6 and the grid sampling must agree to 1e-4 of it
+    # the f* mass on [e^{-x_max}, e^{x_max}]; the window must capture all
+    # but 1e-6 and the grid sampling must agree to 1e-4 of it
     target = fstar.p_norm_pth_power(bc)
-    window = fstar.p_norm_pth_power_window(
-        bc, math.exp(-x_max / sigma), math.exp(x_max / sigma))
+    window = fstar.p_norm_pth_power_window(bc, math.exp(-x_max),
+                                           math.exp(x_max))
     if target > 0 and target - window > 1e-6 * max(target, 1.0):
         raise MassNotCaptured(
             f"x-window captured {window:.8g} of {target:.8g} b'-mass")
@@ -360,21 +320,16 @@ def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,
 
 
 def state_from_phi(phi_values: np.ndarray, x_grid: np.ndarray,
-                   profile: KernelProfile, params: Params,
-                   p: float = 1.0, c0: Optional[float] = None) -> GarsiaState:
+                   profile: KernelProfile, params: Params) -> GarsiaState:
     """GarsiaState from a directly supplied transformed profile.
 
     Used by the random-ensemble checks; phi must be admissible
     (nonnegative with b'-norm at most 1).
     """
-    beta = profile.beta
-    if c0 is None:
-        c0 = oneil_constant(profile)
-    q = _pair_q(beta, params.sigma, p)
-    state = GarsiaState(beta=beta, sigma=params.sigma, q_exp=q,
-                        x_grid=np.asarray(x_grid, dtype=float),
+    _require_sigma_one(params)
+    state = GarsiaState(x_grid=np.asarray(x_grid, dtype=float),
                         phi=np.asarray(phi_values, dtype=float),
-                        profile=profile, c0=c0)
+                        profile=profile)
     norm = state.phi_norm_bc()
     if norm > 1.0 + 1e-3:
         raise DomainError(f"phi must have b'-norm <= 1, got {norm}")
@@ -384,24 +339,25 @@ def state_from_phi(phi_values: np.ndarray, x_grid: np.ndarray,
 def piecewise_kernel(x, y: float, state: GarsiaState) -> np.ndarray:
     """Three-branch comparison kernel g(x, y).
 
-    x <= 0:    A^{-1/b} k1*(e^{-x/s}) e^{-x/(s b)}
-    0 < x <= y: 1 + H1 (1 + x)^{-gamma}
-    x > y:     C2^{1/b} e^{(y-x)/q}
+    x <= 0:    A^{-1/b} k1*(e^{-x}) e^{-x/b}
+    0 < x <= y: 1 + H (1 + x)^{-gamma}
+    x > y:     C2^{1/b} e^{(y-x)/b}
     Discontinuous at the branch points by construction.
     """
     if y < 0:
         raise DomainError("the level parameter must be nonnegative")
     x = np.asarray(x, dtype=float)
-    beta, sigma = state.beta, state.sigma
+    beta = state.beta
     out = np.empty_like(x)
     left = x <= 0
     mid = (x > 0) & (x <= y)
     right = x > y
     out[left] = state.profile.A ** (-1.0 / beta) \
-        * np.asarray(state.profile.k1star(np.exp(-x[left] / sigma))) \
-        * np.exp(-x[left] / (sigma * beta))
-    out[mid] = 1.0 + state.h1 * (1.0 + np.abs(x[mid])) ** (-state.profile.gamma_exp)
-    out[right] = state.c2 ** (1.0 / beta) * np.exp((y - x[right]) / state.q_exp)
+        * np.asarray(state.profile.k1star(np.exp(-x[left]))) \
+        * np.exp(-x[left] / beta)
+    out[mid] = 1.0 + state.profile.H \
+        * (1.0 + np.abs(x[mid])) ** (-state.profile.gamma_exp)
+    out[right] = state.c2 ** (1.0 / beta) * np.exp((y - x[right]) / beta)
     return out
 
 
@@ -411,7 +367,7 @@ def inner_integral(y, state: GarsiaState):
     y = np.atleast_1d(np.asarray(y, dtype=float))
     mid = np.interp(y, xp, mid_cum, left=0.0, right=mid_cum[-1])
     tail = np.interp(y, xp, tail_cum, left=tail_cum[0], right=0.0)
-    right = state.c2 ** (1.0 / state.beta) * np.exp(y / state.q_exp) * tail
+    right = state.c2 ** (1.0 / state.beta) * np.exp(y / state.beta) * tail
     out = left + mid + right
     return out if out.size > 1 else float(out[0])
 
@@ -498,7 +454,7 @@ def garsia_integral(state: GarsiaState) -> dict:
 
 def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
                      params: Params) -> dict:
-    """Evaluate int_0^1 exp[(sigma/A) M(t)^beta] dt two ways.
+    """Evaluate int_0^1 exp[M(t)^beta / A] dt two ways.
 
     Path A integrates directly in t with the majorant M(t) built from f*;
     path B applies the exponential change of variables and integrates
@@ -506,13 +462,12 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     profile is an exact truncated power (no log correction), so agreement
     checks both code paths end to end.
     """
+    _require_sigma_one(params)
     beta = profile.beta
-    sigma = params.sigma
-    c0 = oneil_constant(profile)
     # path A: t-side quadrature on a log grid
     s = np.linspace(math.log(1e-6), 0.0, 400)
     t = np.exp(s)
-    expo = (sigma / profile.A) * oneil_rhs(fstar, profile, t) ** beta
+    expo = (1.0 / profile.A) * oneil_rhs(fstar, profile, t) ** beta
     path_a = float(np.trapezoid(np.exp(expo) * t, s))
     # path A misses (0, 1e-6); bound the omitted piece by its endpoint value
     omitted = float(np.exp(expo[0]) * t[0])

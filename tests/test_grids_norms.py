@@ -74,6 +74,17 @@ class TestSerialization:
         h = CartesianField.from_csv(f.to_csv())
         assert np.max(np.abs(h.values - f.values)) <= 1e-12
 
+    def test_csv_rows_starting_nan_or_inf_are_data(self):
+        # only the column-name line is a header; a row whose first field is
+        # nan or inf reaches the checks instead of vanishing
+        text = "r,value\n0.1,1.0\nnan,2.0\n0.3,3.0\ninf,4.0\n"
+        with pytest.raises(DomainError, match="strictly increasing"):
+            RadialFunction.from_csv(text)
+        f = CartesianField.from_callable(lambda x, y: x + y, 2, 1.0, 4)
+        for row in ("nan,0,1.0", "inf,0,1.0"):
+            with pytest.raises(ValueError):
+                CartesianField.from_csv(f.to_csv() + row + "\n")
+
 
 def _reference_radial_csv(f):
     lines = [f"# radial n={f.n} tail_exponent={f.tail_exponent}",

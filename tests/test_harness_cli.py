@@ -598,6 +598,22 @@ class TestCli:
             assert code == 2
             assert "order 2" in capsys.readouterr().err
 
+    def test_garsia_rejects_sigma_below_one(self, tmp_path, capsys):
+        # the chain knows O'Neil's constant for sigma = 1 only
+        g = log_grid(1e-6, 1e2, 1024)
+        src = tmp_path / "f.csv"
+        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
+        assert main(["garsia", "--sigma", "0.5", "--f", str(src)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and "sigma" in err
+
+    def test_unwritable_output_exit_code(self, tmp_path, capsys):
+        dst = tmp_path / "missing" / "x.csv"
+        assert main(["extremal", "--kind", "moser", "--eps", "1e-3",
+                     "--out", str(dst)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and str(dst) in err
+
     def test_functional_with_density_measure(self, tmp_path, capsys):
         g = log_grid(1e-6, 1e2, 1024)
         u = RadialFunction(g, 0.3 * np.exp(-g), 2)
@@ -651,11 +667,12 @@ class TestCli:
         err = capsys.readouterr().err
         assert err.startswith("config error") and value in err
 
-    @pytest.mark.parametrize("case", ["cell", "ragged", "missing"])
+    @pytest.mark.parametrize("case", ["cell", "ragged", "nonfinite", "missing"])
     @pytest.mark.parametrize("command", ["rearrange", "measure"])
     def test_bad_input_csv_exit_code(self, tmp_path, capsys, case, command):
-        # an unparsable cell, a ragged row or a missing file is a config
-        # error (exit 2), not a traceback with the verdict-violation code
+        # an unparsable cell, a ragged row, a row starting nan or inf or a
+        # missing file is a config error (exit 2), not a traceback with the
+        # verdict-violation code or a silently dropped row
         good = tmp_path / "good.csv"
         g = log_grid(1e-3, 1e2, 64)
         good.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
@@ -665,6 +682,9 @@ class TestCli:
             rows[-1] = rows[-1].split(",")[0] + ",abc"
         elif case == "ragged":
             rows[-1] += ",1.0"
+        elif case == "nonfinite":
+            for k, head in ((-3, "nan"), (-1, "inf")):
+                rows[k] = head + "," + rows[k].split(",")[1]
         if case != "missing":
             bad.write_text("\n".join(rows) + "\n")
         argv = ["rearrange", "--in", str(bad)] if command == "rearrange" \
