@@ -140,21 +140,6 @@ def kernel_sharp_constant(g: "KernelSpec") -> float:
     return fine
 
 
-def adachi_dilation(theta: float, params) -> float:
-    """Dilation lambda(theta) = (theta^{-q'(n-alpha)/alpha} - 1)^{-1/(n q')}.
-
-    Increasing in theta with lambda -> infinity as theta -> 1^-; equals 1 at
-    theta0 = 2^{-n/(q'(n-alpha))}.
-    """
-    if not 0 < theta < 1:
-        raise DomainError(f"dilation parameter must lie in (0, 1), got {theta}")
-    if not params.q > 1:
-        raise DomainError(f"norm-family index must satisfy q > 1, got {params.q}")
-    qc = params.q_conj
-    expo = qc * (params.n - params.alpha) / params.alpha
-    return (theta ** (-expo) - 1.0) ** (-1.0 / (params.n * qc))
-
-
 @dataclass(frozen=True)
 class SharpConstants:
     """The named constants for a given (n, alpha) and optional kernel."""

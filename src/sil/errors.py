@@ -45,10 +45,6 @@ class UnboundedResult(NumericError):
     """Convolution diverges for the given input tail."""
 
 
-class GeometryViolated(DomainError):
-    """Probe geometry preconditions are not satisfied."""
-
-
 class IllConditionedBasis(NumericError):
     """Polynomial basis failed the orthonormality residual test."""
 
@@ -72,10 +68,6 @@ class SandwichViolated(SilError, AssertionError):
 
 class HypothesisViolated(DomainError):
     """Input violates the hypothesis of the bound being evaluated."""
-
-
-class GrowthViolated(NumericError):
-    """Measure growth spot-check failed its certified (Q, sigma) bound."""
 
 
 class DivergentIntegral(DomainError):

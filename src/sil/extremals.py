@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
@@ -122,13 +122,6 @@ class PolynomialBasis:
         mono = np.stack([np.prod(pts**np.asarray(e), axis=1)
                          for e in self.exponents], axis=0)
         return (self.coeff_matrix.T @ coeffs) @ mono
-
-
-def polynomial_projection(f: Callable[[np.ndarray], np.ndarray],
-                          basis: PolynomialBasis) -> Callable[[np.ndarray], np.ndarray]:
-    """P f as a callable on point arrays; idempotent by construction."""
-    coeffs = basis.project_coeffs(np.asarray(f(basis.nodes), dtype=float))
-    return lambda pts: basis.evaluate(coeffs, np.asarray(pts, dtype=float))
 
 
 # ---------------------------------------------------------------------------
@@ -282,16 +275,6 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
         proj_coeffs=coeffs, c_phi=c_phi)
 
 
-def projection_sup_bound(fam: ExtremalFamily) -> float:
-    """sup over B_1 of the subtracted polynomial; bounded by C ||phi||_1."""
-    if fam.proj_coeffs is None:
-        return 0.0
-    rho = np.linspace(0.0, 1.0, 2001)
-    powers = 2 * np.arange(len(fam.proj_coeffs)) + _power_offset(fam.vector)
-    vals = sum(c * rho**k for c, k in zip(fam.proj_coeffs, powers))
-    return float(np.max(np.abs(vals)))
-
-
 def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
     """The family with T_g of its profile and both critical norms filled in.
 
@@ -311,13 +294,17 @@ def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
                    potential_norm_pth=lp_norm(tf, pc) ** pc)
 
 
+def _require_potential(fam: ExtremalFamily) -> None:
+    if fam.potential is None:
+        raise DomainError("attach the potential first (attach_potential)")
+
+
 def normalize_ruf(fam: ExtremalFamily) -> ExtremalFamily:
     """Divide by the paired-norm normalizer so that
     (||f||^{n/a} + ||Tf||^{n/a})^{a/n} = 1, propagating to the potential."""
     if fam.kind != "adams_corrected":
         raise DomainError("normalization applies to the corrected family")
-    if fam.potential is None:
-        fam = attach_potential(fam)
+    _require_potential(fam)
     pc = fam.params.p_crit
     d = (fam.norm_pth_power + fam.potential_norm_pth) ** (1.0 / pc)
     return replace(
@@ -341,8 +328,7 @@ def dilated_family(fam: ExtremalFamily, q: float, theta: float) -> ExtremalFamil
     p = Params(n=fam.params.n, alpha=fam.params.alpha, q=q, sigma=fam.params.sigma)
     qc = p.q_conj
     r = (1.0 - theta) ** (-1.0 / (p.n * qc))
-    if fam.potential is None:
-        fam = attach_potential(fam)
+    _require_potential(fam)
     pc = p.p_crit
     a_norm = fam.norm_pth_power ** (1.0 / pc)
     b_norm = (fam.potential_norm_pth ** (1.0 / pc)) * r**p.alpha
@@ -492,7 +478,3 @@ def gradient_norm_pth(fam: LogFamily) -> float:
     pc = fam.params.p_crit
     return lp_norm(fam.gradient, pc, fam.measure) ** pc
 
-
-def plateau_norm(fam: LogFamily) -> float:
-    """||v||_{n/a} of a log family against its measure."""
-    return lp_norm(fam.profile, fam.params.p_crit, fam.measure)

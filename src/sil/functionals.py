@@ -10,15 +10,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Optional, Tuple
+from typing import Optional
 
 import numpy as np
 
-from .constants import moser_gamma, sharp_gamma
 from .errors import DivergentIntegral, DomainError, HypothesisViolated
 from .grids import CartesianField, RadialFunction
-from .measures import (MeasureDensity, hyperplane_measure, lebesgue,
-                       singular_measure)
+from .measures import MeasureDensity, lebesgue
 from .norms import Field, cells
 from .params import Params
 from .rearrange import exp_regularized
@@ -239,68 +237,6 @@ def _tail_estimate(u: RadialFunction, spec: FunctionalSpec) -> float:
                             coef)
 
 
-def adachi_functional(u: Field, grad_norm: float, u_norm: float, theta: float,
-                      params: Params) -> Tuple[float, float]:
-    """Dilation-invariant subcritical pair.
-
-    Left side: whole-space regularized integral at coefficient
-    theta * gamma_{n,alpha} of (|u| / ||grad u||)^{beta}; right-side scale
-    (||u|| / ||grad u||)^{n/alpha}.
-    """
-    if grad_norm <= 0:
-        raise DomainError("gradient norm must be positive")
-    gamma = sharp_gamma(params.n, int(params.alpha))
-    spec = FunctionalSpec(
-        gamma_coeff=theta * gamma / grad_norm**params.beta,
-        power=params.beta, domain=Domain.whole_space(),
-        regularized=True, order=params.regularization_order)
-    lhs = mt_functional(u, spec).value
-    rhs_scale = (u_norm / grad_norm) ** params.p_crit
-    return lhs, rhs_scale
-
-
-def _masmoudi_setup(u: Field, variant: Tuple[str, float], params: Params,
-                    gamma: Optional[float]):
-    """(spec, denominator power, values, masses) of a ratio functional."""
-    kind, arg = variant
-    if kind not in ("q_power", "eps_power"):
-        raise DomainError(f"unknown variant {kind!r}")
-    denom_power = params.beta if kind == "q_power" else params.beta * (1.0 + arg)
-    if gamma is None:
-        gamma = sharp_gamma(params.n, int(params.alpha))
-    spec = FunctionalSpec(gamma_coeff=gamma, power=params.beta,
-                          domain=Domain.whole_space(), regularized=True,
-                          order=params.regularization_order)
-    return (spec, denom_power) + _in_domain(u, spec)
-
-
-def masmoudi_functional(u: Field, variant: Tuple[str, float],
-                        params: Params,
-                        gamma: Optional[float] = None) -> float:
-    """Ratio functional: regularized exponential over (1 + |u|)^{beta (.)}.
-
-    variant ('q_power', q) uses denominator power beta; ('eps_power', eps)
-    uses beta * (1 + eps).
-    """
-    spec, denom_power, vals, masses = _masmoudi_setup(u, variant, params, gamma)
-    t = spec.gamma_coeff * vals**spec.power
-    ratio = exp_regularized(t, spec.order) / (1.0 + vals) ** denom_power
-    total = float(np.sum(masses * ratio))
-    if isinstance(u, RadialFunction):
-        total += _tail_estimate(u, spec)
-    return total
-
-
-def masmoudi_series_oracle(u: Field, variant: Tuple[str, float], params: Params,
-                           gamma: Optional[float] = None, terms: int = 24) -> float:
-    """Truncated-series evaluation of the ratio functional for small u."""
-    spec, denom_power, vals, masses = _masmoudi_setup(u, variant, params, gamma)
-    acc = np.zeros_like(vals)
-    for k in range(spec.order + 1, spec.order + 1 + terms):
-        acc += spec.gamma_coeff**k * vals ** (spec.power * k) / math.factorial(k)
-    return float(np.sum(masses * acc / (1.0 + vals) ** denom_power))
-
-
 # ---------------------------------------------------------------------------
 # additive-shift bounds (the seminorm splitting device)
 # ---------------------------------------------------------------------------
@@ -356,29 +292,3 @@ def shifted_functional_bounds(tf: Field, K: float, p_f: float,
                             * (K**bc / (1.0 - p_f**bc)) ** (beta / bc))
     return ShiftBounds(shifted_a=shifted_a, bound_a=bound_a,
                        shifted_b=shifted_b, bound_b=bound_b)
-
-
-# ---------------------------------------------------------------------------
-# trace measures
-# ---------------------------------------------------------------------------
-
-def trace_measure(kind: str, params: Params) -> MeasureDensity:
-    """Measures with certified growth for the trace inequalities.
-
-    'singular': density |x|^{(sigma-1) n}; 'hyperplane': arc length on a
-    line (n = 2).
-    """
-    if kind == "singular":
-        nu = singular_measure(params.n, params.sigma)
-    elif kind == "hyperplane":
-        nu = hyperplane_measure()
-    else:
-        raise DomainError(f"unknown trace measure kind {kind!r}")
-    nu.spot_check_growth(rng=0)
-    return nu
-
-
-def no_boundary_trudinger_coeff(n: int) -> float:
-    """Sharp first-order coefficient on smooth bounded domains without
-    boundary conditions: 2^{-1/(n-1)} times the Moser constant."""
-    return 2.0 ** (-1.0 / (n - 1)) * moser_gamma(n)

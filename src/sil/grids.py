@@ -200,7 +200,12 @@ class RadialFunction:
         lines = [ln for ln in text.splitlines() if ln.strip()]
         meta = _csv_metadata(lines)
         rows = [ln for ln in lines if _is_data_row(ln)]
-        data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        if not rows:
+            raise DomainError("radial CSV holds no data rows")
+        try:
+            data = np.loadtxt(rows, delimiter=",", ndmin=2)
+        except ValueError as exc:
+            raise DomainError(f"malformed radial CSV: {exc}") from exc
         tail = meta.get("tail_exponent")
         tail = None if tail in (None, "None") else float(tail)
         values = data[:, 1] if data.shape[1] == 2 else data[:, 1:]
@@ -319,11 +324,25 @@ class CartesianField:
     def from_csv(text: str) -> "CartesianField":
         lines = [ln for ln in text.splitlines() if ln.strip()]
         meta = _csv_metadata(lines)
-        n = int(meta["n"])
-        res = int(meta["resolution"])
+        try:
+            n, res = int(meta["n"]), int(meta["resolution"])
+            extent = float(meta["extent"])
+        except (KeyError, ValueError) as exc:
+            raise DomainError("cartesian CSV needs a '# cartesian n=... "
+                              "extent=... resolution=...' header") from exc
+        if n not in (2, 3) or res < 1:
+            raise DomainError(f"cartesian CSV header: n={n}, resolution={res}")
         vals = np.zeros((res,) * n)
         for ln in filter(_is_data_row, lines):
             parts = ln.split(",")
-            idx = tuple(int(x) for x in parts[:n])
-            vals[idx] = float(parts[n])
-        return CartesianField(n, float(meta["extent"]), vals)
+            try:
+                idx = tuple(int(x) for x in parts[:n])
+                value = float(parts[n])
+            except (ValueError, IndexError) as exc:
+                raise DomainError(
+                    f"malformed cartesian CSV row {ln!r}") from exc
+            if not all(0 <= i < res for i in idx):
+                raise DomainError(f"cartesian CSV row {ln!r}: index outside "
+                                  f"0 .. {res - 1}")
+            vals[idx] = value
+        return CartesianField(n, extent, vals)

@@ -13,7 +13,6 @@ Every verdict is recomputed at half resolution; a flip downgrades it.
 
 from __future__ import annotations
 
-import copy
 import csv
 import functools
 import hashlib
@@ -439,51 +438,41 @@ def _run_oneil_garsia(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(sc.id, [checks], checks, verdict, _provenance(sc))
 
 
-_SPLIT_DRAWS = 10**6
-_SPLIT_CHUNK = 2**14
-# draws of a, b, theta and beta, in the order rng draws them
-_SPLIT_RANGES = ((0.0, 10.0), (0.0, 10.0), (0.0, 1.0), (1.01, 8.0))
+_SPLIT_BETAS = np.linspace(1.01, 8.0, 16)
 
 
-def _split_violations(rng: np.random.Generator) -> int:
-    """Monte Carlo count of violations of the Hoelder split inequality.
+def _split_lattice(beta: float):
+    """(a, b, theta) of the Hoelder split-inequality lattice at one beta.
 
-    Array j holds the draws at stream offsets j m ... (j + 1) m - 1, the
-    same values as one rng.uniform call of size m per array, but each array
-    is drawn from its own copy of the bit generator in chunks, so the
-    workspace stays at a few chunk-sized arrays.  rng ends 4 m draws on, as
-    after the four whole-array calls.
+    a and b are log-spaced on [1e-3, 10]; theta runs over a uniform grid of
+    [0, 1] and, last, the maximizer theta* = a^beta / (a^beta + b^beta),
+    where the two sides are equal.
     """
-    m = _SPLIT_DRAWS
-    streams = []
-    for j, (lo, hi) in enumerate(_SPLIT_RANGES):
-        bit_generator = copy.deepcopy(rng.bit_generator)
-        bit_generator.advance(j * m)
-        streams.append((np.random.Generator(bit_generator), lo, hi))
+    side = np.geomspace(1e-3, 10.0, 24)
+    a, b = side[:, None, None], side[None, :, None]
+    theta_star = a**beta / (a**beta + b**beta)
+    uniform = np.broadcast_to(np.linspace(0.0, 1.0, 17), (24, 24, 17))
+    return a, b, np.concatenate([uniform, theta_star], axis=-1)
+
+
+def _split_violations() -> int:
+    """Lattice points, over every beta of _SPLIT_BETAS, where the split
+    inequality's left side exceeds its right beyond roundoff.  One beta at
+    a time keeps the workspace under 0.5 MB."""
     count = 0
-    for start in range(0, m, _SPLIT_CHUNK):
-        size = min(_SPLIT_CHUNK, m - start)
-        a, b, theta, beta = (g.uniform(lo, hi, size) for g, lo, hi in streams)
-        lhs, rhs = holder_split_inequality(a, b, theta, beta)
+    for beta in _SPLIT_BETAS:
+        lhs, rhs = holder_split_inequality(*_split_lattice(beta), beta)
         count += int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-12))
-    rng.bit_generator.advance(len(_SPLIT_RANGES) * m)
     return count
-
-
-@functools.lru_cache(maxsize=8)
-def _split_violation_count(seed: int) -> int:
-    """_split_violations on a fresh generator seeded with seed: the count
-    depends on nothing else, so the half-resolution rerun of lemma_suite
-    reuses it.  sil run asks for one seed."""
-    return _split_violations(np.random.default_rng(seed))
 
 
 def _run_lemma_suite(sc: Scenario) -> ScenarioResult:
     p = sc.params
     rng = np.random.default_rng(sc.seed)
-    checks = {"split_violations": _split_violation_count(sc.seed)}
-    # the random profiles below draw where _split_violations leaves rng
-    rng.bit_generator.advance(len(_SPLIT_RANGES) * _SPLIT_DRAWS)
+    checks = {"split_violations": _split_violations()}
+    # the random profiles below start 4 * 10^6 draws into the seed's stream,
+    # so that a seed keeps giving the profiles it has always given
+    rng.bit_generator.advance(4 * 10**6)
     # regularization sandwich on random profiles
     grid = log_grid(1e-6, 1e3, max(int(2000 * sc.resolution / 400), 512))
     sandwich_fail = 0

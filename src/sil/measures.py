@@ -1,15 +1,13 @@
-"""Borel measures with certified growth nu(B(x,r)) <= Q r^{sigma n}.
+"""Radial Borel measures, their ball masses and their power tails.
 
 A measure is either Lebesgue, a radial density w(|x|) dx, the hyperbolic
 volume (geodesic polar weight sinh^{n-1}), or arc length on a line through
-the origin (n = 2).  Only the radial weight enters quadrature; growth
-certificates (Q, sigma) ride along for the trace inequalities.
+the origin (n = 2).  Only the radial weight enters quadrature.
 
 Every measure built here has closed-form ball masses and power tails,
 the hyperbolic volume through one Gauss hypergeometric function for every
-n; `quad` serves only a user's density and off-center balls, and is
-imported where called, so that `import sil` does not load
-scipy.integrate.
+n; `quad` serves only a user's density, and is imported where called, so
+that `import sil` does not load scipy.integrate.
 """
 
 from __future__ import annotations
@@ -23,8 +21,7 @@ import numpy as np
 from scipy.special import hyp2f1
 
 from .constants import sphere_area
-from .errors import (DomainError, GrowthViolated, NegativeDensity,
-                     NonIntegrableTail)
+from .errors import DomainError, NegativeDensity, NonIntegrableTail
 
 
 @dataclass(frozen=True)
@@ -41,8 +38,6 @@ class MeasureDensity:
     kind: str
     n: int
     radial_density: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    growth_Q: Optional[float] = None
-    growth_sigma: float = 1.0
     density_exponent: Optional[float] = None
 
     def __post_init__(self):
@@ -55,8 +50,6 @@ class MeasureDensity:
         if self.density_exponent is not None and self.density_exponent <= -self.n:
             raise DomainError("power density r^e needs e > -n to be locally "
                               "integrable")
-        if not 0 < self.growth_sigma <= 1:
-            raise DomainError("growth exponent sigma must lie in (0, 1]")
         if self.kind == "hyperplane" and self.n != 2:
             raise DomainError("hyperplane (line) measure implemented for n=2")
 
@@ -155,69 +148,9 @@ class MeasureDensity:
             raise NonIntegrableTail("tail integral diverges under the density")
         return coef * val
 
-    def spot_check_growth(self, rng=None, samples: int = 24, tol: float = 1e-6) -> None:
-        """Verify nu(B(x,r)) <= Q r^{sigma n} on sampled balls.
-
-        Off-center balls are checked by quadrature for radial densities;
-        raises GrowthViolated on failure beyond quadrature tolerance.
-        """
-        if self.growth_Q is None:
-            return
-        rng = np.random.default_rng(rng)
-        sn = self.growth_sigma * self.n
-        for _ in range(samples):
-            r = float(np.exp(rng.uniform(math.log(1e-3), math.log(10.0))))
-            c = float(rng.uniform(0.0, 3.0))
-            mass = self._ball_mass(c, r)
-            if mass > self.growth_Q * r**sn * (1.0 + tol) + 1e-12:
-                raise GrowthViolated(
-                    f"ball at |x|={c:.3g}, r={r:.3g}: mass {mass:.6g} exceeds "
-                    f"Q r^(sigma n) = {self.growth_Q * r ** sn:.6g}")
-
-    def _ball_mass(self, center_radius: float, r: float) -> float:
-        if center_radius == 0.0:
-            return self.ball_mass_origin(r)
-        if self.kind == "lebesgue":
-            return sphere_area(self.n) / self.n * r**self.n
-        if self.kind == "hyperplane":
-            # line through origin: the chord is at most a diameter, which
-            # it attains when the ball's center lies on the line
-            return 2.0 * r
-        if self.kind == "radial":
-            # integrate in polar coordinates about the origin: shells around
-            # the ball's center pass through the density singularity, while
-            # origin-centered shells meet the ball in a bounded wedge
-            c = center_radius
-
-            def wedge(rho):
-                if rho <= 0:
-                    return 0.0
-                cos_phi = (c * c + rho * rho - r * r) / (2.0 * c * rho)
-                if cos_phi <= -1.0:
-                    phi = math.pi
-                elif cos_phi >= 1.0:
-                    return 0.0
-                else:
-                    phi = math.acos(cos_phi)
-                w = float(self._density(np.array([rho]))[0])
-                if self.n == 2:
-                    angle = 2.0 * phi
-                else:
-                    angle = 2.0 * math.pi * (1.0 - math.cos(phi))
-                return angle * w * rho ** (self.n - 1)
-
-            from scipy.integrate import quad
-
-            lo = max(0.0, c - r)
-            val, _ = quad(wedge, lo, c + r, limit=200,
-                          points=[c, min(c + r, max(lo, 1e-12))])
-            return val
-        raise DomainError("off-center mass not available for this measure kind")
-
 
 def lebesgue(n: int) -> MeasureDensity:
-    return MeasureDensity(kind="lebesgue", n=n, growth_Q=sphere_area(n) / n,
-                          growth_sigma=1.0)
+    return MeasureDensity(kind="lebesgue", n=n)
 
 
 def hyperbolic_volume(n: int) -> MeasureDensity:
@@ -227,21 +160,18 @@ def hyperbolic_volume(n: int) -> MeasureDensity:
 def singular_measure(n: int, sigma: float) -> MeasureDensity:
     """Density |x|^{(sigma-1) n}: mass of B(0,r) is omega r^{sigma n}/(sigma n).
 
-    The density is radially decreasing, so the origin ball is extremal and
-    Q = omega_{n-1}/(sigma n) certifies the growth bound.
+    The density is radially decreasing, so no ball of radius r carries
+    more mass than the one centred at the origin.
     """
     if not 0 < sigma <= 1:
         raise DomainError("sigma must lie in (0, 1]")
-    q = sphere_area(n) / (sigma * n)
     return MeasureDensity(
         kind="lebesgue" if sigma == 1.0 else "radial",
         n=n,
         density_exponent=None if sigma == 1.0 else (sigma - 1.0) * n,
-        growth_Q=q,
-        growth_sigma=sigma,
     )
 
 
 def hyperplane_measure() -> MeasureDensity:
-    """Arc length on a line through the origin in the plane: sigma = 1/2, Q = 2."""
-    return MeasureDensity(kind="hyperplane", n=2, growth_Q=2.0, growth_sigma=0.5)
+    """Arc length on a line through the origin in the plane (sigma = 1/2)."""
+    return MeasureDensity(kind="hyperplane", n=2)

@@ -75,22 +75,6 @@ def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None) -> float:
     return (bulk + head + tail) ** (1.0 / p)
 
 
-def ruf_norm(f: RadialFunction, tf: RadialFunction, params) -> float:
-    """(||f||_{n/a}^{n/a} + ||Tf||_{n/a}^{n/a})^{a/n}."""
-    p = params.p_crit
-    a = lp_norm(f, p)
-    b = lp_norm(tf, p)
-    return (a**p + b**p) ** (1.0 / p)
-
-
-def q_norm(f: RadialFunction, tf: RadialFunction, params) -> float:
-    """(||f||^{q n/a} + ||Tf||^{q n/a})^{a/(qn)}; max of the two at q = inf."""
-    p = params.p_crit
-    a = lp_norm(f, p)
-    b = lp_norm(tf, p)
-    return pair_q_norm(a, b, params)
-
-
 def pair_q_norm(a: float, b: float, params) -> float:
     """The q-family norm evaluated on a precomputed pair of norms."""
     if math.isinf(params.q):

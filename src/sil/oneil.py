@@ -234,14 +234,6 @@ class GarsiaState:
         bc = self.beta / (self.beta - 1.0)
         return float(np.trapezoid(self.phi**bc, self.x_grid)) ** (1.0 / bc)
 
-    def residual_mass(self, y: float) -> float:
-        """L(y) = (int_y^inf phi^{b'})^{1/b'}, nonincreasing, <= 1."""
-        bc = self.beta / (self.beta - 1.0)
-        mask = self.x_grid >= y
-        if not np.any(mask):
-            return 0.0
-        return float(np.trapezoid(self.phi[mask] ** bc, self.x_grid[mask])) ** (1.0 / bc)
-
     @cached_property
     def _prefix(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """The y-independent pieces (left, xp, mid_cum, tail) of
@@ -334,31 +326,6 @@ def state_from_phi(phi_values: np.ndarray, x_grid: np.ndarray,
     if norm > 1.0 + 1e-3:
         raise DomainError(f"phi must have b'-norm <= 1, got {norm}")
     return state
-
-
-def piecewise_kernel(x, y: float, state: GarsiaState) -> np.ndarray:
-    """Three-branch comparison kernel g(x, y).
-
-    x <= 0:    A^{-1/b} k1*(e^{-x}) e^{-x/b}
-    0 < x <= y: 1 + H (1 + x)^{-gamma}
-    x > y:     C2^{1/b} e^{(y-x)/b}
-    Discontinuous at the branch points by construction.
-    """
-    if y < 0:
-        raise DomainError("the level parameter must be nonnegative")
-    x = np.asarray(x, dtype=float)
-    beta = state.beta
-    out = np.empty_like(x)
-    left = x <= 0
-    mid = (x > 0) & (x <= y)
-    right = x > y
-    out[left] = state.profile.A ** (-1.0 / beta) \
-        * np.asarray(state.profile.k1star(np.exp(-x[left]))) \
-        * np.exp(-x[left] / beta)
-    out[mid] = 1.0 + state.profile.H \
-        * (1.0 + np.abs(x[mid])) ** (-state.profile.gamma_exp)
-    out[right] = state.c2 ** (1.0 / beta) * np.exp((y - x[right]) / beta)
-    return out
 
 
 def inner_integral(y, state: GarsiaState):

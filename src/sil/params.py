@@ -44,11 +44,6 @@ class Params:
         return self.n / self.alpha
 
     @property
-    def beta_conj(self) -> float:
-        """Conjugate exponent of beta; equals n/alpha."""
-        return self.beta / (self.beta - 1.0)
-
-    @property
     def q_conj(self) -> float:
         """Conjugate of q (q' = q/(q-1); q = inf gives 1)."""
         if math.isinf(self.q):

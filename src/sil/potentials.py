@@ -26,12 +26,10 @@ import numpy as np
 from scipy import fft as sp_fft
 from scipy.special import ellipkm1, gamma, hyp2f1
 
-from .constants import ball_volume, sphere_area
-from .errors import (DomainError, GeometryViolated, SingularOnDiagonal,
-                     UnboundedResult)
+from .constants import sphere_area
+from .errors import DomainError, SingularOnDiagonal, UnboundedResult
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec, gradient_kernel
-from .norms import lp_norm
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _SLAB_BYTES = 1 << 19  # bytes of samples per slab in cartesian_convolve
@@ -85,11 +83,9 @@ def _circle_hyp(alpha: float, u: np.ndarray) -> np.ndarray:
 def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r).
 
-    Closed forms for the built-in kernels: constant angular parts in
-    n = 2 (_circle_slice) and n = 3 (colatitude reduction), and the two
-    gradient kernels, which are constants times the gradient of the
-    Newtonian kernel, so by Newton's shell theorem their projected slice
-    is -u^{1-n} for u > 1 and 0 for u < 1.  Other kernels raise DomainError.
+    Closed forms for scalar kernels with a constant angular part, in n = 2
+    (_circle_slice) and n = 3 (colatitude reduction).  Other kernels raise
+    DomainError.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u <= 0):
@@ -109,29 +105,10 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
         else:
             val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
         out = 2.0 * math.pi * a * val
-    elif kernel.is_vector and alpha == 1.0 and kernel == gradient_kernel(n, 1):
-        out = np.where(u > 1.0, -(u ** (1.0 - n)), 0.0)
     else:
-        raise DomainError("radial slices exist for constant angular parts and "
-                          "the gradient kernels only")
+        raise DomainError("radial slices exist for constant scalar angular "
+                          "parts only")
     return out if out.size > 1 else float(out[0])
-
-
-def angular_weight(kernel: KernelSpec, r: float, rho: float) -> float:
-    """W(r, rho) = integral over S^{n-1} of g(r e1 - rho omega) d omega.
-
-    For vector kernels g(r e1 - rho omega) is projected on omega, the
-    direction of the radial-vector source.  Exactly on the diagonal the
-    weight is singular and SingularOnDiagonal is raised.
-    """
-    if kernel.kind != "homogeneous":
-        raise DomainError("angular weights are defined for homogeneous kernels")
-    if r <= 0 or rho <= 0:
-        raise DomainError("radii must be positive")
-    if r == rho:
-        raise SingularOnDiagonal("use cell-averaged quadrature on the diagonal")
-    a_n = kernel.params.alpha - kernel.params.n
-    return r**a_n * angular_slice(kernel, rho / r)
 
 
 # ---------------------------------------------------------------------------
@@ -547,88 +524,3 @@ def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
         acc += s2j[j] * even_moments[j] * r ** (-2 * j)
     out = kernel.constant_angular_value * r ** (p.alpha - p.n) * acc
     return out if out.size > 1 else float(out[0])
-
-
-# ---------------------------------------------------------------------------
-# regularity probes
-# ---------------------------------------------------------------------------
-
-def ball_average(tf: RadialFunction, center_radius: float, p: float,
-                 ball_radius: float = 1.0, order: int = 48) -> float:
-    """Mean of |Tf|^p over the ball of given radius centered at distance
-    center_radius from the origin, for radial Tf."""
-    n = tf.n
-    x, w = np.polynomial.legendre.leggauss(order)
-    s = 0.5 * ball_radius * (x + 1.0)
-    ws = 0.5 * ball_radius * w
-    theta = 0.5 * math.pi * (x + 1.0)
-    wt = 0.5 * math.pi * w
-    ss, tt = np.meshgrid(s, theta, indexing="ij")
-    radii = np.sqrt(center_radius**2 + ss**2 + 2.0 * center_radius * ss * np.cos(tt))
-    vals = np.abs(tf.interp(radii)) ** p
-    if n == 2:
-        inner = np.sum(vals * wt[None, :], axis=1) * 2.0  # symmetric in angle
-        total = np.sum(ws * s * inner)
-        return float(total / (math.pi * ball_radius**2))
-    inner = np.sum(vals * np.sin(tt) * wt[None, :], axis=1) * 2.0 * math.pi
-    total = np.sum(ws * s**2 * inner)
-    return float(total / (4.0 / 3.0 * math.pi * ball_radius**3))
-
-
-def lipschitz_probe(f: RadialFunction, kernel: KernelSpec, case: str,
-                    R: float = 2.0, pairs: int = 200, rng=None) -> dict:
-    """Empirical Lipschitz ratios of T_g f on a probe set.
-
-    case 'separated': supp f of measure <= 1, probe set at distance >= R.
-    case 'far_support': supp f outside B_{2R}, probes inside B_R.
-    case 'bounded': |f| <= 1, probes anywhere; ratios measured against
-      (1 + ||f||) min(|dx|^alpha, |dx|), and for alpha = 1 also against
-      |dx| (1 + log+ 1/|dx|).
-    Returns the maximal observed ratio as 'empirical_D'.
-    """
-    p = kernel.params
-    rng = np.random.default_rng(rng)
-    mag = f.magnitude()
-    supp = f.grid[mag > 0]
-    if supp.size == 0:
-        return {"empirical_D": 0.0, "ratios": np.zeros(0)}
-    supp_lo, supp_hi = float(supp[0]), float(supp[-1])
-    norm = lp_norm(f, p.p_crit)
-    tf = radial_convolve(f, kernel)
-
-    if case == "separated":
-        if ball_volume(p.n) * supp_hi**p.n > 1.0 + 1e-9:
-            raise GeometryViolated("support measure exceeds 1")
-        if R < 1.0:
-            raise GeometryViolated("separation distance must be >= 1")
-        lo, hi = supp_hi + R, supp_hi + R + 2.0
-        denom_scale = norm / R
-    elif case == "far_support":
-        if supp_lo < 2.0 * R - 1e-9:
-            raise GeometryViolated("support must avoid B_{2R}")
-        lo, hi = f.grid[0], R
-        denom_scale = norm / R
-    elif case == "bounded":
-        if np.max(mag) > 1.0 + 1e-9:
-            raise GeometryViolated("bounded case needs |f| <= 1")
-        lo, hi = f.grid[0], min(2.0 * supp_hi, f.grid[-1])
-        denom_scale = 1.0 + norm
-    else:
-        raise DomainError(f"unknown probe case {case!r}")
-
-    r1 = np.exp(rng.uniform(math.log(lo), math.log(hi), pairs))
-    r2 = np.exp(rng.uniform(math.log(lo), math.log(hi), pairs))
-    keep = np.abs(r1 - r2) > 1e-9
-    r1, r2 = r1[keep], r2[keep]
-    num = np.abs(tf.interp(r1) - tf.interp(r2))
-    dx = np.abs(r1 - r2)
-    if case == "bounded":
-        denom = denom_scale * np.minimum(dx**p.alpha, dx)
-    else:
-        denom = denom_scale * dx
-    ratios = num / denom
-    result = {"empirical_D": float(np.max(ratios)), "ratios": ratios}
-    if case == "bounded" and abs(p.alpha - 1.0) < 1e-12:
-        log_denom = denom_scale * dx * (1.0 + np.log(np.maximum(1.0 / dx, 1.0)))
-        result["empirical_D_log"] = float(np.max(num / log_denom))
-    return result

@@ -122,13 +122,6 @@ class RearrangedProfile:
         hi = np.clip(breaks[1:], t_lo, t_hi)
         return float(np.sum(self.fstar**p * np.maximum(hi - lo, 0.0)))
 
-    def integral_against(self, other: "RearrangedProfile") -> float:
-        """int f* g* dt over the common support (both step functions)."""
-        breaks = np.union1d(self.t_grid, other.t_grid)
-        mids = breaks - 0.5 * np.diff(np.concatenate([[0.0], breaks]))
-        widths = np.diff(np.concatenate([[0.0], breaks]))
-        return float(np.sum(self.fstar_at(mids) * other.fstar_at(mids) * widths))
-
 
 def decreasing_rearrangement(f: Field, nu: Optional[MeasureDensity] = None
                              ) -> RearrangedProfile:

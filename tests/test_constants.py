@@ -3,9 +3,9 @@ import math
 import numpy as np
 import pytest
 
-from sil.constants import (SharpConstants, adachi_dilation, ball_volume,
-                           kernel_sharp_constant, moser_gamma,
-                           riesz_normalization, sharp_gamma, sphere_area)
+from sil.constants import (SharpConstants, ball_volume, kernel_sharp_constant,
+                           moser_gamma, riesz_normalization, sharp_gamma,
+                           sphere_area)
 from sil.errors import DegenerateOddCase, DomainError
 from sil.kernels import KernelSpec, constant_kernel, gradient_kernel
 from sil.params import Params
@@ -112,28 +112,6 @@ class TestKernelSharpConstant:
         exact = 2 * math.sqrt(math.pi) * math.gamma((m + 1) / 2) \
             / math.gamma(m / 2 + 1) / 2.0
         assert kernel_sharp_constant(k) == pytest.approx(exact, rel=1e-8)
-
-
-class TestAdachiDilation:
-    def test_formula(self):
-        lam = adachi_dilation(0.5, Params(2, 1.0, q=2.0))
-        assert lam == pytest.approx(3.0 ** (-0.25), rel=1e-13)
-
-    def test_monotone_blowup(self):
-        p = Params(2, 1.0, q=2.0)
-        assert adachi_dilation(0.999, p) > adachi_dilation(0.99, p) \
-            > adachi_dilation(0.9, p)
-
-    def test_unit_at_theta0(self):
-        # the unit-dilation parameter solves theta^{-q'(n-a)/a} = 2
-        for q in (2.0, 4.0, math.inf):
-            p = Params(3, 1.0, q=q)
-            theta0 = 2.0 ** (-p.alpha / (p.q_conj * (p.n - p.alpha)))
-            assert adachi_dilation(theta0, p) == pytest.approx(1.0, rel=1e-12)
-
-    def test_domain(self):
-        with pytest.raises(DomainError):
-            adachi_dilation(1.5, Params(2, 1.0, q=2.0))
 
 
 def test_sharp_constants_bundle():

@@ -4,12 +4,12 @@ import numpy as np
 import pytest
 
 from sil.constants import sphere_area
+from sil.errors import DomainError
 from sil.extremals import (PolynomialBasis, adams_family,
                            attach_potential, coupling_eps, dilated_family,
                            gradient_norm_pth, hyperbolic_log_family,
                            log_plateau_profile, moser_log_family,
-                           normalize_ruf, plateau_norm,
-                           polynomial_projection, projection_sup_bound)
+                           normalize_ruf)
 from sil.kernels import gradient_kernel, riesz_kernel
 from sil.norms import lp_norm, pair_q_norm
 from sil.params import Params
@@ -17,6 +17,17 @@ from sil.params import Params
 P2 = Params(2, 1.0)
 K2 = riesz_kernel(P2)
 N_A_G = 2 * math.pi  # n * A_g for the unit kernel in the plane
+
+
+def _project(f, basis):
+    """P f as a callable on point arrays, through the basis."""
+    coeffs = basis.project_coeffs(np.asarray(f(basis.nodes), dtype=float))
+    return lambda pts: basis.evaluate(coeffs, np.asarray(pts, dtype=float))
+
+
+def _plateau_norm(fam):
+    """||v||_{n/a} of a log family against its measure."""
+    return lp_norm(fam.profile, fam.params.p_crit, fam.measure)
 
 
 class TestPolynomialBasis:
@@ -29,22 +40,22 @@ class TestPolynomialBasis:
         basis = PolynomialBasis(2, 4)
         f = lambda pts: 1.0 + 2 * pts[:, 0] - pts[:, 1] ** 2 \
             + 0.5 * pts[:, 0] ** 2 * pts[:, 1] ** 2
-        proj = polynomial_projection(f, basis)
+        proj = _project(f, basis)
         pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(40, 2))
         assert np.allclose(proj(pts), f(pts), atol=1e-8)
 
     def test_idempotent(self):
         basis = PolynomialBasis(2, 4)
         f = lambda pts: np.exp(-np.sum(pts**2, axis=1))
-        once = polynomial_projection(f, basis)
-        twice = polynomial_projection(once, basis)
+        once = _project(f, basis)
+        twice = _project(once, basis)
         pts = np.random.default_rng(1).uniform(-0.7, 0.7, size=(50, 2))
         assert np.allclose(once(pts), twice(pts), atol=1e-8)
 
     def test_degree_zero_is_mean(self):
         basis = PolynomialBasis(2, 0)
         f = lambda pts: np.sum(pts**2, axis=1)
-        proj = polynomial_projection(f, basis)
+        proj = _project(f, basis)
         # mean of |y|^2 over the unit disk is 1/2
         assert proj(np.zeros((1, 2)))[0] == pytest.approx(0.5, abs=1e-9)
 
@@ -53,7 +64,7 @@ class TestPolynomialBasis:
         rng = np.random.default_rng(2)
         coeffs = rng.normal(size=5)
         f = lambda pts: np.exp(pts[:, 0]) * np.cos(2 * pts[:, 1]) + coeffs[0]
-        proj = polynomial_projection(f, basis)
+        proj = _project(f, basis)
         w = basis.weights
         nodes = basis.nodes
         resid = f(nodes) - proj(nodes)
@@ -95,7 +106,10 @@ class TestAdamsFamily:
         sups, l1s = [], []
         for eps in (1e-1, 1e-2, 1e-3, 1e-4):
             fam = adams_family(K2, eps)
-            sups.append(projection_sup_bound(fam))
+            # sup over B_1 of the subtracted even polynomial sum c_k rho^{2k}
+            rho = np.linspace(0.0, 1.0, 2001)
+            poly = np.polynomial.polynomial.polyval(rho**2, fam.proj_coeffs)
+            sups.append(float(np.max(np.abs(poly))))
             l1s.append(lp_norm(adams_family(K2, eps, corrected=False).profile,
                                1.0))
         ratio = [s / l for s, l in zip(sups, l1s)]
@@ -142,7 +156,7 @@ class TestAdamsFamily:
         def profile(pts):
             return f_radial(np.linalg.norm(pts, axis=1))
 
-        proj = polynomial_projection(profile, basis)
+        proj = _project(profile, basis)
         n = 2
         ks = np.arange(n + 1)
         gram = 1.0 / (2.0 * (ks[:, None] + ks[None, :] + n / 2.0))
@@ -156,6 +170,15 @@ class TestAdamsFamily:
 
 
 class TestNormalization:
+    def test_potential_required(self):
+        # every caller attaches the potential first; a family without one
+        # is refused rather than convolved on the way
+        fam = adams_family(K2, 1e-2)
+        for call in (lambda: normalize_ruf(fam),
+                     lambda: dilated_family(fam, 2.0, 0.7)):
+            with pytest.raises(DomainError, match="attach the potential"):
+                call()
+
     def test_ruf_norm_one(self):
         for eps in (1e-1, 1e-3):
             psi = normalize_ruf(attach_potential(adams_family(K2, eps)))
@@ -236,10 +259,8 @@ class TestDilatedFamily:
 
     def test_unit_dilation_regime(self):
         # at theta with lambda(theta) = 1 the dilation radius is moderate
-        from sil.constants import adachi_dilation
         p = Params(2, 1.0, q=2.0)
         theta0 = 2.0 ** (-p.alpha / (p.q_conj * (p.n - p.alpha)))
-        assert adachi_dilation(theta0, p) == pytest.approx(1.0, rel=1e-12)
         base = attach_potential(adams_family(K2, coupling_eps(2, 2.0, theta0)))
         fam = dilated_family(base, 2.0, theta0)
         assert fam.r_dilation == pytest.approx(
@@ -300,7 +321,7 @@ class TestLogFamilies:
         assert val_d / (2 * math.pi * math.log(1e3)) <= 1.06
 
     def test_plateau_norm_bounded(self):
-        norms = [plateau_norm(moser_log_family(2, 1.0, eps))
+        norms = [_plateau_norm(moser_log_family(2, 1.0, eps))
                  for eps in (1e-2, 1e-3, 1e-4)]
         assert max(norms) <= 1.2 * min(norms) + 0.5
 
@@ -317,4 +338,4 @@ class TestLogFamilies:
     def test_hyperbolic_norm_and_plateau(self):
         fam = hyperbolic_log_family(3, 1.0, 1e-3)
         assert fam.profile.values[0] == pytest.approx(math.log(1e3), rel=1e-12)
-        assert plateau_norm(fam) <= 5.0
+        assert _plateau_norm(fam) <= 5.0

@@ -5,14 +5,11 @@ import pytest
 
 from sil.constants import moser_gamma, sphere_area
 from sil.errors import DivergentIntegral, DomainError, HypothesisViolated
-from sil.functionals import (Domain, FunctionalSpec, adachi_functional,
-                             holder_split_inequality, masmoudi_functional,
-                             masmoudi_series_oracle, mt_functional,
-                             no_boundary_trudinger_coeff,
-                             shifted_functional_bounds, trace_measure)
+from sil.functionals import (Domain, FunctionalSpec, holder_split_inequality,
+                             mt_functional, shifted_functional_bounds)
 from sil.grids import RadialFunction, anchored_log_grid, indicator_values, \
     log_grid
-from sil.measures import singular_measure
+from sil.measures import hyperplane_measure, singular_measure
 from sil.norms import lp_norm
 from sil.params import Params
 
@@ -131,18 +128,12 @@ class TestMtFunctional:
 
 
 class TestAdachiFunctional:
-    def test_zero_homogeneity(self):
-        u = RadialFunction(GRID, np.exp(-GRID**2), 2)
-        lhs1, scale1 = adachi_functional(u, 2.0, 0.5, 0.5, P2)
-        u2 = u.with_values(u.values * 3.0)
-        lhs2, scale2 = adachi_functional(u2, 6.0, 1.5, 0.5, P2)
-        assert lhs1 == pytest.approx(lhs2, rel=1e-9)
-        assert scale1 == pytest.approx(scale2, rel=1e-12)
-
     def test_coupled_family_sweep_bounded(self):
         # along the dilation-coupled gradient-kernel families (u = the
-        # potential, the vector source = its gradient) the left side stays
-        # below a stable multiple of (1 - theta)^{-1} times the scale
+        # potential, the vector source = its gradient) the whole-space
+        # regularized integral of exp(theta 4 pi (|u| / ||grad u||)^2)
+        # stays below a stable multiple of (1 - theta)^{-1} times the scale
+        # (||u|| / ||grad u||)^2
         from sil.extremals import (adams_family, attach_potential,
                                    coupling_eps, dilated_family)
         from sil.kernels import gradient_kernel
@@ -152,77 +143,15 @@ class TestAdachiFunctional:
             eps = coupling_eps(2, 2.0, theta)
             fam = dilated_family(attach_potential(adams_family(k, eps)),
                                  2.0, theta)
-            lhs, scale = adachi_functional(
-                fam.potential, fam.norm_pth_power**0.5,
-                fam.potential_norm_pth**0.5, theta, P2)
+            grad_sq = fam.norm_pth_power
+            spec = FunctionalSpec(gamma_coeff=theta * 4.0 * math.pi / grad_sq,
+                                  power=2.0, domain=Domain.whole_space(),
+                                  regularized=True)
+            lhs = mt_functional(fam.potential, spec).value
+            scale = fam.potential_norm_pth / grad_sq
             normalized.append(lhs / scale * (1.0 - theta))
         assert max(normalized) <= 20.0
         assert max(normalized) <= 2.5 * min(normalized)
-
-    def test_dilation_of_scale(self):
-        # rescaling x -> lam x changes both sides consistently: the scale
-        # (||u||/||grad u||)^{n/a} transforms by lam^{-n} * lam^{n} = 1
-        u = RadialFunction(GRID, np.exp(-GRID**2), 2)
-        lam = 2.0
-        u_lam = RadialFunction(GRID / lam, u.values, 2)
-        nrm, grad = lp_norm(u, 2.0), 3.0
-        nrm_lam = lp_norm(u_lam, 2.0)
-        assert nrm_lam == pytest.approx(nrm / lam, rel=1e-9)
-        # the critical gradient norm is dilation invariant in the plane,
-        # so the right-side scale contracts by lam^{-n}
-        _, scale = adachi_functional(u, grad, nrm, 0.5, P2)
-        _, scale_lam = adachi_functional(u_lam, grad, nrm_lam, 0.5, P2)
-        assert scale_lam == pytest.approx(scale / lam**2, rel=1e-9)
-
-
-class TestMasmoudi:
-    def test_zero(self):
-        u = RadialFunction(GRID, np.zeros_like(GRID), 2)
-        assert masmoudi_functional(u, ("q_power", 2.0), P2) == 0.0
-
-    def test_series_oracle_small_u(self):
-        u = RadialFunction(GRID, 0.1 * np.exp(-GRID**2), 2)
-        for variant in (("q_power", 2.0), ("eps_power", 0.5)):
-            full = masmoudi_functional(u, variant, P2)
-            series = masmoudi_series_oracle(u, variant, P2)
-            assert full == pytest.approx(series, rel=1e-10)
-
-    def test_unknown_variant_rejected(self):
-        u = RadialFunction(GRID, 0.1 * np.exp(-GRID**2), 2)
-        for evaluate in (masmoudi_functional, masmoudi_series_oracle):
-            with pytest.raises(DomainError, match="unknown variant"):
-                evaluate(u, ("r_power", 2.0), P2)
-
-    def test_eps_variant_larger_denominator(self):
-        u = RadialFunction(GRID, np.exp(-GRID**2), 2)
-        a = masmoudi_functional(u, ("q_power", 1.0), P2)
-        b = masmoudi_functional(u, ("eps_power", 1.0), P2)
-        assert b <= a
-
-    def test_family_sweep_bounded_linearly_in_q(self):
-        # normalize the saturating family in the q-norm (which shrinks as q
-        # grows, so the admissible potential grows); the ratio-functional
-        # values must stay below a single linear envelope C * q with C
-        # fitted at q = 1
-        from sil.extremals import adams_family, attach_potential
-        from sil.kernels import riesz_kernel
-        from sil.norms import pair_q_norm
-        worsts = {}
-        fams = [attach_potential(adams_family(riesz_kernel(P2), eps))
-                for eps in (1e-1, 1e-2, 1e-3)]
-        for q in (1.0, 2.0, 4.0):
-            params_q = Params(2, 1.0, q=q)
-            worst = 0.0
-            for fam in fams:
-                d = pair_q_norm(fam.norm_pth_power**0.5,
-                                fam.potential_norm_pth**0.5, params_q)
-                u = fam.potential.with_values(fam.potential.values / d)
-                worst = max(worst, masmoudi_functional(
-                    u, ("q_power", q), P2, gamma=1.0 / math.pi))
-            worsts[q] = worst
-        assert worsts[1.0] <= worsts[2.0] <= worsts[4.0]
-        c_fit = worsts[1.0]
-        assert all(w <= 2.0 * c_fit * q for q, w in worsts.items())
 
 
 class TestHolderSplit:
@@ -263,12 +192,12 @@ class TestShiftBounds:
 
 class TestTraceMeasures:
     def test_sigma_one_is_lebesgue(self):
-        nu = trace_measure("singular", Params(2, 1.0, sigma=1.0))
+        nu = singular_measure(2, 1.0)
         assert nu.kind == "lebesgue"
-        assert nu.growth_Q == pytest.approx(math.pi, rel=1e-12)
+        assert nu.ball_mass_origin(1.0) == pytest.approx(math.pi, rel=1e-12)
 
     def test_singular_half_plane_mass(self):
-        nu = trace_measure("singular", Params(2, 1.0, sigma=0.5))
+        nu = singular_measure(2, 0.5)
         for r in (0.1, 1.0, 5.0):
             assert nu.ball_mass_origin(r) == pytest.approx(
                 2 * math.pi * r, rel=1e-9)
@@ -276,28 +205,17 @@ class TestTraceMeasures:
     def test_singular_mass_formula_general(self):
         # mass of B(0,r) is omega r^{sigma n} / (sigma n)
         for (n, sigma) in [(2, 0.75), (3, 0.5)]:
-            nu = trace_measure("singular", Params(n, 1.0, sigma=sigma))
+            nu = singular_measure(n, sigma)
             r = 2.0
             expected = sphere_area(n) * r ** (sigma * n) / (sigma * n)
             assert nu.ball_mass_origin(r) == pytest.approx(expected, rel=1e-8)
 
     def test_hyperplane(self):
-        nu = trace_measure("hyperplane", Params(2, 1.0, sigma=0.5))
-        assert nu.growth_Q == 2.0 and nu.growth_sigma == 0.5
+        nu = hyperplane_measure()
         assert nu.ball_mass_origin(3.0) == 6.0
-
-    def test_growth_spot_check_runs(self):
-        nu = singular_measure(2, 0.5)
-        nu.spot_check_growth(rng=0, samples=8)
 
 
 class TestNoBoundaryCoefficient:
-    def test_value(self):
-        assert no_boundary_trudinger_coeff(2) == pytest.approx(
-            0.5 * moser_gamma(2), rel=1e-13)
-        assert no_boundary_trudinger_coeff(3) == pytest.approx(
-            2 ** (-0.5) * moser_gamma(3), rel=1e-13)
-
     def test_boundary_sequence_saturates(self):
         # half-space geometry halves the norms of the log family, so the
         # halved coefficient keeps the functional stable along the sweep
@@ -309,7 +227,9 @@ class TestNoBoundaryCoefficient:
             grad_half = 0.5 * gradient_norm_pth(fam)
             plateau = math.log(1.0 / eps)
             u_norm_sq = plateau**2 / grad_half  # |u(0)|^2 / ||grad u||^2
-            vals.append(no_boundary_trudinger_coeff(2) * u_norm_sq
+            # the sharp coefficient without boundary conditions is
+            # 2^{-1/(n-1)} times Moser's
+            vals.append(0.5 * moser_gamma(2) * u_norm_sq
                         - 2.0 * math.log(1.0 / eps))
         # exponent balance: coefficient * |u|^2 - n log(1/eps) stays bounded
         assert max(vals) - min(vals) <= 2.0

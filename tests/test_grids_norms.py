@@ -1,5 +1,6 @@
 import json
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
 from sil.functionals import Domain, FunctionalSpec, mt_functional
 from sil.measures import (MeasureDensity, hyperbolic_volume,
                           hyperplane_measure, lebesgue, singular_measure)
-from sil.norms import lp_norm, pair_q_norm, q_norm, ruf_norm
+from sil.norms import lp_norm, pair_q_norm
 from sil.params import Params
 
 
@@ -84,6 +85,21 @@ class TestSerialization:
         for row in ("nan,0,1.0", "inf,0,1.0"):
             with pytest.raises(ValueError):
                 CartesianField.from_csv(f.to_csv() + row + "\n")
+
+    @pytest.mark.parametrize("reader,text", [
+        (RadialFunction.from_csv, "r,value\nnp.float64(0.1),1\n"),
+        (CartesianField.from_csv, "i0,i1,value\n0,0,1.0\n"),
+        (CartesianField.from_csv,
+         "# cartesian n=2 extent=1 resolution=2\ni0,i1,value\n2,0,1.0\n"),
+        (CartesianField.from_csv,
+         "# cartesian n=2 extent=1 resolution=2\ni0,i1,value\n-1,0,1.0\n"),
+    ], ids=["radial_no_rows", "cartesian_no_header", "cartesian_index_past_end",
+            "cartesian_negative_index"])
+    def test_bad_csv_raises_domain_error(self, reader, text):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DomainError):
+                reader(text)
 
 
 def _reference_radial_csv(f):
@@ -219,22 +235,20 @@ class TestLpNorm:
 
 
 class TestPairNorms:
+    # the paired norm of (f, Tf) is pair_q_norm of their two critical norms;
+    # at q = 1 it is (||f||^{n/a} + ||Tf||^{n/a})^{a/n}
+
     def test_zero(self):
         z = radial(lambda r: 0.0 * r)
-        assert ruf_norm(z, z, Params(2, 1.0)) == 0.0
+        a = lp_norm(z, 2.0)
+        assert pair_q_norm(a, a, Params(2, 1.0)) == 0.0
 
     def test_definition_cross_check(self):
         p = Params(2, 1.0)
         f = radial(lambda r: np.exp(-(np.log(r)) ** 2))
         tf = radial(lambda r: np.exp(-(np.log(r) - 0.3) ** 2))
         a, b = lp_norm(f, 2.0), lp_norm(tf, 2.0)
-        assert ruf_norm(f, tf, p) == pytest.approx((a**2 + b**2) ** 0.5, rel=1e-12)
-
-    def test_q_one_is_ruf(self):
-        p1 = Params(2, 1.0, q=1.0)
-        f = radial(lambda r: np.exp(-(np.log(r)) ** 2))
-        tf = radial(lambda r: 0.5 * np.exp(-(np.log(r)) ** 2))
-        assert q_norm(f, tf, p1) == pytest.approx(ruf_norm(f, tf, p1), rel=1e-12)
+        assert pair_q_norm(a, b, p) == pytest.approx((a**2 + b**2) ** 0.5, rel=1e-12)
 
     def test_q_infinity_max(self):
         assert pair_q_norm(0.3, 0.8, Params(2, 1.0, q=math.inf)) == 0.8

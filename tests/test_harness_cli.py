@@ -3,7 +3,6 @@ import json
 import math
 import os
 import re
-import tracemalloc
 
 import numpy as np
 import pytest
@@ -25,6 +24,22 @@ class TestScenarioPlumbing:
     def test_unknown_id(self):
         with pytest.raises(ConfigError):
             Scenario("nonsense", Params(2, 1.0))
+
+    def test_verdict_that_flips_at_half_resolution_is_inconclusive(
+            self, monkeypatch):
+        def by_resolution(sc):
+            verdict = "bounded" if sc.resolution >= 400 else "violated"
+            return harness.ScenarioResult(sc.id, [], {}, verdict, {})
+
+        monkeypatch.setitem(harness._RUNNERS, "bessel", by_resolution)
+        result = run_scenario(Scenario("bessel", Params(3, 1.0)))
+        assert result.verdict == "inconclusive"
+        assert result.fit["half_resolution_verdict"] == "violated"
+        # a verdict that both resolutions give stands
+        flat = Scenario("bessel", Params(3, 1.0), resolution=1000)
+        kept = run_scenario(flat)
+        assert kept.verdict == "bounded"
+        assert "half_resolution_verdict" not in kept.fit
 
     def test_default_sweeps_monotone(self):
         for sc in default_scenarios():
@@ -154,60 +169,38 @@ class TestDeterminism:
         assert summary["counts"]
 
 
-class TestSplitMonteCarlo:
-    """The lemma suite's split-inequality Monte Carlo draws in chunks the
-    values the whole-array draws of acceptance criterion 12 take."""
+class TestSplitLattice:
+    """lemma_suite checks the Hoelder split inequality on a fixed lattice."""
 
-    @staticmethod
-    def _one_shot(rng):
-        m = 10**6
-        a = rng.uniform(0.0, 10.0, m)
-        b = rng.uniform(0.0, 10.0, m)
-        theta = rng.uniform(0.0, 1.0, m)
-        beta = rng.uniform(1.01, 8.0, m)
-        return a, b, theta, beta
+    def test_lattice_reaches_equality(self):
+        # the last theta of every (a, b) is the maximizer theta*, where both
+        # sides are equal
+        assert harness._SPLIT_BETAS.size == 16
+        for beta in harness._SPLIT_BETAS:
+            a, b, theta = harness._split_lattice(beta)
+            assert np.broadcast(a, b, theta).shape == (24, 24, 18)
+            lhs, rhs = holder_split_inequality(a, b, theta, beta)
+            at_max, rhs = lhs[..., -1], rhs[..., -1]
+            assert np.all(np.abs(at_max - rhs) <= 1e-15 * rhs)
+        assert harness._split_violations() == 0
 
-    def test_same_draws_count_and_state(self, monkeypatch):
-        chunks = []
+    def test_broken_inequality_is_counted(self, monkeypatch):
+        # lower the right side by 1%: the theta* points now violate it
+        def broken(*args):
+            lhs, rhs = holder_split_inequality(*args)
+            return lhs, 0.99 * rhs
 
-        def recording(*arrays):
-            chunks.append(arrays)
-            return holder_split_inequality(*arrays)
-
-        monkeypatch.setattr(harness, "holder_split_inequality", recording)
-        chunked = np.random.default_rng(53)
-        count = harness._split_violations(chunked)
-        whole = np.random.default_rng(53)
-        arrays = self._one_shot(whole)
-        lhs, rhs = holder_split_inequality(*arrays)
-        assert count == int(np.sum(lhs > rhs * (1 + 1e-12) + 1e-12))
-        assert chunked.bit_generator.state == whole.bit_generator.state
-        assert len(chunks) > 1
-        for j, array in enumerate(arrays):
-            assert np.array_equal(np.concatenate([c[j] for c in chunks]), array)
-        # the count adds over chunks: count lhs > rhs with the roles of a
-        # and b swapped in, which about half the draws violate
-        monkeypatch.setattr(harness, "holder_split_inequality",
-                            lambda a, b, theta, beta: (a, b))
-        swapped = harness._split_violations(np.random.default_rng(53))
-        a, b = arrays[:2]
-        assert swapped == int(np.sum(a > b * (1 + 1e-12) + 1e-12)) > 0
-
-    def test_workspace_is_bounded(self):
-        # the whole-array draws peak at about 69 MB
-        rng = np.random.default_rng(53)
-        tracemalloc.start()
-        try:
-            harness._split_violations(rng)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak <= 4 * 2**20
+        monkeypatch.setattr(harness, "holder_split_inequality", broken)
+        assert harness._split_violations() >= 24 * 24 * 16
+        sc = Scenario("lemma_suite", Params(2, 1.0), sweep=[1e-1],
+                      resolution=50)
+        result = run_scenario(sc, check_resolution=False)
+        assert result.fit["split_violations"] > 0
+        assert result.verdict == "violated"
 
 
 def _clear_memos():
     harness._riesz_family.cache_clear()
-    harness._split_violation_count.cache_clear()
 
 
 def _array_fields(obj, prefix=""):
@@ -221,9 +214,8 @@ def _array_fields(obj, prefix=""):
 
 
 class TestFamilyMemo:
-    """sil run builds each Riesz family and each split-inequality Monte
-    Carlo count once per process, and a memo hit gives the bits a cold
-    build gives."""
+    """sil run builds each Riesz family once per process, and a memo hit
+    gives the bits a cold build gives."""
 
     @staticmethod
     def _bench_scenarios(tmp_path, seed=0):
@@ -239,20 +231,14 @@ class TestFamilyMemo:
         out.write_text(json.dumps(cfg))
         return parse_config(str(out))
 
-    def test_each_family_and_count_is_built_once(self, tmp_path, monkeypatch):
-        families, counts = [], []
+    def test_each_family_is_built_once(self, tmp_path, monkeypatch):
+        families = []
 
         def counting_family(*args, **kwargs):
             families.append(args)
             return adams_family(*args, **kwargs)
 
-        def counting_split(rng):
-            counts.append(rng)
-            return split(rng)
-
-        split = harness._split_violations
         monkeypatch.setattr(harness, "adams_family", counting_family)
-        monkeypatch.setattr(harness, "_split_violations", counting_split)
         scenarios = self._bench_scenarios(tmp_path)
         assert len(scenarios) == 7
         _clear_memos()
@@ -265,13 +251,12 @@ class TestFamilyMemo:
         # lemma_suite at both resolutions, plus adachi_rate's 12
         assert len(families) == 34
         assert info.misses == info.currsize == 22 and info.hits == 52
-        # lemma_suite's full- and half-resolution passes share one count
-        assert len(counts) == 1
 
     def test_profiles_draw_where_the_monte_carlo_leaves_rng(self, monkeypatch):
-        # cold or warm, the sandwich profiles start 4 * 10^6 draws on
+        # cold or warm, the sandwich profiles start 4 * 10^6 draws on, where
+        # a Monte Carlo of the split inequality once left the stream
         expected = np.random.default_rng(11)
-        harness._split_violations(expected)
+        expected.bit_generator.advance(4 * 10**6)
         states = []
 
         class Drawn(Exception):
@@ -287,7 +272,6 @@ class TestFamilyMemo:
         for _ in range(2):
             with pytest.raises(Drawn):
                 run_scenario(sc, check_resolution=False)
-        assert harness._split_violation_count.cache_info().hits == 1
         assert states == [expected.bit_generator.state] * 2
 
     def test_memo_hits_are_read_only(self):

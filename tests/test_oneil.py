@@ -12,7 +12,7 @@ from sil.norms import lp_norm
 from sil.oneil import (F_functional, _c3_constant, dual_path_values,
                        garsia_integral, garsia_transform, kernel_profile,
                        level_set_measure, oneil_constant, oneil_rhs,
-                       piecewise_kernel, state_from_phi)
+                       state_from_phi)
 from sil.params import Params
 from sil.potentials import radial_convolve
 from sil.rearrange import RearrangedProfile, decreasing_rearrangement
@@ -182,13 +182,6 @@ class TestGarsiaTransform:
         with pytest.raises(MassNotCaptured):
             garsia_transform(STEP, RIESZ_PROFILE, P2, x_max=0.5)
 
-    def test_residual_mass_monotone(self):
-        state = garsia_transform(STEP, RIESZ_PROFILE, P2)
-        ys = [0.0, 1.0, 3.0, 10.0]
-        vals = [state.residual_mass(y) for y in ys]
-        assert all(a >= b - 1e-12 for a, b in zip(vals, vals[1:]))
-        assert vals[0] <= 1.0 + 1e-3
-
     def test_constants(self):
         state = garsia_transform(STEP, RIESZ_PROFILE, P2)
         assert state.c2 == pytest.approx(4.0, rel=1e-12)  # (2 sqrt(pi))^2/pi
@@ -208,27 +201,6 @@ class TestGarsiaTransform:
         with pytest.raises(DomainError):
             _c3_constant(0.1, gamma_exp, 2.0)
         assert _c3_constant(0.0, gamma_exp, 2.0) == 0.0
-
-
-class TestPiecewiseKernel:
-    def test_middle_branch_unit(self):
-        state = garsia_transform(STEP, RIESZ_PROFILE, P2)
-        vals = piecewise_kernel(np.array([0.5, 1.0, 1.9]), 2.0, state)
-        assert np.allclose(vals, 1.0, atol=1e-12)
-
-    def test_left_branch_unit_for_power_profile(self):
-        # A^{-1/b} k1*(e^{-x}) e^{-x/b} = 1 when k1* is the exact power
-        state = garsia_transform(STEP, RIESZ_PROFILE, P2)
-        vals = piecewise_kernel(np.array([-0.5, -0.1]), 2.0, state)
-        assert np.allclose(vals, 1.0, atol=1e-12)
-
-    def test_right_branch_decay(self):
-        state = garsia_transform(STEP, RIESZ_PROFILE, P2)
-        y = 1.0
-        xs = np.array([2.0, 4.0, 8.0])
-        vals = piecewise_kernel(xs, y, state)
-        expected = 2.0 * np.exp((y - xs) / 2.0)  # C2^{1/2} e^{(y-x)/q}， q=2
-        assert np.allclose(vals, expected, rtol=1e-12)
 
 
 class TestLevelSetMachinery:

@@ -11,8 +11,8 @@ def test_beta_derived_exactly():
         p = Params(n, a)
         assert p.beta == n / (n - a)
         assert p.p_crit == n / a
-        # conjugate pairing: 1/beta + 1/beta' = 1
-        assert 1.0 / p.beta + 1.0 / p.beta_conj == pytest.approx(1.0, abs=1e-15)
+        # conjugate pairing: the conjugate of beta is n/alpha
+        assert 1.0 / p.beta + 1.0 / p.p_crit == pytest.approx(1.0, abs=1e-15)
 
 
 def test_regularization_order():
