@@ -32,7 +32,7 @@ from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec, gradient_kernel
 
 _GL16 = np.polynomial.legendre.leggauss(16)
-_SLAB_BYTES = 1 << 19  # bytes of samples per slab in cartesian_convolve
+_SLAB_BYTES = 1 << 19  # bytes per slab or block of cartesian_convolve's passes
 
 
 # ---------------------------------------------------------------------------
@@ -222,8 +222,8 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightT
 # ---------------------------------------------------------------------------
 
 def _cyclic_length(m: int) -> int:
-    """The real-FFT length, per axis, with which both engines convolve m
-    source samples with the 2m - 1 kernel entries of every offset they hold.
+    """The real-FFT length with which the radial engine convolves m source
+    samples with the 2m - 1 kernel entries of every offset it holds.
 
     The linear convolution has length 3m - 2, and only its entries
     m - 1 ... 2m - 2 are kept.  A cyclic one of length L >= 2m - 1 adds to
@@ -338,123 +338,148 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
 # cartesian convolution
 # ---------------------------------------------------------------------------
 
-@functools.lru_cache(maxsize=2)
-def _leggauss(order: int):
-    """Gauss-Legendre nodes and weights on [-1, 1] for the origin cell's two
-    rules, computed once per order."""
-    nodes, weights = np.polynomial.legendre.leggauss(order)
+_FACE_ORDER = 32  # Gauss-Legendre nodes per face axis of the origin cell
+
+
+def _even_length(m: int) -> int:
+    """The FFT length, per axis, with which the Cartesian engine convolves a
+    box of m cells per axis: the smallest even 5-smooth length >= 2m - 1.
+
+    A kept output entry takes kernel offsets -(m - 1) ... m - 1, and a
+    cyclic convolution of length L >= 2m - 1 holds each at its own index
+    mod L, so nothing wraps onto a kept entry.  L is even because a DCT-I
+    of L/2 + 1 points is the DFT of a sequence of period L that is
+    symmetric about 0 (_even_spectrum).
+    """
+    return 2 * sp_fft.next_fast_len(m, True)
+
+
+@functools.cache
+def _leggauss():
+    """The Gauss-Legendre nodes and weights on [-1, 1] of the origin cell's
+    face rule, computed once."""
+    nodes, weights = np.polynomial.legendre.leggauss(_FACE_ORDER)
     nodes.setflags(write=False)
     weights.setflags(write=False)
     return nodes, weights
 
 
 def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
-    """Exact-to-quadrature integral of g over the origin-centered cell."""
+    """Exact-to-quadrature integral of g over the origin-centered cell.
+
+    In face coordinates: a face point p, at distance h/2 from the centre
+    along one axis, ends the ray of direction p/|p|, along which the radial
+    integral of r^{alpha-1} is |p|^alpha / alpha, and the face element dA
+    subtends the solid angle (h/2) |p|^{-n} dA.  So the cell integral is the
+    sum over the 2n faces of integral a(p/|p|) |p|^{alpha-n} (h/2)/alpha dA,
+    whose integrand is smooth (|p| >= h/2): a tensor Gauss-Legendre rule of
+    _FACE_ORDER nodes per face axis is exact to roundoff.
+    """
     n = kernel.params.n
     alpha = kernel.params.alpha
-    if n == 2:
-        # polar: int a(theta) R(theta)^alpha / alpha, R = half-width / max|cos|,|sin|
-        x64, w64 = _leggauss(64)
-        theta = 0.25 * math.pi * (x64 + 1.0) / 2.0  # [0, pi/4]
-        wt = 0.25 * math.pi * w64 / 2.0
-        r_out = (h / 2.0) / np.cos(theta)
-        if kernel.is_constant_angular:
-            base = 8.0 * kernel.constant_angular_value / alpha * np.sum(wt * r_out**alpha)
-            return float(base)
-        total = 0.0
-        for k in range(8):  # octants
-            phi = theta + k * math.pi / 4.0 if k % 2 == 0 else (k + 1) * math.pi / 4.0 - theta
-            omegas = np.stack([np.cos(phi), np.sin(phi)], axis=-1)
-            avals = np.asarray(kernel.angular(omegas), dtype=float)
-            total += np.sum(wt * avals * r_out**alpha) / alpha
-        return float(total)
-    # n = 3: tensor Gauss-Legendre on the positive octant of the cube, and
-    # on its mirror images for an angular part that is not constant
-    x48, w48 = _leggauss(48)
-    x = (x48 + 1.0) * (h / 4.0)
-    w = w48 * (h / 4.0)
-    xx, yy, zz = np.meshgrid(x, x, x, indexing="ij")
-    ww = w[:, None, None] * w[None, :, None] * w[None, None, :]
-    rr = np.sqrt(xx**2 + yy**2 + zz**2)
-    radial = ww * rr ** (alpha - 3.0)
+    x, w = _leggauss()
+    half = h / 2.0
+    face = np.stack(np.meshgrid(*([x * half] * (n - 1)), indexing="ij"),
+                    axis=-1).reshape(-1, n - 1)
+    weights = functools.reduce(np.multiply.outer, [w * half] * (n - 1)).ravel()
+    points = np.concatenate([np.insert(face, axis, side, axis=1)
+                             for axis in range(n) for side in (half, -half)])
+    r = np.sqrt(np.sum(points**2, axis=1))
     if kernel.is_constant_angular:
-        return float(8.0 * kernel.constant_angular_value * np.sum(radial))
-    unit = np.stack([xx, yy, zz], axis=-1) / rr[..., None]
-    total = 0.0
-    for signs in itertools.product((1.0, -1.0), repeat=3):
-        avals = np.asarray(kernel.angular((unit * signs).reshape(-1, 3)),
-                           dtype=float)
-        total += np.sum(radial * avals.reshape(radial.shape))
-    return float(total)
+        avals = kernel.constant_angular_value
+    else:
+        avals = np.asarray(kernel.angular(points / r[:, None]), dtype=float)
+    values = avals * r ** (alpha - n)
+    return float(np.sum(np.tile(weights, 2 * n) * values) * half / alpha)
 
 
-def _cartesian_spectrum(rows, n: int, length: int, width: int) -> np.ndarray:
-    """scipy.fft.rfftn, at `length` per axis, of a width^n array padded
-    with zeros, whose rows first ... stop - 1 along axis 0 are
-    rows(first, stop).
+def _even_spectrum(kernel: KernelSpec, h: float, res: int,
+                   length: int) -> np.ndarray:
+    """The real spectrum, on frequencies 0 ... length/2 of each axis, of a
+    kernel with constant angular part sampled on every displacement a box of
+    res^n cells holds, the displacement d at cyclic index d mod length.
 
-    The passes are rfftn's, in its order: a real FFT along the last axis of
-    slabs of about _SLAB_BYTES of samples, then complex FFTs over axes
-    0 ... n - 2 in place.  Lines that hold only padding transform to exact
-    zeros and are skipped, so the spectrum is rfftn's bit for bit.
+    The kernel is even in every coordinate, so that sequence is symmetric
+    about 0 on each axis, and its DFT is the DCT-I of its samples on the
+    nonnegative orthant (symmetric convolution, Martucci 1994): res^n
+    samples, zero-padded to (length/2 + 1)^n.  The other frequencies follow
+    from R[k] = R[length - k] on each axis.  The sample at zero
+    displacement is the origin-cell average.
     """
-    spec = np.zeros((length,) * (n - 1) + (length // 2 + 1,), dtype=complex)
-    step = max(1, _SLAB_BYTES // (8 * width ** (n - 1)))
+    p = kernel.params
+    even = np.zeros((length // 2 + 1,) * p.n)
+    r = even[(slice(0, res),) * p.n]
+    squares = (np.arange(res) * h) ** 2
+    for axis in range(p.n):
+        r += squares.reshape((-1,) + (1,) * (p.n - 1 - axis))
+    np.sqrt(r, out=r)
+    origin = (0,) * p.n
+    r[origin] = 1.0
+    np.power(r, p.alpha - p.n, out=r)
+    r *= kernel.constant_angular_value
+    r[origin] = _origin_cell_integral(kernel, h) / h**p.n
+    return sp_fft.dctn(even, type=1, overwrite_x=True)
+
+
+def _cartesian_spectrum(kernel: KernelSpec, h: float, res: int,
+                        length: int) -> np.ndarray:
+    """The half spectrum, at `length` per axis, of a kernel with a callable
+    angular part sampled on the (2 res - 1)^n displacements a box of res^n
+    cells holds, the displacement d at index d + res - 1, and padded with
+    zeros; the sample at zero displacement is the origin-cell average.
+
+    The kernel is sampled in slabs of rows along axis 0 of about
+    _SLAB_BYTES, each transformed along the last axis, and then complex
+    FFTs over axes 0 ... n - 2 run in place, each only on the lines that
+    padding leaves nonzero.
+    """
+    p = kernel.params
+    width = 2 * res - 1
+    offsets = (np.arange(width) - (res - 1)) * h
+    grids = np.meshgrid(*([offsets] * p.n), indexing="ij", sparse=True)
+    spec = np.zeros((length,) * (p.n - 1) + (length // 2 + 1,), dtype=complex)
+    step = max(1, _SLAB_BYTES // (8 * width ** (p.n - 1)))
     for first in range(0, width, step):
-        stop = min(first + step, width)
-        spec[(slice(first, stop),) + (slice(0, width),) * (n - 2)] = \
-            sp_fft.rfft(rows(first, stop), length, axis=-1)
-    for axis in range(n - 1):
-        lines = (slice(None),) * (axis + 1) + (slice(0, width),) * (n - 2 - axis)
+        rows = slice(first, min(first + step, width))
+        slab = [grids[0][rows], *grids[1:]]
+        r = np.sqrt(sum(g**2 for g in slab))
+        center = (res - 1 - first,) + (res - 1,) * (p.n - 1)
+        held = first <= res - 1 < rows.stop
+        if held:
+            r[center] = 1.0
+        unit = np.stack([g / r for g in slab], axis=-1).reshape(-1, p.n)
+        kv = np.asarray(kernel.angular(unit)).reshape(r.shape) * r ** (p.alpha - p.n)
+        if held:
+            kv[center] = _origin_cell_integral(kernel, h) / h**p.n
+        spec[(rows,) + (slice(0, width),) * (p.n - 2)] = \
+            sp_fft.rfft(kv, length, axis=-1)
+    for axis in range(p.n - 1):
+        lines = (slice(None),) * (axis + 1) + (slice(0, width),) * (p.n - 2 - axis)
         sp_fft.fft(spec[lines], axis=axis, overwrite_x=True)
     return spec
 
 
-def _kernel_rows(kernel: KernelSpec, h: float, res: int):
-    """(first, stop) -> the kernel on rows first ... stop - 1, along axis 0,
-    of the (2 res - 1)^n displacements a box of res^n cells holds; the
-    sample at zero displacement is the origin-cell average."""
-    p = kernel.params
-    offsets = (np.arange(2 * res - 1) - (res - 1)) * h
-    grids = np.meshgrid(*([offsets] * p.n), indexing="ij", sparse=True)
-    origin = _origin_cell_integral(kernel, h) / h**p.n
-
-    def rows(first: int, stop: int) -> np.ndarray:
-        slab = [grids[0][first:stop], *grids[1:]]
-        r = np.sqrt(sum(g**2 for g in slab))
-        center = (res - 1 - first,) + (res - 1,) * (p.n - 1)
-        held = first <= res - 1 < stop
-        if held:
-            r[center] = 1.0
-        if kernel.is_constant_angular:
-            kv = kernel.constant_angular_value * r ** (p.alpha - p.n)
-        else:
-            stacked = np.stack([g / r for g in slab], axis=-1)
-            avals = np.asarray(kernel.angular(stacked.reshape(-1, p.n))).reshape(r.shape)
-            kv = avals * r ** (p.alpha - p.n)
-        if held:
-            kv[center] = origin
-        return kv
-
-    return rows
-
-
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
-    """Discrete convolution by a cyclic real FFT, of length
-    _cyclic_length(res) per axis, of the box against the kernel sampled on
-    every displacement the box holds.
+    """Discrete convolution by a cyclic FFT, of length L = _even_length(res)
+    per axis, of the box against the kernel sampled on every displacement
+    the box holds.
 
     The kernel sample at zero displacement is replaced by its exact cell
     average; with the source supported inside the box, displacements never
     exceed the sampled range, so no additional far-field term enters values
     inside the box.
 
-    The workspace is the two half spectra: the kernel is sampled and
-    transformed in slabs of rows, neither input is copied into a padded
-    array, the product overwrites the source spectrum, and the inverse keeps
-    only the box along each axis as soon as that axis is done.  The
-    arithmetic is scipy.fft's rfftn and irfftn pass for pass, so the result
-    is theirs bit for bit.
+    A kernel with constant angular part is even in every coordinate, so its
+    spectrum is real and comes from one orthant of samples by a DCT-I
+    (_even_spectrum); the frequencies past L/2 on a leading axis read it
+    reversed.  A callable angular part keeps the complex half spectrum of
+    all its samples (_cartesian_spectrum), centred at res - 1, so its box
+    starts there.  The source is transformed along the last axis only.  Its
+    frequencies are then taken in blocks of about _SLAB_BYTES of complex
+    workspace: each block is zero-padded and transformed over the leading
+    axes, multiplied by the kernel, inverted, and cut to the box, which
+    overwrites the block.  A last inverse along the last axis, in blocks of
+    rows, fills the res^n output.
     """
     p = kernel.params
     if kernel.kind != "homogeneous" or kernel.is_vector:
@@ -464,21 +489,43 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     h = f.h
     res = f.resolution
     n = f.n
-    length = _cyclic_length(res)
-    spec = _cartesian_spectrum(lambda first, stop: f.values[first:stop],
-                               n, length, res)
-    kernel_spec = _cartesian_spectrum(_kernel_rows(kernel, h, res), n,
-                                      length, 2 * res - 1)
-    spec *= kernel_spec
-    del kernel_spec
-    box = slice(res - 1, 2 * res - 1)
-    for axis in range(n - 1):
-        spec = sp_fft.ifft(spec, axis=axis, norm="forward", overwrite_x=True)
-        spec = spec[(slice(None),) * axis + (box,)]
-    # irfftn scales once, by 1 / L^n, in its last pass
-    conv = sp_fft.irfft(spec, length, axis=-1, norm="forward")[..., box]
-    out = conv * (1.0 / length**n)
-    out *= h**n
+    length = _even_length(res)
+    half = length // 2
+    if kernel.is_constant_angular:
+        kernel_spec = _even_spectrum(kernel, h, res, length)
+        # (block, kernel) slices of each leading axis: R[k] = R[L - k]
+        axis_halves = ((slice(0, half + 1), slice(0, half + 1)),
+                       (slice(half + 1, None), slice(half - 1, 0, -1)))
+        start = 0
+    else:
+        kernel_spec = _cartesian_spectrum(kernel, h, res, length)
+        axis_halves = ((slice(None), slice(None)),)
+        start = res - 1
+    pieces = [tuple(zip(*halves))
+              for halves in itertools.product(axis_halves, repeat=n - 1)]
+    box = slice(start, start + res)
+    step = max(1, _SLAB_BYTES // (8 * length * res ** (n - 2)))
+    slabs = [slice(first, first + step) for first in range(0, res, step)]
+    spec = np.empty((res,) * (n - 1) + (half + 1,), dtype=complex)
+    for rows in slabs:
+        spec[rows] = sp_fft.rfft(f.values[rows], length, axis=-1)
+    step = max(1, _SLAB_BYTES // (16 * length ** (n - 1)))
+    for first in range(0, half + 1, step):
+        cols = slice(first, first + step)
+        block = spec[..., cols]
+        for axis in reversed(range(n - 1)):
+            block = sp_fft.fft(block, length, axis=axis)
+        for lines, kernel_lines in pieces:
+            block[lines] *= kernel_spec[kernel_lines + (cols,)]
+        for axis in range(n - 1):
+            block = sp_fft.ifft(block, axis=axis, norm="forward",
+                                overwrite_x=True)[(slice(None),) * axis + (box,)]
+        spec[..., cols] = block
+    out = np.empty((res,) * n)
+    for rows in slabs:
+        out[rows] = sp_fft.irfft(spec[rows], length, axis=-1, norm="forward",
+                                 overwrite_x=True)[..., box]
+    out *= (h / length) ** n
     return CartesianField(n, f.extent, out)
 
 

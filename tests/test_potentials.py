@@ -1,3 +1,4 @@
+import bisect
 import math
 import tracemalloc
 from collections import OrderedDict
@@ -477,6 +478,16 @@ class TestFullConvolve:
 
 
 class TestCartesianConvolve:
+    def test_even_length_is_smallest_even_five_smooth(self):
+        # every even 5-smooth number up to 2 * 5000, found by brute force
+        limit = 2 * 5000 + 64
+        smooth = sorted(2**a * 3**b * 5**c
+                        for a in range(1, 14) for b in range(9) for c in range(7)
+                        if 2**a * 3**b * 5**c <= limit)
+        for m in range(1, 5001):
+            want = smooth[bisect.bisect_left(smooth, 2 * m - 1)]
+            assert potentials._even_length(m) == want, m
+
     def test_matches_radial_engine(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
         f2 = CartesianField.from_callable(
@@ -514,9 +525,9 @@ class TestCartesianConvolve:
         assert np.max(np.abs(ts - t1 - t2)) <= 1e-10 * np.max(np.abs(ts))
 
     def test_angular_callable_matches_constant_kernel(self):
-        # a callable angular part takes the octant loop of the origin cell
-        # and the sampled-angle path; a constant one must reproduce the
-        # constant-kernel fast path
+        # a callable angular part takes the complex spectrum of all its
+        # samples; a constant one must reproduce the real orthant spectrum
+        # of a constant kernel
         c = 0.7
         flat = KernelSpec(kind="homogeneous", params=P2,
                           angular=lambda om: np.full(len(om), c))
@@ -530,15 +541,25 @@ class TestCartesianConvolve:
             potentials._origin_cell_integral(constant_kernel(P2, c), 0.1),
             rel=1e-12)
 
-    @pytest.mark.parametrize("n,res,angular", [
-        (2, 128, None), (3, 24, None),
-        (2, 96, lambda om: 1.0 + 0.3 * om[:, 0] ** 2)],
-        ids=["n2", "n3", "n2_callable"])
-    def test_cyclic_fft_matches_full_length(self, n, res, angular):
+    @pytest.mark.parametrize("n,res,angular,slab", [
+        (2, 128, None, None), (3, 24, None, None),
+        (2, 96, lambda om: 1.0 + 0.3 * om[:, 0] ** 2, None),
+        (2, 13, None, None), (3, 14, None, None),
+        (3, 14, lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1], None),
+        (2, 37, None, 1024), (3, 14, None, 4096),
+        (3, 14, lambda om: 1.0 + 0.3 * om[:, 0] * om[:, 2], 4096)],
+        ids=["n2", "n3", "n2_callable", "n2_odd", "n3_odd", "n3_callable",
+             "n2_blocks", "n3_blocks", "n3_callable_blocks"])
+    def test_cyclic_fft_matches_full_length(self, n, res, angular, slab,
+                                            monkeypatch):
         # the kernel on full meshgrid arrays and the full linear convolution
         # cut to the box: the cyclic FFT of length >= 2 res - 1 wraps
-        # nothing into the box
+        # nothing into the box.  At res = 13 and 14 the smallest 5-smooth
+        # length >= 2 res - 1 is odd (25, 27) and L is 26 and 28; a small
+        # slab splits every pass into many blocks
         from scipy.signal import fftconvolve
+        if slab is not None:
+            monkeypatch.setattr(potentials, "_SLAB_BYTES", slab)
         params = Params(n, 1.0)
         kernel = riesz_kernel(params) if angular is None else KernelSpec(
             kind="homogeneous", params=params, angular=angular)
@@ -561,29 +582,30 @@ class TestCartesianConvolve:
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
     @pytest.mark.parametrize("n,res", [(2, 512), (3, 64)])
-    def test_workspace_is_two_spectra(self, n, res):
-        # the source and kernel half spectra are the workspace: the kernel is
-        # built in slabs, no input is copied into a padded array and the
-        # product overwrites the source spectrum
-        from scipy.fft import next_fast_len
+    def test_workspace_is_source_spectrum_orthant_and_box(self, n, res):
+        # what the engine holds is the source transformed along the last
+        # axis only, the kernel's real spectrum on one orthant and the
+        # output box; the padded passes run on slabs of about _SLAB_BYTES
+        # (at most 1.5 of them at once, at n = 3)
         f = CartesianField(n, 1.0,
                            np.random.default_rng(n).normal(size=(res,) * n))
         kernel = riesz_kernel(Params(n, 1.0))
         cartesian_convolve(f, kernel)  # quadrature nodes and FFT plans
-        length = next_fast_len(2 * res - 1, True)
-        spectrum = length ** (n - 1) * (length // 2 + 1) * 16
+        half = potentials._even_length(res) // 2
+        held = (res ** (n - 1) * (half + 1) * 16 + (half + 1) ** n * 8
+                + res**n * 8)
         tracemalloc.start()
         try:
             cartesian_convolve(f, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= 2.5 * spectrum
+        assert peak <= held + 2 * potentials._SLAB_BYTES
 
     def test_three_dimensional_callable_matches_full_length(self):
         # an anisotropic angular part in 3-D: samples on every displacement,
-        # the origin cell averaged over all eight octants, and the full
-        # linear convolution cut to the box
+        # the origin cell integrated over all six faces, and the full linear
+        # convolution cut to the box
         from scipy.signal import fftconvolve
         n, res = 3, 20
         angular = lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1] * om[:, 2]
@@ -603,6 +625,23 @@ class TestCartesianConvolve:
         want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
         got = cartesian_convolve(f, kernel).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
+
+    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
+    def test_origin_cell_matches_mpmath(self, n, alpha):
+        # the cell [-1/2, 1/2]^n in face coordinates: 2n faces, each 2^{n-1}
+        # copies of y in [0, 1/2]^{n-1}, with the integrand
+        # (1/2) |p|^{alpha-n} / alpha and |p|^2 = 1/4 + |y|^2
+        import mpmath
+        with mpmath.workdps(30):
+            a = mpmath.mpf(alpha)
+            g = lambda *y: (mpmath.mpf(1) / 4 + sum(t * t for t in y)) \
+                ** ((a - n) / 2)
+            face = mpmath.quad(g, *([[0, mpmath.mpf(1) / 2]] * (n - 1)))
+            want = float(2 * n * 2 ** (n - 1) * face / (2 * a))
+        got = potentials._origin_cell_integral(riesz_kernel(Params(n, alpha)),
+                                               1.0)
+        assert got == pytest.approx(want, rel=1e-14)
 
     def test_three_dimensional_origin_cell_of_callable(self):
         # a constant callable reproduces the constant path, and by the cube's
