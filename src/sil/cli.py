@@ -4,7 +4,7 @@
     sil constants --n 2 --alpha 1
     sil potential --kernel riesz --n 2 --alpha 1 --in f.csv --out Tf.csv
     sil rearrange --in f.csv [--measure lebesgue|density.csv]
-    sil functional --coeff sharp --set ball:1|annulus:a,b|slab:i,lo,hi|halfspace:i|all --in u.csv [--measure ...]
+    sil functional --coeff sharp --set ball:r|annulus:a,b|complement:r|halfspace:i|all --in u.csv [--measure ...]
     sil extremal --kind adams --eps 1e-3 --out profile.csv
     sil garsia --kernel riesz --n 2 --alpha 1 --f f.csv
 
@@ -140,7 +140,10 @@ def cmd_functional(args) -> int:
         else args.gamma
     scale = {"sharp": 1.0, "sharp*theta": args.theta,
              "sharp*(1+delta)": 1.0 + args.delta}[args.coeff]
-    domain = Domain.parse(args.set)
+    try:
+        domain = Domain.parse(args.set)
+    except DomainError as exc:
+        raise ConfigError(str(exc)) from exc
     nu = _load_measure(args.measure, u.n)
     spec = FunctionalSpec.sharp(params, base * scale, domain,
                                 regularized=not domain.bounded, measure=nu)

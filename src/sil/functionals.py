@@ -1,5 +1,5 @@
-"""Exponential functionals over Lebesgue sets, trace measures, and
-hyperbolic volume.
+"""Exponential functionals of radial profiles over Lebesgue sets, trace
+measures, and hyperbolic volume.
 
 All integrals accumulate in log space (max-shifted), so coefficients that
 push |u|^beta past the float exponent range still produce meaningful
@@ -15,26 +15,30 @@ from typing import Optional
 import numpy as np
 
 from .errors import DivergentIntegral, DomainError, HypothesisViolated
-from .grids import CartesianField, RadialFunction
+from .grids import RadialFunction
 from .measures import MeasureDensity, lebesgue
-from .norms import Field, cells
+from .norms import cells
 from .params import Params
 from .rearrange import exp_regularized
 
 
 @dataclass(frozen=True)
 class Domain:
-    """Set descriptor: ball, annulus, ball complement, axis-aligned slab,
-    half space through the origin, or all of space.
+    """Set descriptor: ball, annulus, ball complement, half space through
+    the origin, or all of space, with radii 0 <= inner < outer.
 
-    Slabs ({lo <= x_axis <= hi}) integrate on Cartesian fields; the
-    origin half space also integrates radial profiles (half of the full
-    integral by symmetry)."""
+    The origin half space integrates half of a radial integral, by
+    symmetry."""
 
     kind: str
     inner: float = 0.0
     outer: float = math.inf
     axis: int = 0
+
+    def __post_init__(self):
+        if not 0.0 <= self.inner < self.outer:
+            raise DomainError(f"domain radii need 0 <= inner < outer, got "
+                              f"{self.inner}, {self.outer}")
 
     @staticmethod
     def ball(radius: float) -> "Domain":
@@ -53,53 +57,32 @@ class Domain:
         return Domain("all")
 
     @staticmethod
-    def slab(axis: int, lo: float, hi: float) -> "Domain":
-        return Domain("slab", lo, hi, axis=axis)
-
-    @staticmethod
     def half_space(axis: int = 0) -> "Domain":
         return Domain("halfspace", 0.0, math.inf, axis=axis)
 
-    def radial_mask(self, r: np.ndarray) -> np.ndarray:
-        if self.kind in ("slab",):
-            raise DomainError("slab domains integrate Cartesian fields only")
-        if self.kind == "halfspace":
-            return np.ones_like(r, dtype=bool)
-        return (r >= self.inner) & (r <= self.outer)
-
-    def cartesian_mask(self, coords) -> np.ndarray:
-        """Boolean mask from per-axis coordinate arrays."""
-        if self.kind == "slab":
-            x = coords[self.axis]
-            return (x >= self.inner) & (x <= self.outer)
-        if self.kind == "halfspace":
-            return coords[self.axis] >= 0.0
-        r = np.sqrt(sum(c**2 for c in coords))
-        return self.radial_mask(r)
-
     @property
     def bounded(self) -> bool:
-        if self.kind == "slab":
-            return False
         return math.isfinite(self.outer)
 
     @staticmethod
     def parse(text: str) -> "Domain":
-        if text == "all":
-            return Domain.whole_space()
+        """all, ball:r, annulus:a,b, complement:r or halfspace[:axis]; any
+        other text raises DomainError."""
         kind, _, rest = text.partition(":")
-        if kind == "ball":
-            return Domain.ball(float(rest))
-        if kind == "annulus":
-            a, b = rest.split(",")
-            return Domain.annulus(float(a), float(b))
-        if kind == "complement":
-            return Domain.ball_complement(float(rest))
-        if kind == "slab":
-            axis, lo, hi = rest.split(",")
-            return Domain.slab(int(axis), float(lo), float(hi))
-        if kind == "halfspace":
-            return Domain.half_space(int(rest) if rest else 0)
+        try:
+            if text == "all":
+                return Domain.whole_space()
+            if kind == "ball":
+                return Domain.ball(float(rest))
+            if kind == "annulus":
+                a, b = rest.split(",")
+                return Domain.annulus(float(a), float(b))
+            if kind == "complement":
+                return Domain.ball_complement(float(rest))
+            if kind == "halfspace":
+                return Domain.half_space(int(rest) if rest else 0)
+        except ValueError as exc:
+            raise DomainError(f"cannot parse domain {text!r}: {exc}") from exc
         raise DomainError(f"cannot parse domain {text!r}")
 
 
@@ -133,7 +116,7 @@ class FunctionalResult:
     truncation_error: float = 0.0
 
 
-def _in_domain(u: Field, spec: FunctionalSpec):
+def _in_domain(u: RadialFunction, spec: FunctionalSpec):
     """The (values, masses) cells of u restricted to spec.domain.
 
     Radial masses are scaled by the share of each log-cell inside the
@@ -142,13 +125,6 @@ def _in_domain(u: Field, spec: FunctionalSpec):
     dropped.
     """
     vals, masses = cells(u, spec.measure)
-    if isinstance(u, CartesianField):
-        ax = u.axes()
-        coords = np.meshgrid(*([ax] * u.n), indexing="ij")
-        mask = spec.domain.cartesian_mask([c.ravel() for c in coords])
-        return vals[mask], masses[mask]
-    if spec.domain.kind == "slab":
-        raise DomainError("slab domains integrate Cartesian fields only")
     share = 0.5 if spec.domain.kind == "halfspace" else 1.0
     head = share if spec.domain.inner <= u.grid[0] else 0.0
     masses = masses * np.concatenate(
@@ -189,14 +165,10 @@ def _log_accumulate(exponents: np.ndarray, log_masses: np.ndarray) -> float:
     return peak + math.log(float(np.sum(np.exp(terms - peak))))
 
 
-def mt_functional(u: Field, spec: FunctionalSpec) -> FunctionalResult:
+def mt_functional(u: RadialFunction, spec: FunctionalSpec) -> FunctionalResult:
     """Evaluate the exponential functional; regularized form required on
-    unbounded domains (DivergentIntegral otherwise).
-
-    Cartesian fields integrate over their own box, which bounds every
-    domain descriptor, so the guard applies to radial inputs only."""
-    if not spec.domain.bounded and not spec.regularized \
-            and not isinstance(u, CartesianField):
+    unbounded domains (DivergentIntegral otherwise)."""
+    if not spec.domain.bounded and not spec.regularized:
         nu = spec.measure
         if nu is None or nu.kind in ("lebesgue", "hyperbolic"):
             raise DivergentIntegral(
@@ -212,7 +184,7 @@ def mt_functional(u: Field, spec: FunctionalSpec) -> FunctionalResult:
         log_value = np.logaddexp(math.log(max(direct, 1e-300)), log_big) \
             if direct > 0 or math.isfinite(log_big) else -math.inf
         value = float(np.exp(log_value)) if math.isfinite(log_value) else 0.0
-        if isinstance(u, RadialFunction) and not spec.domain.bounded:
+        if not spec.domain.bounded:
             truncation = _tail_estimate(u, spec)
             value += truncation
             log_value = math.log(max(value, 1e-300))
@@ -261,7 +233,7 @@ class ShiftBounds:
     bound_b: float
 
 
-def shifted_functional_bounds(tf: Field, K: float, p_f: float,
+def shifted_functional_bounds(tf: RadialFunction, K: float, p_f: float,
                               spec: FunctionalSpec, c0: float,
                               beta: Optional[float] = None) -> ShiftBounds:
     """Evaluate the two additive-shift functionals and their closed-form

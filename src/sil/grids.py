@@ -184,16 +184,14 @@ class RadialFunction:
     # -- serialization ------------------------------------------------------
 
     def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write(f"# radial n={self.n} tail_exponent={self.tail_exponent}\n")
         cols = ["r"] + [f"v{i}" for i in range(self.arity)]
-        buf.write(",".join(cols) + "\n")
         vals = self.values if self.is_vector else self.values[:, None]
-        # column by column: no container per row, which would set off the
-        # cyclic garbage collector during long exports
-        fields = [map("{:.17g}".format, c) for c in (self.grid.tolist(), *vals.T.tolist())]
-        buf.writelines(map("{}\n".format, map(",".join, zip(*fields))))
-        return buf.getvalue()
+        # one format call over the interleaved (r, v...) rows: no container
+        # per row, which would set off the cyclic garbage collector
+        table = np.column_stack([self.grid, vals]).ravel().tolist()
+        row = ",".join(["%.17g"] * len(cols)) + "\n"
+        return (f"# radial n={self.n} tail_exponent={self.tail_exponent}\n"
+                + ",".join(cols) + "\n" + (row * self.grid.size) % tuple(table))
 
     @staticmethod
     def from_csv(text: str) -> "RadialFunction":

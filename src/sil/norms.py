@@ -1,4 +1,4 @@
-"""Lebesgue norms on radial and Cartesian grids, plus the paired norms.
+"""Lebesgue norms of radial profiles, plus the paired norms.
 
 Radial integrals use trapezoid quadrature in log-radius with the measure's
 radial weight; the declared power tail beyond the last node is the
@@ -9,15 +9,19 @@ machinery so that equimeasurability is exact up to the shared quadrature.
 from __future__ import annotations
 
 import math
-from typing import Optional, Union
+from typing import Optional
 
 import numpy as np
 
 from .errors import DomainError
-from .grids import CartesianField, RadialFunction, trapezoid_weights_log
+from .grids import RadialFunction, trapezoid_weights_log
 from .measures import MeasureDensity, lebesgue
 
-Field = Union[RadialFunction, CartesianField]
+
+def require_radial(f) -> None:
+    """Norms, rearrangements and functionals take radial profiles only."""
+    if not isinstance(f, RadialFunction):
+        raise DomainError(f"expected a RadialFunction, got {type(f).__name__}")
 
 
 def node_masses(f: RadialFunction, nu: Optional[MeasureDensity] = None) -> np.ndarray:
@@ -32,37 +36,24 @@ def head_mass(f: RadialFunction, nu: Optional[MeasureDensity] = None) -> float:
     return measure.ball_mass_origin(float(f.grid[0]))
 
 
-def cells(f: Field, nu: Optional[MeasureDensity] = None):
-    """(values, masses) decomposition of |f| over the whole space.
-
-    Cartesian fields give one cell per grid point (Lebesgue measure only).
-    Radial profiles give one cell per node, preceded by the head cell: the
-    ball below the first node, carrying the first node's value.
+def cells(f: RadialFunction, nu: Optional[MeasureDensity] = None):
+    """(values, masses) decomposition of |f| over the whole space: one cell
+    per node, preceded by the head cell, the ball below the first node,
+    carrying the first node's value.
     """
-    if isinstance(f, CartesianField):
-        if nu is not None and nu.kind != "lebesgue":
-            raise DomainError("cartesian fields support the Lebesgue measure")
-        vals = np.abs(f.values).ravel()
-        return vals, np.full(vals.shape, f.h**f.n)
+    require_radial(f)
     vals = f.magnitude()
     return (np.concatenate([[vals[0]], vals]),
             np.concatenate([[head_mass(f, nu)], node_masses(f, nu)]))
 
 
-def lp_norm(f: Field, p: float, nu: Optional[MeasureDensity] = None) -> float:
-    """(int |f|^p dnu)^{1/p} by composite quadrature.
-
-    Radial profiles use log-grid trapezoid with the measure weight plus
-    analytic head/tail pieces; Cartesian fields use the midpoint rule.
-    """
+def lp_norm(f: RadialFunction, p: float,
+            nu: Optional[MeasureDensity] = None) -> float:
+    """(int |f|^p dnu)^{1/p}: log-grid trapezoid with the measure weight
+    plus analytic head and tail pieces."""
     if p < 1:
         raise DomainError(f"norm exponent must be >= 1, got p={p}")
-    if isinstance(f, CartesianField):
-        if nu is not None and nu.kind != "lebesgue":
-            raise DomainError("cartesian norms support the Lebesgue measure")
-        total = float(np.sum(np.abs(f.values) ** p)) * f.h**f.n
-        return total ** (1.0 / p)
-
+    require_radial(f)
     measure = nu if nu is not None else lebesgue(f.n)
     mag = f.magnitude()
     masses = node_masses(f, measure)

@@ -30,14 +30,12 @@ from .rearrange import RearrangedProfile, decreasing_rearrangement
 @dataclass
 class KernelProfile:
     """Rearrangement data of a kernel: k1*(t), the profile constants of the
-    power bound k1*(t) <= A^{1/beta} t^{-1/beta} (1 + H (1+|log t|)^{-gamma})
+    power bound k1*(t) <= A^{1/beta} t^{-1/beta} (1 + H / (1 + |log t|))
     on (0, 1], and the tail integral J = (1/A) int_1^inf (k1*)^beta dt."""
 
     beta: float
     A: float
     H: float
-    gamma_exp: float
-    B: float
     J: float
     k1star: Callable[[np.ndarray], np.ndarray]
     t_cut: Optional[float] = None  # pure truncated profiles vanish past this
@@ -103,8 +101,7 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
         t_cut = ball_volume(p.n) * truncation_radius**p.n
         k1 = _pure_profile(a_g, beta, t_cut)
         j = _exact_pure_j(t_cut)
-        return KernelProfile(beta=beta, A=a_g, H=0.0, gamma_exp=1.0,
-                             B=a_g ** (1.0 / beta), J=j, k1star=k1,
+        return KernelProfile(beta=beta, A=a_g, H=0.0, J=j, k1star=k1,
                              t_cut=t_cut)
     # sampled kernels: rearrange a radial sampling (the hyperbolic kernel
     # against the hyperbolic volume) and fit the bound constants
@@ -122,8 +119,7 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
     j = _tail_j(k1, a, beta)
     h = _fit_profile_h(k1, a, beta)
-    return KernelProfile(beta=beta, A=a, H=h, gamma_exp=1.0,
-                         B=a ** (1.0 / beta) * (1.0 + h), J=j, k1star=k1)
+    return KernelProfile(beta=beta, A=a, H=h, J=j, k1star=k1)
 
 
 def _exact_pure_j(t_cut: float) -> float:
@@ -209,9 +205,10 @@ class GarsiaState:
     """The transformed profile phi(x) with its constants.
 
     phi(x) = f*(e^{-x}) e^{-x (b-1)/b}; the change of variables is an
-    isometry of the b'-norm.  C2 = C0^b / A and H feed the piecewise
-    comparison kernel; d* collects C3 + C4 + J, where C4 = q C2 / b is C2
-    at q = b.
+    isometry of the b'-norm.  C2 = C0^b / A feeds the piecewise comparison
+    kernel, and d* = C2 + J.  The log correction H of the profile bound
+    would add C3 = int_0^inf [(1 + H / (1 + x))^b - 1] dx to d*, which
+    diverges for every H > 0, so the chain needs H = 0.
     """
 
     x_grid: np.ndarray
@@ -219,16 +216,15 @@ class GarsiaState:
     profile: KernelProfile
     beta: float = field(init=False)
     c2: float = field(init=False)
-    c3: float = field(init=False)
-    c4: float = field(init=False)
     d_star: float = field(init=False)
 
     def __post_init__(self):
+        if self.profile.H > 0.0:
+            raise DomainError(f"log-correction constant C3 diverges for "
+                              f"H = {self.profile.H:.3g} > 0")
         self.beta = self.profile.beta
         self.c2 = oneil_constant(self.profile)**self.beta / self.profile.A
-        self.c3 = _c3_constant(self.profile.H, self.profile.gamma_exp, self.beta)
-        self.c4 = self.c2
-        self.d_star = self.c3 + self.c4 + self.profile.J
+        self.d_star = self.c2 + self.profile.J
 
     def phi_norm_bc(self) -> float:
         bc = self.beta / (self.beta - 1.0)
@@ -240,7 +236,7 @@ class GarsiaState:
         int g(x, y) phi(x) dx.
 
         left: the x <= 0 branch integral (constant in y);
-        mid(y): cumulative of (1 + H (1+x)^{-gamma}) phi over [0, y];
+        mid(y): cumulative of phi over [0, y];
         right(y) = C2^{1/b} e^{y/b} * tail(y), tail(y) = int_y^inf e^{-x/b} phi.
         """
         x, phi = self.x_grid, self.phi
@@ -255,8 +251,7 @@ class GarsiaState:
             left = 0.0
         pos = x >= 0
         xp = x[pos]
-        mid_integrand = (1.0 + self.profile.H
-                         * (1.0 + xp) ** (-self.profile.gamma_exp)) * phi[pos]
+        mid_integrand = phi[pos]
         mid_cum = np.concatenate([[0.0], np.cumsum(
             0.5 * (mid_integrand[1:] + mid_integrand[:-1]) * np.diff(xp))])
         tail_integrand = np.exp(-xp / beta) * phi[pos]
@@ -264,22 +259,6 @@ class GarsiaState:
         # accumulate from the right: no cancellation for e^{y/b} to amplify
         tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
         return left, xp, mid_cum, tail
-
-
-def _c3_constant(h: float, gamma_exp: float, beta: float) -> float:
-    """int_0^inf [(1 + H (1+x)^{-gamma})^beta - 1] dx; zero when H = 0.
-
-    The integrand decays like beta H (1+x)^{-gamma}, so the constant is
-    finite only for gamma > 1."""
-    if h == 0.0:
-        return 0.0
-    if gamma_exp <= 1.0:
-        raise DomainError("log-correction constant diverges: gamma <= 1")
-    from scipy.integrate import quad
-
-    val, _ = quad(lambda x: (1.0 + h * (1.0 + x) ** (-gamma_exp)) ** beta - 1.0,
-                  0.0, np.inf, limit=200)
-    return val
 
 
 def garsia_transform(fstar: RearrangedProfile, profile: KernelProfile,

@@ -10,7 +10,8 @@ dot product, on the radial-vector field f(y) = (y/|y|) h(|y|), stored as
 the scalar profile h; by Newton's shell theorem the potential is
 -integral_r^inf h in every dimension, a cumulative sum with no table.
 Scalar kernels with other angular parts produce non-radial potentials and
-are rejected; use the Cartesian engine for those.
+are rejected.  The Cartesian engine convolves a box of samples with the
+same kernels, and serves as the radial engine's cross-check.
 """
 
 from __future__ import annotations
@@ -371,9 +372,10 @@ def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
     along one axis, ends the ray of direction p/|p|, along which the radial
     integral of r^{alpha-1} is |p|^alpha / alpha, and the face element dA
     subtends the solid angle (h/2) |p|^{-n} dA.  So the cell integral is the
-    sum over the 2n faces of integral a(p/|p|) |p|^{alpha-n} (h/2)/alpha dA,
-    whose integrand is smooth (|p| >= h/2): a tensor Gauss-Legendre rule of
-    _FACE_ORDER nodes per face axis is exact to roundoff.
+    sum over the 2n faces of integral a |p|^{alpha-n} (h/2)/alpha dA, with
+    a the constant angular part, whose integrand is smooth (|p| >= h/2): a
+    tensor Gauss-Legendre rule of _FACE_ORDER nodes per face axis is exact
+    to roundoff.
     """
     n = kernel.params.n
     alpha = kernel.params.alpha
@@ -385,11 +387,7 @@ def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
     points = np.concatenate([np.insert(face, axis, side, axis=1)
                              for axis in range(n) for side in (half, -half)])
     r = np.sqrt(np.sum(points**2, axis=1))
-    if kernel.is_constant_angular:
-        avals = kernel.constant_angular_value
-    else:
-        avals = np.asarray(kernel.angular(points / r[:, None]), dtype=float)
-    values = avals * r ** (alpha - n)
+    values = kernel.constant_angular_value * r ** (alpha - n)
     return float(np.sum(np.tile(weights, 2 * n) * values) * half / alpha)
 
 
@@ -421,44 +419,6 @@ def _even_spectrum(kernel: KernelSpec, h: float, res: int,
     return sp_fft.dctn(even, type=1, overwrite_x=True)
 
 
-def _cartesian_spectrum(kernel: KernelSpec, h: float, res: int,
-                        length: int) -> np.ndarray:
-    """The half spectrum, at `length` per axis, of a kernel with a callable
-    angular part sampled on the (2 res - 1)^n displacements a box of res^n
-    cells holds, the displacement d at index d + res - 1, and padded with
-    zeros; the sample at zero displacement is the origin-cell average.
-
-    The kernel is sampled in slabs of rows along axis 0 of about
-    _SLAB_BYTES, each transformed along the last axis, and then complex
-    FFTs over axes 0 ... n - 2 run in place, each only on the lines that
-    padding leaves nonzero.
-    """
-    p = kernel.params
-    width = 2 * res - 1
-    offsets = (np.arange(width) - (res - 1)) * h
-    grids = np.meshgrid(*([offsets] * p.n), indexing="ij", sparse=True)
-    spec = np.zeros((length,) * (p.n - 1) + (length // 2 + 1,), dtype=complex)
-    step = max(1, _SLAB_BYTES // (8 * width ** (p.n - 1)))
-    for first in range(0, width, step):
-        rows = slice(first, min(first + step, width))
-        slab = [grids[0][rows], *grids[1:]]
-        r = np.sqrt(sum(g**2 for g in slab))
-        center = (res - 1 - first,) + (res - 1,) * (p.n - 1)
-        held = first <= res - 1 < rows.stop
-        if held:
-            r[center] = 1.0
-        unit = np.stack([g / r for g in slab], axis=-1).reshape(-1, p.n)
-        kv = np.asarray(kernel.angular(unit)).reshape(r.shape) * r ** (p.alpha - p.n)
-        if held:
-            kv[center] = _origin_cell_integral(kernel, h) / h**p.n
-        spec[(rows,) + (slice(0, width),) * (p.n - 2)] = \
-            sp_fft.rfft(kv, length, axis=-1)
-    for axis in range(p.n - 1):
-        lines = (slice(None),) * (axis + 1) + (slice(0, width),) * (p.n - 2 - axis)
-        sp_fft.fft(spec[lines], axis=axis, overwrite_x=True)
-    return spec
-
-
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     """Discrete convolution by a cyclic FFT, of length L = _even_length(res)
     per axis, of the box against the kernel sampled on every displacement
@@ -469,12 +429,11 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     exceed the sampled range, so no additional far-field term enters values
     inside the box.
 
-    A kernel with constant angular part is even in every coordinate, so its
-    spectrum is real and comes from one orthant of samples by a DCT-I
+    The kernel must be scalar with a constant angular part, as in
+    radial_convolve.  It is then even in every coordinate, so its spectrum
+    is real and comes from one orthant of samples by a DCT-I
     (_even_spectrum); the frequencies past L/2 on a leading axis read it
-    reversed.  A callable angular part keeps the complex half spectrum of
-    all its samples (_cartesian_spectrum), centred at res - 1, so its box
-    starts there.  The source is transformed along the last axis only.  Its
+    reversed.  The source is transformed along the last axis only.  Its
     frequencies are then taken in blocks of about _SLAB_BYTES of complex
     workspace: each block is zero-padded and transformed over the leading
     axes, multiplied by the kernel, inverted, and cut to the box, which
@@ -482,8 +441,9 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     rows, fills the res^n output.
     """
     p = kernel.params
-    if kernel.kind != "homogeneous" or kernel.is_vector:
-        raise DomainError("cartesian engine supports scalar homogeneous kernels")
+    if not kernel.is_constant_angular or kernel.is_vector:
+        raise DomainError("the cartesian engine needs a homogeneous kernel "
+                          "with a constant scalar angular part")
     if f.n != p.n:
         raise DomainError("field and kernel dimensions differ")
     h = f.h
@@ -491,19 +451,13 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     n = f.n
     length = _even_length(res)
     half = length // 2
-    if kernel.is_constant_angular:
-        kernel_spec = _even_spectrum(kernel, h, res, length)
-        # (block, kernel) slices of each leading axis: R[k] = R[L - k]
-        axis_halves = ((slice(0, half + 1), slice(0, half + 1)),
-                       (slice(half + 1, None), slice(half - 1, 0, -1)))
-        start = 0
-    else:
-        kernel_spec = _cartesian_spectrum(kernel, h, res, length)
-        axis_halves = ((slice(None), slice(None)),)
-        start = res - 1
+    kernel_spec = _even_spectrum(kernel, h, res, length)
+    # (block, kernel) slices of each leading axis: R[k] = R[L - k]
+    axis_halves = ((slice(0, half + 1), slice(0, half + 1)),
+                   (slice(half + 1, None), slice(half - 1, 0, -1)))
     pieces = [tuple(zip(*halves))
               for halves in itertools.product(axis_halves, repeat=n - 1)]
-    box = slice(start, start + res)
+    box = slice(0, res)
     step = max(1, _SLAB_BYTES // (8 * length * res ** (n - 2)))
     slabs = [slice(first, first + step) for first in range(0, res, step)]
     spec = np.empty((res,) * (n - 1) + (half + 1,), dtype=complex)

@@ -15,50 +15,56 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError, SandwichViolated, UnboundedDistribution
-from .grids import CartesianField, RadialFunction
+from .grids import RadialFunction
 from .measures import MeasureDensity, lebesgue
-from .norms import Field, cells, head_mass
+from .norms import cells, head_mass, require_radial
 
 INFINITE = math.inf
 
 
-def distribution_function(f: Field, s: float,
+def distribution_function(f: RadialFunction, s: float,
                           nu: Optional[MeasureDensity] = None) -> float:
     """nu({|f| > s}); returns math.inf when the super-level set is unbounded.
 
-    Radial profiles resolve level crossings inside grid cells by log-log
+    Level crossings inside grid cells are resolved by log-log
     interpolation (exact for power-law profiles).
     """
     if s < 0:
         raise DomainError("level must be nonnegative")
-    if isinstance(f, CartesianField):
-        vals, masses = cells(f, nu)
-        return float(np.sum(masses[vals > s]))
+    return _distribution(f, nu)(s)
 
+
+def _distribution(f: RadialFunction, nu: Optional[MeasureDensity]):
+    """s -> nu({|f| > s}) for levels s >= 0, with the work that does not
+    depend on s (magnitudes, segment masses, head mass) done once."""
+    require_radial(f)
     mag = f.magnitude()
-    if f.tail_exponent is not None and mag[-1] > s:
-        if f.tail_exponent >= 0:
-            return INFINITE
-        if s == 0.0:
-            return INFINITE
+    tail = f.tail_exponent
     measure = nu if nu is not None else lebesgue(f.n)
-    r, w = f.grid, measure.radial_weight(f.grid)
-    above = mag > s
+    r = f.grid
     # segment-wise trapezoid mass, with fractional cells at level crossings
-    wr = w * r
+    wr = measure.radial_weight(r) * r
     seg = 0.5 * (wr[:-1] + wr[1:]) * np.diff(np.log(r))
-    lo, hi = above[:-1], above[1:]
-    contrib = np.where(lo & hi, seg, 0.0)
-    for j in np.flatnonzero(lo != hi):
-        contrib[j] = seg[j] * _crossing_fraction(mag[j], mag[j + 1], s, lo[j])
-    # cumsum adds in cell order, so the sum rounds as a per-cell loop would
-    head = head_mass(f, nu) if above[0] else 0.0
-    total = np.cumsum(np.concatenate([[head], contrib]))[-1]
-    if f.tail_exponent is not None and f.tail_exponent < 0 and mag[-1] > s:
-        # radius where the tail model crosses s
-        r_cross = r[-1] * (s / mag[-1]) ** (1.0 / f.tail_exponent)
-        total += measure.ball_mass_origin(r_cross) - measure.ball_mass_origin(r[-1])
-    return float(total)
+    head = head_mass(f, nu)
+
+    def measure_above(s: float) -> float:
+        if tail is not None and mag[-1] > s and (tail >= 0 or s == 0.0):
+            return INFINITE
+        above = mag > s
+        lo, hi = above[:-1], above[1:]
+        contrib = np.where(lo & hi, seg, 0.0)
+        for j in np.flatnonzero(lo != hi):
+            contrib[j] = seg[j] * _crossing_fraction(mag[j], mag[j + 1], s, lo[j])
+        # cumsum adds in cell order, so the sum rounds as a per-cell loop would
+        total = np.cumsum(np.concatenate([[head if above[0] else 0.0],
+                                          contrib]))[-1]
+        if tail is not None and tail < 0 and mag[-1] > s:
+            # radius where the tail model crosses s
+            r_cross = r[-1] * (s / mag[-1]) ** (1.0 / tail)
+            total += measure.ball_mass_origin(r_cross) - measure.ball_mass_origin(r[-1])
+        return float(total)
+
+    return measure_above
 
 
 def _crossing_fraction(v0: float, v1: float, s: float, left_above: bool) -> float:
@@ -123,19 +129,18 @@ class RearrangedProfile:
         return float(np.sum(self.fstar**p * np.maximum(hi - lo, 0.0)))
 
 
-def decreasing_rearrangement(f: Field, nu: Optional[MeasureDensity] = None
+def decreasing_rearrangement(f: RadialFunction,
+                             nu: Optional[MeasureDensity] = None
                              ) -> RearrangedProfile:
     """Sort (value, cell-mass) pairs into the nonincreasing rearrangement.
 
     Raises UnboundedDistribution when some positive level has infinite
     super-level measure (non-decaying declared tail).
     """
-    if isinstance(f, RadialFunction) and f.tail_exponent is not None:
-        if f.tail_exponent >= 0 and float(f.magnitude()[-1]) > 0:
-            raise UnboundedDistribution("profile does not decay: rearrangement undefined")
     vals, masses = cells(f, nu)
-    if isinstance(f, RadialFunction) and f.tail_exponent is not None \
-            and float(f.magnitude()[-1]) > 0:
+    if f.tail_exponent is not None and float(f.magnitude()[-1]) > 0:
+        if f.tail_exponent >= 0:
+            raise UnboundedDistribution("profile does not decay: rearrangement undefined")
         # append tail cells following the declared power decay
         r_max = float(f.grid[-1])
         v_end = float(f.magnitude()[-1])
@@ -158,7 +163,7 @@ def decreasing_rearrangement(f: Field, nu: Optional[MeasureDensity] = None
     return RearrangedProfile(t_grid=t, fstar=v, fstarstar=fss)
 
 
-def rearrangement_value(f: Field, t: float,
+def rearrangement_value(f: RadialFunction, t: float,
                         nu: Optional[MeasureDensity] = None) -> float:
     """f*(t) = inf{s : lambda(s) <= t} by 60 bisection steps on the
     distribution function (with its sub-cell crossing interpolation).
@@ -171,25 +176,25 @@ def rearrangement_value(f: Field, t: float,
     """
     if t <= 0:
         raise DomainError("mass level must be positive")
-    hi = float(np.max(np.abs(f.magnitude() if isinstance(f, RadialFunction)
-                             else f.values)))
-    if hi == 0.0 or distribution_function(f, hi, nu) > t:
+    lam = _distribution(f, nu)
+    hi = float(np.max(f.magnitude()))
+    if hi == 0.0 or lam(hi) > t:
         return hi
     lo = 0.0
     for _ in range(60):
         mid = 0.5 * (lo + hi)
-        if distribution_function(f, mid, nu) <= t:
+        if lam(mid) <= t:
             hi = mid
         else:
             lo = mid
     if lo == 0.0:
         lo = float(np.finfo(float).tiny)
-        if distribution_function(f, lo, nu) <= t:
+        if lam(lo) <= t:
             return 0.0
         for _ in range(60):
             # the product of square roots neither underflows nor overflows
             mid = math.sqrt(lo) * math.sqrt(hi)
-            if distribution_function(f, mid, nu) <= t:
+            if lam(mid) <= t:
                 hi = mid
             else:
                 lo = mid
@@ -253,7 +258,7 @@ def exp_regularized(t, n_strip: int):
     return out if out.ndim else float(out)
 
 
-def regularization_sandwich(u: Field, alpha_coeff: float, p: float,
+def regularization_sandwich(u: RadialFunction, alpha_coeff: float, p: float,
                             nu: Optional[MeasureDensity] = None):
     """Two-sided splitting of the regularized whole-space exponential.
 

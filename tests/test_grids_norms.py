@@ -8,11 +8,16 @@ import pytest
 from sil.errors import DomainError, NonIntegrableTail
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid)
-from sil.functionals import Domain, FunctionalSpec, mt_functional
+from sil.functionals import (Domain, FunctionalSpec, mt_functional,
+                             shifted_functional_bounds)
+from sil.kernels import KernelSpec
 from sil.measures import (MeasureDensity, hyperbolic_volume,
                           hyperplane_measure, lebesgue, singular_measure)
-from sil.norms import lp_norm, pair_q_norm
+from sil.norms import cells, lp_norm, pair_q_norm
 from sil.params import Params
+from sil.potentials import cartesian_convolve
+from sil.rearrange import (decreasing_rearrangement, distribution_function,
+                           rearrangement_value)
 
 
 GRID = log_grid(1e-6, 1e3, 4096)
@@ -222,16 +227,38 @@ class TestLpNorm:
         val = lp_norm(f, 3.0)  # converges
         assert np.isfinite(val)
 
-    def test_cartesian_midpoint(self):
-        f = CartesianField.from_callable(
-            lambda x, y: ((x**2 + y**2) <= 1.0).astype(float), 2, 2.0, 512)
-        assert lp_norm(f, 2.0) == pytest.approx(math.sqrt(math.pi), rel=2e-3)
-
     def test_measure_weighted(self):
         nu = singular_measure(2, 0.5)
         f = RadialFunction(GRID, indicator_values(GRID, 1.0), 2)
         # int_B1 |x|^{-1} dx = 2 pi
         assert lp_norm(f, 1.0, nu) == pytest.approx(2 * math.pi, rel=1e-4)
+
+
+_CART = CartesianField.from_callable(lambda x, y: np.exp(-(x**2 + y**2)),
+                                     2, 2.0, 16)
+_BALL = FunctionalSpec(gamma_coeff=0.3, power=2.0, domain=Domain.ball(1.0))
+
+
+@pytest.mark.parametrize("call", [
+    lambda: cells(_CART),
+    lambda: lp_norm(_CART, 2.0),
+    lambda: distribution_function(_CART, 0.5),
+    lambda: decreasing_rearrangement(_CART),
+    lambda: rearrangement_value(_CART, 0.1),
+    lambda: mt_functional(_CART, _BALL),
+    lambda: shifted_functional_bounds(_CART, 0.5, 0.5, _BALL, 1.0),
+    lambda: cartesian_convolve(_CART, KernelSpec(
+        kind="homogeneous", params=Params(2, 1.0),
+        angular=lambda om: 1.0 + 0.3 * om[:, 0] ** 2)),
+], ids=["cells", "lp_norm", "distribution_function",
+        "decreasing_rearrangement", "rearrangement_value", "mt_functional",
+        "shifted_functional_bounds", "cartesian_convolve_callable"])
+def test_cartesian_engine_is_only_a_cross_check(call):
+    # a Cartesian field only carries the Cartesian engine's potentials;
+    # norms, rearrangements and functionals take radial profiles, and the
+    # engine itself takes the constant angular parts of radial_convolve
+    with pytest.raises(DomainError):
+        call()
 
 
 class TestPairNorms:

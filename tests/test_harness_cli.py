@@ -536,6 +536,17 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["value"] > math.pi  # integrand above 1 on the disk
 
+    @pytest.mark.parametrize("text", ["ball:abc", "annulus:1", "halfspace:x",
+                                      "bogus", "slab:0,-1,1", "ball:-1"])
+    def test_functional_malformed_set_is_config_error(self, text, tmp_path,
+                                                      capsys):
+        g = log_grid(1e-6, 1e2, 64)
+        src = tmp_path / "u.csv"
+        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
+        code = main(["functional", "--set", text, "--in", str(src)])
+        assert code == 2
+        assert "config error: cannot parse domain" in capsys.readouterr().err
+
     def test_extremal_emits_profile(self, tmp_path):
         dst = tmp_path / "prof.csv"
         code = main(["extremal", "--kind", "moser", "--eps", "1e-3",
@@ -560,7 +571,7 @@ class TestCli:
         assert out["integral"] > 0 and np.isfinite(out["fitted_C5"])
 
     def test_garsia_rejects_divergent_log_correction(self, tmp_path, capsys):
-        # the Bessel profile carries H > 0 with gamma = 1, so C3 diverges
+        # the Bessel profile carries H > 0, so C3 diverges
         g = log_grid(1e-6, 1e2, 1024)
         src = tmp_path / "f.csv"
         src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())

@@ -9,7 +9,7 @@ from sil.kernels import (bessel_kernel_spec, hyperbolic_h2_exact,
                          hyperbolic_kernel_spec, riesz_kernel)
 from sil.measures import hyperbolic_volume
 from sil.norms import lp_norm
-from sil.oneil import (F_functional, _c3_constant, dual_path_values,
+from sil.oneil import (F_functional, GarsiaState, dual_path_values,
                        garsia_integral, garsia_transform, kernel_profile,
                        level_set_measure, oneil_constant, oneil_rhs,
                        state_from_phi)
@@ -98,16 +98,16 @@ class TestKernelProfile:
     ])
     def test_hypothesis_inheritance_sampled(self, make):
         # the power bound with constants (A, H) holds on (0, 1], the tail
-        # bound B t^{-1/beta} on (0, inf), and J is finite
+        # bound A^{1/beta} (1 + H) t^{-1/beta} on (0, inf), and J is finite
         prof = make()
         t_small = np.exp(np.linspace(math.log(1e-6), 0.0, 60))
         bound = prof.A ** (1 / prof.beta) * t_small ** (-1 / prof.beta) \
-            * (1.0 + prof.H * (1.0 + np.abs(np.log(t_small)))
-               ** (-prof.gamma_exp))
+            * (1.0 + prof.H / (1.0 + np.abs(np.log(t_small))))
         vals = np.asarray(prof.k1star(t_small))
         assert np.all(vals <= bound * (1 + 1e-6))
         t_all = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 80))
-        tail_bound = prof.B * t_all ** (-1 / prof.beta)
+        tail_bound = prof.A ** (1 / prof.beta) * (1.0 + prof.H) \
+            * t_all ** (-1 / prof.beta)
         assert np.all(np.asarray(prof.k1star(t_all)) <= tail_bound * (1 + 1e-6))
         assert np.isfinite(prof.J) and prof.J >= 0.0
 
@@ -185,22 +185,19 @@ class TestGarsiaTransform:
     def test_constants(self):
         state = garsia_transform(STEP, RIESZ_PROFILE, P2)
         assert state.c2 == pytest.approx(4.0, rel=1e-12)  # (2 sqrt(pi))^2/pi
-        assert state.c3 == 0.0
-        assert state.c4 == pytest.approx(4.0, rel=1e-12)  # q C2 / beta
         assert state.d_star == pytest.approx(4.0 + math.log(math.pi), rel=1e-12)
 
-    def test_c3_closed_form(self):
-        # beta = gamma = 2: int_0^inf 2 H (1+x)^{-2} + H^2 (1+x)^{-4} dx
-        for h1 in (0.1, 1.0, 3.0):
-            assert _c3_constant(h1, 2.0, 2.0) == pytest.approx(
-                2.0 * h1 + h1**2 / 3.0, rel=1e-10)
-
-    @pytest.mark.parametrize("gamma_exp", [1.0, 0.5])
-    def test_c3_diverges_without_gamma_above_one(self, gamma_exp):
-        # the integrand decays like beta H1 (1+x)^{-gamma}: beta does not help
-        with pytest.raises(DomainError):
-            _c3_constant(0.1, gamma_exp, 2.0)
-        assert _c3_constant(0.0, gamma_exp, 2.0) == 0.0
+    def test_state_needs_h_zero(self):
+        # with the log correction (1 + H/(1 + x)) the constant C3 diverges
+        # for every H > 0; at H = 0 it is absent and d* = C2 + J
+        x = np.linspace(-5.0, 5.0, 101)
+        phi = 0.1 * np.exp(-x**2)
+        bessel = kernel_profile(bessel_kernel_spec(P2))
+        assert bessel.H > 0.0
+        with pytest.raises(DomainError, match="diverges for H"):
+            GarsiaState(x_grid=x, phi=phi, profile=bessel)
+        state = GarsiaState(x_grid=x, phi=phi, profile=RIESZ_PROFILE)
+        assert state.d_star == state.c2 + RIESZ_PROFILE.J
 
 
 class TestLevelSetMachinery:

@@ -524,34 +524,11 @@ class TestCartesianConvolve:
         ts = cartesian_convolve(fsum, K2).values
         assert np.max(np.abs(ts - t1 - t2)) <= 1e-10 * np.max(np.abs(ts))
 
-    def test_angular_callable_matches_constant_kernel(self):
-        # a callable angular part takes the complex spectrum of all its
-        # samples; a constant one must reproduce the real orthant spectrum
-        # of a constant kernel
-        c = 0.7
-        flat = KernelSpec(kind="homogeneous", params=P2,
-                          angular=lambda om: np.full(len(om), c))
-        assert not flat.is_constant_angular
-        rng = np.random.default_rng(4)
-        f = CartesianField(2, 1.0, rng.normal(size=(48, 48)))
-        got = cartesian_convolve(f, flat).values
-        want = cartesian_convolve(f, constant_kernel(P2, c)).values
-        assert np.max(np.abs(got - want)) <= 1e-12 * np.max(np.abs(want))
-        assert potentials._origin_cell_integral(flat, 0.1) == pytest.approx(
-            potentials._origin_cell_integral(constant_kernel(P2, c), 0.1),
-            rel=1e-12)
-
-    @pytest.mark.parametrize("n,res,angular,slab", [
-        (2, 128, None, None), (3, 24, None, None),
-        (2, 96, lambda om: 1.0 + 0.3 * om[:, 0] ** 2, None),
-        (2, 13, None, None), (3, 14, None, None),
-        (3, 14, lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1], None),
-        (2, 37, None, 1024), (3, 14, None, 4096),
-        (3, 14, lambda om: 1.0 + 0.3 * om[:, 0] * om[:, 2], 4096)],
-        ids=["n2", "n3", "n2_callable", "n2_odd", "n3_odd", "n3_callable",
-             "n2_blocks", "n3_blocks", "n3_callable_blocks"])
-    def test_cyclic_fft_matches_full_length(self, n, res, angular, slab,
-                                            monkeypatch):
+    @pytest.mark.parametrize("n,res,slab", [
+        (2, 128, None), (3, 24, None), (2, 13, None), (3, 14, None),
+        (2, 37, 1024), (3, 14, 4096)],
+        ids=["n2", "n3", "n2_odd", "n3_odd", "n2_blocks", "n3_blocks"])
+    def test_cyclic_fft_matches_full_length(self, n, res, slab, monkeypatch):
         # the kernel on full meshgrid arrays and the full linear convolution
         # cut to the box: the cyclic FFT of length >= 2 res - 1 wraps
         # nothing into the box.  At res = 13 and 14 the smallest 5-smooth
@@ -560,9 +537,7 @@ class TestCartesianConvolve:
         from scipy.signal import fftconvolve
         if slab is not None:
             monkeypatch.setattr(potentials, "_SLAB_BYTES", slab)
-        params = Params(n, 1.0)
-        kernel = riesz_kernel(params) if angular is None else KernelSpec(
-            kind="homogeneous", params=params, angular=angular)
+        kernel = riesz_kernel(Params(n, 1.0))
         f = CartesianField(n, 1.0, np.random.default_rng(n).normal(size=(res,) * n))
         h = f.h
         offsets = (np.arange(2 * res - 1) - (res - 1)) * h
@@ -570,11 +545,7 @@ class TestCartesianConvolve:
         r = np.sqrt(sum(g**2 for g in grids))
         center = (res - 1,) * n
         r[center] = 1.0
-        if angular is None:
-            kv = r ** (1.0 - n)
-        else:
-            unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
-            kv = angular(unit).reshape(r.shape) * r ** (1.0 - n)
+        kv = r ** (1.0 - n)
         kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
         full = fftconvolve(f.values, kv, mode="full")
         want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
@@ -602,30 +573,6 @@ class TestCartesianConvolve:
             tracemalloc.stop()
         assert peak <= held + 2 * potentials._SLAB_BYTES
 
-    def test_three_dimensional_callable_matches_full_length(self):
-        # an anisotropic angular part in 3-D: samples on every displacement,
-        # the origin cell integrated over all six faces, and the full linear
-        # convolution cut to the box
-        from scipy.signal import fftconvolve
-        n, res = 3, 20
-        angular = lambda om: 1.0 + 0.3 * om[:, 0] ** 2 - 0.2 * om[:, 1] * om[:, 2]
-        kernel = KernelSpec(kind="homogeneous", params=Params(n, 1.5),
-                            angular=angular)
-        f = CartesianField(n, 1.0, np.random.default_rng(7).normal(size=(res,) * n))
-        h = f.h
-        offsets = (np.arange(2 * res - 1) - (res - 1)) * h
-        grids = np.meshgrid(*([offsets] * n), indexing="ij")
-        r = np.sqrt(sum(g**2 for g in grids))
-        center = (res - 1,) * n
-        r[center] = 1.0
-        unit = np.stack([g / r for g in grids], axis=-1).reshape(-1, n)
-        kv = angular(unit).reshape(r.shape) * r ** (1.5 - n)
-        kv[center] = potentials._origin_cell_integral(kernel, h) / h**n
-        full = fftconvolve(f.values, kv, mode="full")
-        want = full[(slice(res - 1, 2 * res - 1),) * n] * h**n
-        got = cartesian_convolve(f, kernel).values
-        assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
-
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
     def test_origin_cell_matches_mpmath(self, n, alpha):
@@ -642,20 +589,6 @@ class TestCartesianConvolve:
         got = potentials._origin_cell_integral(riesz_kernel(Params(n, alpha)),
                                                1.0)
         assert got == pytest.approx(want, rel=1e-14)
-
-    def test_three_dimensional_origin_cell_of_callable(self):
-        # a constant callable reproduces the constant path, and by the cube's
-        # symmetry om_0^2 averages to a third of 1
-        p = Params(3, 1.5)
-        flat = KernelSpec(kind="homogeneous", params=p,
-                          angular=lambda om: np.full(len(om), 0.7))
-        square = KernelSpec(kind="homogeneous", params=p,
-                            angular=lambda om: om[:, 0] ** 2)
-        const = potentials._origin_cell_integral(constant_kernel(p, 0.7), 0.1)
-        assert potentials._origin_cell_integral(flat, 0.1) == pytest.approx(
-            const, rel=1e-13)
-        assert 3.0 * potentials._origin_cell_integral(square, 0.1) \
-            == pytest.approx(const / 0.7, rel=1e-13)
 
     def test_three_dimensional_matches_radial(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
