@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -198,6 +199,16 @@ class TestGarsiaTransform:
             GarsiaState(x_grid=x, phi=phi, profile=bessel)
         state = GarsiaState(x_grid=x, phi=phi, profile=RIESZ_PROFILE)
         assert state.d_star == state.c2 + RIESZ_PROFILE.J
+
+    @pytest.mark.parametrize("h1", [1.0, 0.5])
+    def test_c3_diverges_without_gamma_above_one(self, h1):
+        # the log correction has exponent 1, so the C3 integrand decays like
+        # beta H (1+x)^{-1}: beta does not help, and any H > 0 diverges
+        x = np.linspace(-5.0, 5.0, 101)
+        phi = 0.1 * np.exp(-x**2)
+        profile = dataclasses.replace(RIESZ_PROFILE, H=h1)
+        with pytest.raises(DomainError, match="diverges"):
+            GarsiaState(x_grid=x, phi=phi, profile=profile)
 
 
 class TestLevelSetMachinery:
