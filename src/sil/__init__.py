@@ -17,8 +17,8 @@ from .rearrange import (RearrangedProfile, decreasing_rearrangement,
                         distribution_function, exp_regularized,
                         regularization_sandwich)
 from .potentials import cartesian_convolve, radial_convolve
-from .extremals import (ExtremalFamily, LogFamily, PolynomialBasis,
-                        adams_family, dilated_family, hyperbolic_log_family,
+from .extremals import (ExtremalFamily, LogFamily, adams_family,
+                        dilated_family, hyperbolic_log_family,
                         moser_log_family, normalize_ruf)
 from .functionals import Domain, FunctionalSpec, mt_functional
 from .oneil import (GarsiaState, KernelProfile, F_functional, garsia_integral,

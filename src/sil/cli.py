@@ -4,7 +4,7 @@
     sil constants --n 2 --alpha 1
     sil potential --kernel riesz --n 2 --alpha 1 --in f.csv --out Tf.csv
     sil rearrange --in f.csv [--measure lebesgue|density.csv]
-    sil functional --coeff sharp --set ball:r|annulus:a,b|complement:r|halfspace:i|all --in u.csv [--measure ...]
+    sil functional --coeff sharp --set ball:r|annulus:a,b|complement:r|halfspace|all --in u.csv [--measure ...]
     sil extremal --kind adams --eps 1e-3 --out profile.csv
     sil garsia --kernel riesz --n 2 --alpha 1 --f f.csv
 

@@ -1,4 +1,4 @@
-"""Closed-form and quadrature evaluation of the sharp exponential constants.
+"""Closed-form evaluation of the sharp exponential constants.
 
 All gamma-function evaluations go through math.lgamma / math.gamma, which
 carry 15+ significant digits; constants computed here feed exponents, so
@@ -11,9 +11,7 @@ import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Optional
 
-import numpy as np
-
-from .errors import DegenerateOddCase, DomainError, QuadratureNotConverged
+from .errors import DegenerateOddCase, DomainError
 
 if TYPE_CHECKING:  # pragma: no cover
     from .kernels import KernelSpec
@@ -76,68 +74,17 @@ def moser_gamma(n: int) -> float:
     return n * sphere_area(n) ** (1.0 / (n - 1))
 
 
-def _angular_magnitude(angular, omegas: np.ndarray) -> np.ndarray:
-    """|g| on an array of sphere points, for scalar or vector angular parts."""
-    vals = np.asarray(angular(omegas), dtype=float)
-    if vals.ndim == 1:
-        return np.abs(vals)
-    # vector-valued: components along the last axis
-    return np.sqrt(np.sum(vals * vals, axis=-1))
-
-
-def _sphere_quadrature_nodes(n: int, order: int):
-    """Nodes (unit vectors) and weights integrating over S^{n-1}.
-
-    n = 2: trapezoid on [0, 2pi); n = 3: Gauss-Legendre colatitude x
-    trapezoid longitude.  Exact-spectral for smooth angular parts.
-    """
-    if n == 2:
-        theta = np.arange(order) * (2.0 * math.pi / order)
-        nodes = np.stack([np.cos(theta), np.sin(theta)], axis=-1)
-        weights = np.full(order, 2.0 * math.pi / order)
-        return nodes, weights
-    if n == 3:
-        m_lat = order
-        m_lon = 2 * order
-        x, w = np.polynomial.legendre.leggauss(m_lat)  # x = cos(colatitude)
-        phi = np.arange(m_lon) * (2.0 * math.pi / m_lon)
-        sin_t = np.sqrt(1.0 - x**2)
-        ct, cp = np.meshgrid(x, phi, indexing="ij")
-        st = np.sqrt(1.0 - ct**2)
-        nodes = np.stack([ct, st * np.cos(cp), st * np.sin(cp)], axis=-1).reshape(-1, 3)
-        weights = np.outer(w, np.full(m_lon, 2.0 * math.pi / m_lon)).ravel()
-        return nodes, weights
-    raise DomainError(f"tensor sphere quadrature implemented for n in {{2, 3}}, got n={n}")
-
-
 def kernel_sharp_constant(g: "KernelSpec") -> float:
     """A_g = (1/n) * integral over S^{n-1} of |g(omega)|^{n/(n-alpha)}.
 
-    Validated by one refinement doubling; raises QuadratureNotConverged when
-    the two levels differ by more than 1e-8 relative.
+    Every homogeneous kernel has an angular part of constant length |a|
+    (a scalar constant, or c * omega for the gradient kernels), so the
+    integral is omega_{n-1} |a|^{n/(n-alpha)} in closed form.
     """
     if g.kind != "homogeneous":
         raise DomainError("sharp kernel constant defined for homogeneous kernels only")
     n = g.params.n
-    beta = g.params.beta
-    if g.is_constant_angular:
-        c = abs(g.constant_angular_value)
-        return sphere_area(n) * c**beta / n
-
-    base = 2048 if n == 2 else 256
-
-    def level(m: int) -> float:
-        nodes, weights = _sphere_quadrature_nodes(n, m)
-        mag = _angular_magnitude(g.angular, nodes)
-        return float(np.sum(weights * mag**beta)) / n
-
-    coarse, fine = level(base), level(2 * base)
-    scale = max(abs(fine), 1e-300)
-    if abs(fine - coarse) / scale > 1e-8:
-        raise QuadratureNotConverged(
-            f"sphere quadrature for A_g not converged: {coarse} vs {fine}"
-        )
-    return fine
+    return sphere_area(n) * abs(g.constant_angular_value) ** g.params.beta / n
 
 
 @dataclass(frozen=True)

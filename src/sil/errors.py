@@ -33,20 +33,12 @@ class DegenerateOddCase(DomainError):
     """Sharp constant undefined: odd order equals dimension minus one."""
 
 
-class QuadratureNotConverged(NumericError):
-    """Two refinement levels of a quadrature disagree beyond tolerance."""
-
-
 class SingularOnDiagonal(DomainError):
     """Angular kernel weight requested exactly on its singular diagonal."""
 
 
 class UnboundedResult(NumericError):
     """Convolution diverges for the given input tail."""
-
-
-class IllConditionedBasis(NumericError):
-    """Polynomial basis failed the orthonormality residual test."""
 
 
 class UnboundedDistribution(NumericError):

@@ -7,20 +7,19 @@ decay fast enough at infinity for the critical norm to be finite.  Log-plateau
 families (LogFamily, Euclidean and hyperbolic) drive the first-order
 blow-up tests.
 
-For rotation-equivariant kernels the projection reduces to a small radial
-moment system solved in closed form; the generic n-D orthonormal-basis
-path is kept for angular kernels.
+Every kernel here is rotation-equivariant, so the projection reduces to a
+small radial moment system solved in closed form.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Optional
 
 import numpy as np
 
-from .errors import DomainError, IllConditionedBasis
+from .errors import DomainError
 from .grids import RadialFunction, anchored_log_grid
 from .kernels import KernelSpec
 from .measures import MeasureDensity, hyperbolic_volume, lebesgue
@@ -30,98 +29,6 @@ from .potentials import far_field_from_moments, radial_convolve
 
 FAMILY_R_MIN = 1e-7
 FAMILY_R_MAX = 1e3
-
-
-# ---------------------------------------------------------------------------
-# generic polynomial projection on the unit ball
-# ---------------------------------------------------------------------------
-
-def _monomial_exponents(n: int, degree: int):
-    if n == 2:
-        return [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
-    return [(i, j, k) for i in range(degree + 1)
-            for j in range(degree + 1 - i) for k in range(degree + 1 - i - j)]
-
-
-def _ball_quadrature(n: int):
-    """Tensor quadrature nodes/weights on B_1, exact for moderate-degree polys."""
-    xr, wr = np.polynomial.legendre.leggauss(48)
-    r = 0.5 * (xr + 1.0)
-    wr = 0.5 * wr
-    if n == 2:
-        m_ang = 128
-        theta = np.arange(m_ang) * (2 * math.pi / m_ang)
-        rr, tt = np.meshgrid(r, theta, indexing="ij")
-        pts = np.stack([(rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()], axis=-1)
-        w = (np.outer(wr * r, np.full(m_ang, 2 * math.pi / m_ang))).ravel()
-        return pts, w
-    xc, wc = np.polynomial.legendre.leggauss(32)
-    m_lon = 64
-    phi = np.arange(m_lon) * (2 * math.pi / m_lon)
-    rr, cc, pp = np.meshgrid(r, xc, phi, indexing="ij")
-    ss = np.sqrt(1.0 - cc**2)
-    pts = np.stack([(rr * cc).ravel(), (rr * ss * np.cos(pp)).ravel(),
-                    (rr * ss * np.sin(pp)).ravel()], axis=-1)
-    w = (wr * r**2)[:, None, None] * wc[None, :, None] \
-        * np.full(m_lon, 2 * math.pi / m_lon)[None, None, :]
-    return pts, w.ravel()
-
-
-@dataclass
-class PolynomialBasis:
-    """Orthonormal polynomial basis of degree <= m on L^2(B_1).
-
-    Built by modified Gram-Schmidt on monomials with one re-orthogonalization
-    pass; gram_residual records the worst off-diagonal inner product.
-    """
-
-    n: int
-    degree: int
-    nodes: np.ndarray = field(init=False)
-    weights: np.ndarray = field(init=False)
-    basis_values: np.ndarray = field(init=False)
-    coeff_matrix: np.ndarray = field(init=False)
-    exponents: list = field(init=False)
-    gram_residual: float = field(init=False)
-
-    def __post_init__(self):
-        if self.n not in (2, 3):
-            raise DomainError("polynomial basis implemented for n in {2, 3}")
-        self.exponents = _monomial_exponents(self.n, self.degree)
-        self.nodes, self.weights = _ball_quadrature(self.n)
-        mono = np.stack([np.prod(self.nodes**np.asarray(e), axis=1)
-                         for e in self.exponents], axis=0)
-        nb = len(self.exponents)
-        coeff = np.eye(nb)
-        vals = mono.copy()
-        for _ in range(2):  # MGS with one re-orthogonalization
-            for i in range(nb):
-                for j in range(i):
-                    proj = float(np.sum(self.weights * vals[i] * vals[j]))
-                    vals[i] -= proj * vals[j]
-                    coeff[i] -= proj * coeff[j]
-                norm = math.sqrt(float(np.sum(self.weights * vals[i] ** 2)))
-                vals[i] /= norm
-                coeff[i] /= norm
-        self.basis_values = vals
-        self.coeff_matrix = coeff
-        gram = (vals * self.weights) @ vals.T
-        self.gram_residual = float(np.max(np.abs(gram - np.eye(nb))))
-        if self.gram_residual > 1e-8:
-            raise IllConditionedBasis(
-                f"orthonormalization residual {self.gram_residual:.2e} exceeds 1e-8")
-
-    @property
-    def size(self) -> int:
-        return len(self.exponents)
-
-    def project_coeffs(self, f_at_nodes: np.ndarray) -> np.ndarray:
-        return (self.basis_values * self.weights) @ f_at_nodes
-
-    def evaluate(self, coeffs: np.ndarray, pts: np.ndarray) -> np.ndarray:
-        mono = np.stack([np.prod(pts**np.asarray(e), axis=1)
-                         for e in self.exponents], axis=0)
-        return (self.coeff_matrix.T @ coeffs) @ mono
 
 
 # ---------------------------------------------------------------------------
@@ -164,9 +71,9 @@ class ExtremalFamily:
     """One member of a truncated-power (Adams) family.
 
     kind: 'adams_phi' | 'adams_corrected' | 'adams_normalized' |
-    'adams_dilated'.  profile holds the (scalar) radial values; vector data
-    stores the radial magnitude with vector=True (the field is
-    (y/|y|) * profile).  potential is T_g of the profile, filled in by
+    'adams_dilated'.  profile holds the (scalar) radial values; for a
+    vector kernel it is the radial magnitude of the field
+    (y/|y|) * profile.  potential is T_g of the profile, filled in by
     attach_potential; norm_pth_power caches ||f||_{n/a}^{n/a};
     potential_norm_pth the same for T f.  proj_coeffs is read-only, as the
     arrays of every RadialFunction are, so callers can share a family.
@@ -177,7 +84,6 @@ class ExtremalFamily:
     params: Params
     kernel: KernelSpec
     profile: RadialFunction
-    vector: bool = False
     r_dilation: float = 1.0
     potential: Optional[RadialFunction] = None
     proj_coeffs: Optional[np.ndarray] = None
@@ -198,7 +104,7 @@ class ExtremalFamily:
         if self.kind not in ("adams_phi", "adams_corrected", "adams_normalized"):
             raise DomainError("moments available for truncated-power families")
         n, alpha = self.params.n, self.params.alpha
-        o = _power_offset(self.vector)
+        o = _power_offset(self.kernel.vector)
         out = np.empty(jmax + 1)
         for j in range(jmax + 1):
             val = self.c_phi * _power_integral(2 * j + o + n - alpha, self.eps, 1.0)
@@ -210,8 +116,8 @@ class ExtremalFamily:
 
     def far_field(self, r: np.ndarray) -> np.ndarray:
         """Potential far from the support via the even-moment expansion."""
-        if not self.kernel.is_constant_angular:
-            raise DomainError("moment far field needs a constant angular kernel")
+        if not self.kernel.is_scalar_homogeneous:
+            raise DomainError("moment far field needs a scalar homogeneous kernel")
         moments = self.even_moments(40)
         return far_field_from_moments(self.kernel, moments, r) / self.normalization
 
@@ -226,25 +132,16 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     """Truncated power profile kappa^{a/(n-a)} |y|^{-a} on eps <= |y| <= 1,
     optionally with its degree-2n polynomial projection subtracted.
 
-    Scalar kernels must have a constant angular part here (otherwise the
-    potential is not radial); vector kernels with |g| constant on the
-    sphere produce the radial-vector family.
+    kappa = |a| is the constant length of the kernel's angular part; the
+    vector (gradient) kernels produce the radial-vector family.
     """
     if not 0 < eps < 1:
         raise DomainError("family parameter must lie in (0, 1)")
     p = g.params
     n, alpha = p.n, p.alpha
-    if g.is_vector:
-        probe = np.asarray(g.angular(np.eye(n)[:1]))
-        kappa = float(np.linalg.norm(probe[0]))
-        vector = True
-    else:
-        if not g.is_constant_angular:
-            raise DomainError("radial family construction needs |g| constant "
-                              "on the sphere")
-        kappa = abs(g.constant_angular_value)
-        vector = False
-    c_phi = kappa ** (alpha / (n - alpha))
+    if g.kind != "homogeneous":
+        raise DomainError("truncated-power families need a homogeneous kernel")
+    c_phi = abs(g.constant_angular_value) ** (alpha / (n - alpha))
 
     grid = _family_grid(eps, per_decade)
     # snap eps to the grid so the support edge is a node
@@ -259,9 +156,9 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     j_one = int(np.argmin(np.abs(grid - 1.0)))
     values[j_one] *= 0.5
     if corrected:
-        coeffs = _radial_projection_coeffs(n, alpha, eps_snapped, c_phi, vector)
+        coeffs = _radial_projection_coeffs(n, alpha, eps_snapped, c_phi, g.vector)
         coeffs.setflags(write=False)
-        powers = 2 * np.arange(len(coeffs)) + _power_offset(vector)
+        powers = 2 * np.arange(len(coeffs)) + _power_offset(g.vector)
         poly = np.zeros_like(grid)
         inside = grid <= 1.0
         for c, k in zip(coeffs, powers):
@@ -271,7 +168,7 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     profile = RadialFunction(grid, values, n, tail_exponent=None)
     return ExtremalFamily(
         kind="adams_corrected" if corrected else "adams_phi",
-        eps=eps_snapped, params=p, kernel=g, profile=profile, vector=vector,
+        eps=eps_snapped, params=p, kernel=g, profile=profile,
         proj_coeffs=coeffs, c_phi=c_phi)
 
 
@@ -284,7 +181,7 @@ def attach_potential(fam: ExtremalFamily) -> ExtremalFamily:
     """
     n, alpha = fam.params.n, fam.params.alpha
     if fam.kind == "adams_corrected":
-        tail = alpha - n - (2 * n + 2 - _power_offset(fam.vector))
+        tail = alpha - n - (2 * n + 2 - _power_offset(fam.kernel.vector))
     else:
         tail = alpha - n
     tf = radial_convolve(fam.profile, fam.kernel, tail_exponent_out=tail)
@@ -339,7 +236,7 @@ def dilated_family(fam: ExtremalFamily, q: float, theta: float) -> ExtremalFamil
                          tail_exponent=fam.potential.tail_exponent)
     return ExtremalFamily(
         kind="adams_dilated", eps=fam.eps, params=p, kernel=fam.kernel,
-        profile=prof, vector=fam.vector, r_dilation=r,
+        profile=prof, r_dilation=r,
         potential=pot, proj_coeffs=fam.proj_coeffs, c_phi=fam.c_phi,
         norm_pth_power=(a_norm / d) ** pc,
         potential_norm_pth=(b_norm / d) ** pc,

@@ -33,7 +33,6 @@ class Domain:
     kind: str
     inner: float = 0.0
     outer: float = math.inf
-    axis: int = 0
 
     def __post_init__(self):
         if not 0.0 <= self.inner < self.outer:
@@ -57,8 +56,8 @@ class Domain:
         return Domain("all")
 
     @staticmethod
-    def half_space(axis: int = 0) -> "Domain":
-        return Domain("halfspace", 0.0, math.inf, axis=axis)
+    def half_space() -> "Domain":
+        return Domain("halfspace")
 
     @property
     def bounded(self) -> bool:
@@ -66,12 +65,14 @@ class Domain:
 
     @staticmethod
     def parse(text: str) -> "Domain":
-        """all, ball:r, annulus:a,b, complement:r or halfspace[:axis]; any
-        other text raises DomainError."""
+        """all, ball:r, annulus:a,b, complement:r or halfspace; any other
+        text raises DomainError."""
         kind, _, rest = text.partition(":")
         try:
             if text == "all":
                 return Domain.whole_space()
+            if text == "halfspace":
+                return Domain.half_space()
             if kind == "ball":
                 return Domain.ball(float(rest))
             if kind == "annulus":
@@ -79,8 +80,6 @@ class Domain:
                 return Domain.annulus(float(a), float(b))
             if kind == "complement":
                 return Domain.ball_complement(float(rest))
-            if kind == "halfspace":
-                return Domain.half_space(int(rest) if rest else 0)
         except ValueError as exc:
             raise DomainError(f"cannot parse domain {text!r}: {exc}") from exc
         raise DomainError(f"cannot parse domain {text!r}")

@@ -1,17 +1,16 @@
-"""Kernel specifications: homogeneous angular kernels, the Bessel kernel,
-and the hyperbolic Green kernel.
+"""Kernel specifications: homogeneous kernels, the Bessel kernel, and the
+hyperbolic Green kernel.
 
-A homogeneous kernel is g(z) = a(z/|z|) |z|^{alpha-n} with a scalar or
-vector angular part a on the sphere; the vector components share the same
-homogeneity degree.
+A homogeneous kernel is g(z) = a(z/|z|) |z|^{alpha-n} whose angular part
+has constant length |a| on the sphere: a scalar constant (Riesz and its
+multiples), or c * omega for the vector gradient kernels.  That length is
+all the sharp constant A_g = omega_{n-1} |a|^{n/(n-alpha)} / n reads.
 """
 
 from __future__ import annotations
 
-import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Optional
 
 import numpy as np
 from scipy.special import hyp2f1, kv
@@ -27,16 +26,17 @@ class KernelSpec:
 
     kind: 'homogeneous' | 'bessel' | 'hyperbolic' (the order-2 Green
           kernel, so alpha must be 2)
-    angular: callable on an array of unit vectors (K, n) returning (K,) or
-             (K, m) values; None means the constant scalar part.
-    constant_angular_value: fast path for angular parts that are constant.
+    constant_angular_value: the angular part a of a scalar homogeneous
+          kernel, or its length |a| = c when vector is set and the angular
+          part is c * omega.
+    vector: the kernel is vector valued (the gradient kernels) and acts by
+          dot product on radial-vector fields.
     """
 
     kind: str
     params: Params
-    angular: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    constant_angular_value: Optional[float] = 1.0
-    vector_arity: int = 1
+    constant_angular_value: float = 1.0
+    vector: bool = False
     label: str = "kernel"
 
     def __post_init__(self):
@@ -45,16 +45,12 @@ class KernelSpec:
         if self.kind == "hyperbolic" and self.params.alpha != 2.0:
             raise DomainError(f"the hyperbolic Green kernel has order 2, "
                               f"got alpha={self.params.alpha}")
-        if self.angular is not None and self.constant_angular_value is not None:
-            object.__setattr__(self, "constant_angular_value", None)
 
     @property
-    def is_constant_angular(self) -> bool:
-        return self.kind == "homogeneous" and self.angular is None
-
-    @property
-    def is_vector(self) -> bool:
-        return self.vector_arity > 1
+    def is_scalar_homogeneous(self) -> bool:
+        """The kernels every engine takes: homogeneous with a constant
+        scalar angular part."""
+        return self.kind == "homogeneous" and not self.vector
 
 
 def riesz_kernel(params: Params) -> KernelSpec:
@@ -68,16 +64,13 @@ def constant_kernel(params: Params, value: float, label: str = "const") -> Kerne
                       constant_angular_value=value, label=label)
 
 
-@functools.cache
 def gradient_kernel(n: int, alpha: int) -> KernelSpec:
     """Vector kernel of the odd-order gradient representation.
 
     Angular part c_{alpha+1} (n - alpha - 1) * omega (unit-vector valued),
     degree alpha - n; for (n, alpha) = (2, 1) the angular part is
     omega / (2 pi).  The reciprocal of its sharp constant reproduces the
-    first-order Moser constant for alpha = 1.  One spec per (n, alpha), so
-    every caller shares its angular callable and equal kernels compare
-    equal, which is how radial_convolve recognises gradient_kernel(n, 1).
+    first-order Moser constant for alpha = 1.
     """
     if alpha % 2 == 0:
         raise DomainError("gradient kernel is defined for odd orders")
@@ -88,13 +81,9 @@ def gradient_kernel(n: int, alpha: int) -> KernelSpec:
         scale = 1.0 / (2.0 * math.pi)
     else:
         scale = riesz_normalization(n, alpha + 1) * (n - alpha - 1)
-    params = Params(n=n, alpha=float(alpha))
-
-    def angular(omegas: np.ndarray) -> np.ndarray:
-        return scale * np.asarray(omegas, dtype=float)
-
-    return KernelSpec(kind="homogeneous", params=params, angular=angular,
-                      vector_arity=n, label=f"gradient_{n}_{alpha}")
+    return KernelSpec(kind="homogeneous", params=Params(n=n, alpha=float(alpha)),
+                      constant_angular_value=scale, vector=True,
+                      label=f"gradient_{n}_{alpha}")
 
 
 def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:

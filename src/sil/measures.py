@@ -32,7 +32,6 @@ class MeasureDensity:
     radial_density: w(r) for kind='radial' (w >= 0)
     density_exponent: e for kind='radial' with w(r) = r^e, in place of
         radial_density; ball masses and tails then have closed forms
-    growth_Q, growth_sigma: certified bound nu(B(x,r)) <= Q r^{sigma n}
     """
 
     kind: str

@@ -94,9 +94,9 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
             raise JInfinite(
                 "purely homogeneous kernels have a divergent tail integral; "
                 "truncate to a ball to make J finite")
-        if not kernel.is_constant_angular:
-            raise DomainError("profile truncation implemented for constant "
-                              "angular parts")
+        if not kernel.is_scalar_homogeneous:
+            raise DomainError("profile truncation implemented for scalar "
+                              "homogeneous kernels")
         # mass where the truncated kernel first vanishes
         t_cut = ball_volume(p.n) * truncation_radius**p.n
         k1 = _pure_profile(a_g, beta, t_cut)

@@ -1,17 +1,16 @@
 """Convolution against singular homogeneous kernels.
 
-Radial reduction: the kernel decides it.  A scalar kernel with constant
-angular part acts on a radial profile and reduces to a 1-D integral
-against the angular weight W(r, rho) = integral over S^{n-1} of
+Radial reduction: the kernel decides it.  A scalar homogeneous kernel
+(constant angular part) acts on a radial profile and reduces to a 1-D
+integral against the angular weight W(r, rho) = integral over S^{n-1} of
 g(r e1 - rho omega).  On a uniform log grid W(r_j / r_i) depends only on
 j - i, so the convolution is a log-space correlation plus a corrected band
 around the integrable diagonal singularity.  The gradient kernels act, by
 dot product, on the radial-vector field f(y) = (y/|y|) h(|y|), stored as
 the scalar profile h; by Newton's shell theorem the potential is
 -integral_r^inf h in every dimension, a cumulative sum with no table.
-Scalar kernels with other angular parts produce non-radial potentials and
-are rejected.  The Cartesian engine convolves a box of samples with the
-same kernels, and serves as the radial engine's cross-check.
+The Cartesian engine convolves a box of samples with the scalar kernels,
+and serves as the radial engine's cross-check.
 """
 
 from __future__ import annotations
@@ -31,6 +30,7 @@ from .constants import sphere_area
 from .errors import DomainError, SingularOnDiagonal, UnboundedResult
 from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec, gradient_kernel
+from .norms import require_radial
 
 _GL16 = np.polynomial.legendre.leggauss(16)
 _SLAB_BYTES = 1 << 19  # bytes per slab or block of cartesian_convolve's passes
@@ -84,9 +84,8 @@ def _circle_hyp(alpha: float, u: np.ndarray) -> np.ndarray:
 def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r).
 
-    Closed forms for scalar kernels with a constant angular part, in n = 2
-    (_circle_slice) and n = 3 (colatitude reduction).  Other kernels raise
-    DomainError.
+    Closed forms for scalar homogeneous kernels, in n = 2 (_circle_slice)
+    and n = 3 (colatitude reduction).  Other kernels raise DomainError.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u <= 0):
@@ -96,9 +95,12 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     n, alpha = kernel.params.n, kernel.params.alpha
     if n not in (2, 3):
         raise DomainError("radial reduction implemented for n in {2, 3}")
-    if kernel.is_constant_angular and n == 2:
+    if not kernel.is_scalar_homogeneous:
+        raise DomainError("radial slices exist for scalar homogeneous "
+                          "kernels only")
+    if n == 2:
         out = kernel.constant_angular_value * _circle_slice(alpha, u)
-    elif kernel.is_constant_angular:
+    else:
         a = kernel.constant_angular_value
         um = np.abs(1.0 - u)
         if abs(alpha - 1.0) < 1e-14:
@@ -106,9 +108,6 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
         else:
             val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
         out = 2.0 * math.pi * a * val
-    else:
-        raise DomainError("radial slices exist for constant scalar angular "
-                          "parts only")
     return out if out.size > 1 else float(out[0])
 
 
@@ -185,13 +184,12 @@ def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
 def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightTable:
     """A table of at least 2m - 1 entries for step h; use .window(m).
 
-    Scalar kernels with a constant angular part only.  Cached on what fixes
-    the table, (n, alpha, constant angular value, h), with h the exact
-    float; a longer request extends the cached table by its new entries.
+    Scalar homogeneous kernels only.  Cached on what fixes the table,
+    (n, alpha, constant angular value, h), with h the exact float; a longer
+    request extends the cached table by its new entries.
     """
-    if not kernel.is_constant_angular or kernel.is_vector:
-        raise DomainError("radial tables need a homogeneous kernel with a "
-                          "constant scalar angular part")
+    if not kernel.is_scalar_homogeneous:
+        raise DomainError("radial tables need a scalar homogeneous kernel")
     key = (kernel.params.n, kernel.params.alpha, kernel.constant_angular_value, h)
     old = _TABLE_CACHE.get(key)
     if old is not None:
@@ -286,12 +284,12 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
                     tail_exponent_out: Optional[float] = None) -> RadialFunction:
     """T_g f on the grid of f; the kernel decides the reduction.
 
-    A scalar kernel with constant angular part acts on the radial profile
-    f.  gradient_kernel(n, 1) acts on f(y) = (y/|y|) h(|y|), with h stored
+    A scalar homogeneous kernel acts on the radial profile f.  gradient_kernel(n, 1) acts on f(y) = (y/|y|) h(|y|), with h stored
     as the (scalar) values of f.  source, if given, must name that reduction
     ('scalar' or 'radial_vector').  Output carries the generic homogeneous
     tail exponent alpha - n unless tail_exponent_out overrides it.
     """
+    require_radial(f)
     p = kernel.params
     if f.n != p.n:
         raise DomainError(f"profile in dimension {f.n}, kernel in "
@@ -299,12 +297,12 @@ def radial_convolve(f: RadialFunction, kernel: KernelSpec,
     if f.is_vector:
         raise DomainError("store a radial-vector field (y/|y|) h(|y|) as the "
                           "scalar profile h")
-    implied = "radial_vector" if kernel.is_vector else "scalar"
+    implied = "radial_vector" if kernel.vector else "scalar"
     if source is not None and source != implied:
         raise DomainError(f"kernel {kernel.label!r} reduces on {implied} "
                           f"sources, not {source!r}")
 
-    if kernel.is_vector:
+    if kernel.vector:
         if kernel != gradient_kernel(p.n, 1):
             raise DomainError("the only vector kernels with a radial "
                               "reduction are gradient_kernel(n, 1)")
@@ -429,8 +427,7 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     exceed the sampled range, so no additional far-field term enters values
     inside the box.
 
-    The kernel must be scalar with a constant angular part, as in
-    radial_convolve.  It is then even in every coordinate, so its spectrum
+    The kernel must be scalar homogeneous, as in radial_convolve.  It is then even in every coordinate, so its spectrum
     is real and comes from one orthant of samples by a DCT-I
     (_even_spectrum); the frequencies past L/2 on a leading axis read it
     reversed.  The source is transformed along the last axis only.  Its
@@ -441,9 +438,9 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     rows, fills the res^n output.
     """
     p = kernel.params
-    if not kernel.is_constant_angular or kernel.is_vector:
-        raise DomainError("the cartesian engine needs a homogeneous kernel "
-                          "with a constant scalar angular part")
+    if not kernel.is_scalar_homogeneous:
+        raise DomainError("the cartesian engine needs a scalar homogeneous "
+                          "kernel")
     if f.n != p.n:
         raise DomainError("field and kernel dimensions differ")
     h = f.h
@@ -512,8 +509,9 @@ def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
     the numerically clean way to evaluate potentials of moment-cancelled
     profiles far from their support, where direct quadrature is all noise.
     """
-    if not kernel.is_constant_angular:
-        raise DomainError("moment far field implemented for constant angular parts")
+    if not kernel.is_scalar_homogeneous:
+        raise DomainError("moment far field implemented for scalar "
+                          "homogeneous kernels")
     p = kernel.params
     r = np.atleast_1d(np.asarray(r, dtype=float))
     if np.any(r <= 1.0):

@@ -1,13 +1,12 @@
 import math
 
-import numpy as np
 import pytest
 
 from sil.constants import (SharpConstants, ball_volume, kernel_sharp_constant,
                            moser_gamma, riesz_normalization, sharp_gamma,
                            sphere_area)
 from sil.errors import DegenerateOddCase, DomainError
-from sil.kernels import KernelSpec, constant_kernel, gradient_kernel
+from sil.kernels import constant_kernel, gradient_kernel
 from sil.params import Params
 
 
@@ -97,21 +96,13 @@ class TestKernelSharpConstant:
         assert a_g == pytest.approx(expected, rel=1e-10)
         assert 1.0 / a_g == pytest.approx(sharp_gamma(3, 1), rel=1e-10)
 
-    @pytest.mark.parametrize("s", [0, 1, 2])
-    def test_against_beta_function_integral(self, s):
-        # g(w) = |w . e1|^s on the circle; int |cos|^{s beta} has the
-        # closed form 2 sqrt(pi) Gamma((m+1)/2) / Gamma(m/2 + 1)
-        params = Params(2, 1.0)
-        beta = params.beta
-
-        def angular(om):
-            return np.abs(om[:, 0]) ** s
-
-        k = KernelSpec(kind="homogeneous", params=params, angular=angular)
-        m = s * beta
-        exact = 2 * math.sqrt(math.pi) * math.gamma((m + 1) / 2) \
-            / math.gamma(m / 2 + 1) / 2.0
-        assert kernel_sharp_constant(k) == pytest.approx(exact, rel=1e-8)
+    @pytest.mark.parametrize("n,alpha", [(2, 1), (3, 1), (4, 1), (5, 1),
+                                         (5, 3), (6, 3)])
+    def test_gradient_kernel_closed_form(self, n, alpha):
+        # |g| = (n - alpha - 1) c_{alpha+1} on the sphere, so A_g is the
+        # reciprocal of the odd-order sharp constant to roundoff
+        a_g = kernel_sharp_constant(gradient_kernel(n, alpha))
+        assert abs(a_g * sharp_gamma(n, alpha) - 1.0) <= 1e-14
 
 
 def test_sharp_constants_bundle():

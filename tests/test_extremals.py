@@ -5,8 +5,8 @@ import pytest
 
 from sil.constants import sphere_area
 from sil.errors import DomainError
-from sil.extremals import (PolynomialBasis, adams_family,
-                           attach_potential, coupling_eps, dilated_family,
+from sil.extremals import (adams_family, attach_potential, coupling_eps,
+                           dilated_family,
                            gradient_norm_pth, hyperbolic_log_family,
                            log_plateau_profile, moser_log_family,
                            normalize_ruf)
@@ -19,62 +19,34 @@ K2 = riesz_kernel(P2)
 N_A_G = 2 * math.pi  # n * A_g for the unit kernel in the plane
 
 
-def _project(f, basis):
-    """P f as a callable on point arrays, through the basis."""
-    coeffs = basis.project_coeffs(np.asarray(f(basis.nodes), dtype=float))
-    return lambda pts: basis.evaluate(coeffs, np.asarray(pts, dtype=float))
+def _ball_projection(field, eps, degree, rho):
+    """The L^2(B_1) projection of field(r, theta), which vanishes for
+    r < eps, onto every 2-D monomial x^i y^j with i + j <= degree.
+
+    Least squares on a polar rule: Gauss-Legendre in r on [0, eps] and
+    [eps, 1], so the jump at eps is a node boundary, and the trapezoid rule
+    in theta.  For a truncated power r^{-1} times cos(theta)^o the rule is
+    exact.  Returns the projection on the points (rho, 0).
+    """
+    x, w = np.polynomial.legendre.leggauss(24)
+    pieces = ((0.0, eps), (eps, 1.0))
+    r = np.concatenate([lo + (hi - lo) * (x + 1.0) / 2.0 for lo, hi in pieces])
+    wr = np.concatenate([(hi - lo) / 2.0 * w for lo, hi in pieces]) * r
+    m_theta = 64
+    theta = np.arange(m_theta) * (2.0 * math.pi / m_theta)
+    rr, tt = np.meshgrid(r, theta, indexing="ij")
+    root = np.sqrt(np.outer(wr, np.full(m_theta, 2.0 * math.pi / m_theta))).ravel()
+    px, py = (rr * np.cos(tt)).ravel(), (rr * np.sin(tt)).ravel()
+    exps = [(i, j) for i in range(degree + 1) for j in range(degree + 1 - i)]
+    design = np.stack([px**i * py**j for i, j in exps], axis=1)
+    coeffs = np.linalg.lstsq(design * root[:, None], field(rr, tt).ravel() * root,
+                             rcond=None)[0]
+    return sum(c * rho**i for c, (i, j) in zip(coeffs, exps) if j == 0)
 
 
 def _plateau_norm(fam):
     """||v||_{n/a} of a log family against its measure."""
     return lp_norm(fam.profile, fam.params.p_crit, fam.measure)
-
-
-class TestPolynomialBasis:
-    def test_orthonormal(self):
-        basis = PolynomialBasis(2, 4)
-        assert basis.gram_residual <= 1e-8
-        assert basis.size == 15  # C(6, 2)
-
-    def test_projection_fixes_polynomials(self):
-        basis = PolynomialBasis(2, 4)
-        f = lambda pts: 1.0 + 2 * pts[:, 0] - pts[:, 1] ** 2 \
-            + 0.5 * pts[:, 0] ** 2 * pts[:, 1] ** 2
-        proj = _project(f, basis)
-        pts = np.random.default_rng(0).uniform(-0.5, 0.5, size=(40, 2))
-        assert np.allclose(proj(pts), f(pts), atol=1e-8)
-
-    def test_idempotent(self):
-        basis = PolynomialBasis(2, 4)
-        f = lambda pts: np.exp(-np.sum(pts**2, axis=1))
-        once = _project(f, basis)
-        twice = _project(once, basis)
-        pts = np.random.default_rng(1).uniform(-0.7, 0.7, size=(50, 2))
-        assert np.allclose(once(pts), twice(pts), atol=1e-8)
-
-    def test_degree_zero_is_mean(self):
-        basis = PolynomialBasis(2, 0)
-        f = lambda pts: np.sum(pts**2, axis=1)
-        proj = _project(f, basis)
-        # mean of |y|^2 over the unit disk is 1/2
-        assert proj(np.zeros((1, 2)))[0] == pytest.approx(0.5, abs=1e-9)
-
-    def test_residual_annihilates_monomials(self):
-        basis = PolynomialBasis(2, 4)
-        rng = np.random.default_rng(2)
-        coeffs = rng.normal(size=5)
-        f = lambda pts: np.exp(pts[:, 0]) * np.cos(2 * pts[:, 1]) + coeffs[0]
-        proj = _project(f, basis)
-        w = basis.weights
-        nodes = basis.nodes
-        resid = f(nodes) - proj(nodes)
-        for (i, j) in [(0, 0), (1, 0), (0, 2), (2, 1), (2, 2)]:
-            mono = nodes[:, 0] ** i * nodes[:, 1] ** j
-            assert abs(float(np.sum(w * resid * mono))) <= 1e-8
-
-    def test_three_dimensional(self):
-        basis = PolynomialBasis(3, 2)
-        assert basis.gram_residual <= 1e-8
 
 
 class TestAdamsFamily:
@@ -147,26 +119,23 @@ class TestAdamsFamily:
         assert np.max(np.abs(moments)) <= 1e-12
 
     def test_radial_moment_system_matches_full_projection(self):
-        # projecting a smooth radial function: the generic orthonormal-basis
-        # path must agree with the 1-D even-moment normal equations
-        from scipy.integrate import quad
-        basis = PolynomialBasis(2, 2 * P2.n)
-        f_radial = lambda r: np.exp(-3.0 * r**2) * (1.0 + r**2)
-
-        def profile(pts):
-            return f_radial(np.linalg.norm(pts, axis=1))
-
-        proj = _project(profile, basis)
-        n = 2
-        ks = np.arange(n + 1)
-        gram = 1.0 / (2.0 * (ks[:, None] + ks[None, :] + n / 2.0))
-        rhs = np.array([quad(lambda r, kk=k: f_radial(r) * r ** (2 * kk + n - 1),
-                             0.0, 1.0)[0] for k in ks])
-        coeffs = np.linalg.solve(gram, rhs)
+        # the projection onto all 2-D monomials of degree <= 2n, computed
+        # here by least squares, is the library's radial polynomial:
+        # sum c_k rho^{2k} for scalar data, (y/|y|) sum c_k rho^{2k+1} for
+        # the radial-vector data of the gradient kernel (its x component
+        # on the x axis)
         rho = np.linspace(0.05, 0.95, 25)
-        pts = np.stack([rho, np.zeros_like(rho)], axis=1)
-        radial = sum(c * rho ** (2 * k) for c, k in zip(coeffs, ks))
-        assert np.max(np.abs(proj(pts) - radial)) <= 1e-7
+        for kernel, o in ((K2, 0), (gradient_kernel(2, 1), 1)):
+            fam = adams_family(kernel, 1e-2)
+
+            def field(r, theta):
+                body = fam.c_phi * r ** (-P2.alpha) * np.cos(theta) ** o
+                return np.where(r >= fam.eps, body, 0.0)
+
+            full = _ball_projection(field, fam.eps, 2 * P2.n, rho)
+            radial = sum(c * rho ** (2 * k + o)
+                         for k, c in enumerate(fam.proj_coeffs))
+            assert np.max(np.abs(full - radial)) <= 1e-12 * np.max(np.abs(radial))
 
 
 class TestNormalization:

@@ -24,9 +24,9 @@ class TestDomain:
         d = Domain.parse("annulus:0.5,2")
         assert (d.inner, d.outer) == (0.5, 2.0)
         assert not Domain.parse("all").bounded
-        assert Domain.parse("halfspace:1").axis == 1
+        assert Domain.parse("halfspace") == Domain.half_space()
         for text in ("wedge:1", "slab:0,-1,1", "ball:abc", "annulus:1",
-                     "halfspace:x", "ball:-1", "annulus:2,1"):
+                     "halfspace:x", "halfspace:1", "ball:-1", "annulus:2,1"):
             with pytest.raises(DomainError):
                 Domain.parse(text)
 

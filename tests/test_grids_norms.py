@@ -10,12 +10,12 @@ from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid)
 from sil.functionals import (Domain, FunctionalSpec, mt_functional,
                              shifted_functional_bounds)
-from sil.kernels import KernelSpec
+from sil.kernels import riesz_kernel
 from sil.measures import (MeasureDensity, hyperbolic_volume,
                           hyperplane_measure, lebesgue, singular_measure)
 from sil.norms import cells, lp_norm, pair_q_norm
 from sil.params import Params
-from sil.potentials import cartesian_convolve
+from sil.potentials import radial_convolve
 from sil.rearrange import (decreasing_rearrangement, distribution_function,
                            rearrangement_value)
 
@@ -247,16 +247,14 @@ _BALL = FunctionalSpec(gamma_coeff=0.3, power=2.0, domain=Domain.ball(1.0))
     lambda: rearrangement_value(_CART, 0.1),
     lambda: mt_functional(_CART, _BALL),
     lambda: shifted_functional_bounds(_CART, 0.5, 0.5, _BALL, 1.0),
-    lambda: cartesian_convolve(_CART, KernelSpec(
-        kind="homogeneous", params=Params(2, 1.0),
-        angular=lambda om: 1.0 + 0.3 * om[:, 0] ** 2)),
+    lambda: radial_convolve(_CART, riesz_kernel(Params(2, 1.0))),
 ], ids=["cells", "lp_norm", "distribution_function",
         "decreasing_rearrangement", "rearrangement_value", "mt_functional",
-        "shifted_functional_bounds", "cartesian_convolve_callable"])
+        "shifted_functional_bounds", "radial_convolve"])
 def test_cartesian_engine_is_only_a_cross_check(call):
     # a Cartesian field only carries the Cartesian engine's potentials;
-    # norms, rearrangements and functionals take radial profiles, and the
-    # engine itself takes the constant angular parts of radial_convolve
+    # norms, rearrangements, functionals and the radial engine take radial
+    # profiles
     with pytest.raises(DomainError):
         call()
 

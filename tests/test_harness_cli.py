@@ -445,6 +445,16 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["A_g"] == pytest.approx(math.pi, rel=1e-10)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_constants_gradient_kernel(self, capsys, n):
+        # A_g of the gradient kernel is closed form in every dimension and
+        # is the reciprocal of the first-order sharp constant
+        code = main(["constants", "--kernel", "gradient", "--n", str(n),
+                     "--alpha", "1"])
+        assert code == 0
+        out = json.loads(capsys.readouterr().out)
+        assert abs(out["A_g"] * out["gamma"] - 1.0) <= 1e-14
+
     @pytest.mark.parametrize("kernel", ["bessel", "hyperbolic"])
     @pytest.mark.parametrize("command", ["constants", "potential"])
     def test_homogeneous_commands_refuse_other_kernels(self, tmp_path, capsys,
@@ -537,7 +547,8 @@ class TestCli:
         assert out["value"] > math.pi  # integrand above 1 on the disk
 
     @pytest.mark.parametrize("text", ["ball:abc", "annulus:1", "halfspace:x",
-                                      "bogus", "slab:0,-1,1", "ball:-1"])
+                                      "halfspace:1", "bogus", "slab:0,-1,1",
+                                      "ball:-1"])
     def test_functional_malformed_set_is_config_error(self, text, tmp_path,
                                                       capsys):
         g = log_grid(1e-6, 1e2, 64)

@@ -13,7 +13,7 @@ from sil.extremals import adams_family, coupling_eps
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid, trapezoid_weights_log)
 from sil.harness import DEFAULT_SWEEPS, _random_profile
-from sil.kernels import (KernelSpec, bessel_kernel, constant_kernel, gradient_kernel,
+from sil.kernels import (bessel_kernel, constant_kernel, gradient_kernel,
                          hyperbolic_h2_exact, riesz_kernel)
 from sil.norms import lp_norm
 from sil.params import Params
@@ -148,12 +148,6 @@ class TestClosedFormSlices:
                            for j in range(11)])
         assert np.allclose(means, series, rtol=1e-12, atol=1e-12 * series[0])
 
-    def test_non_constant_scalar_kernel_raises(self):
-        k = KernelSpec(kind="homogeneous", params=P2,
-                       angular=lambda om: 1.0 + om[:, 0] ** 2)
-        with pytest.raises(DomainError):
-            potentials.angular_slice(k, 0.5)
-
 
 class TestRowBlocks:
     # a cold table is built in memory that does not grow with the grid
@@ -174,15 +168,11 @@ class TestRowBlocks:
 
 
 class TestWeightTableCache:
-    def test_angular_callable_is_part_of_the_key(self):
-        # the key holds the constant angular value only, so a kernel with an
-        # angular callable, vector or scalar, gets no table at all
-        grad = gradient_kernel(2, 1)
-        scalar = KernelSpec(kind="homogeneous", params=P2,
-                            angular=lambda om: np.ones(len(om)))
-        for kernel in (grad, scalar):
-            with pytest.raises(DomainError):
-                angular_weight_table(kernel, 0.05, 64)
+    def test_vector_kernel_has_no_table(self):
+        # the key holds the constant angular value, which a gradient kernel
+        # shares with scalar kernels; it gets no table at all
+        with pytest.raises(DomainError):
+            angular_weight_table(gradient_kernel(2, 1), 0.05, 64)
 
     def test_key_is_what_fixes_the_table(self, monkeypatch):
         # kernels that differ in label or q but not in (n, alpha, constant
@@ -296,13 +286,6 @@ class TestRadialConvolve:
         f = RadialFunction(GRID, 1.0 / GRID, 2, tail_exponent=-1.0)
         with pytest.raises(UnboundedResult):
             radial_convolve(f, K2)
-
-    def test_angular_kernel_rejected(self):
-        from sil.kernels import KernelSpec
-        k = KernelSpec(kind="homogeneous", params=P2,
-                       angular=lambda om: 1.0 + om[:, 0] ** 2)
-        with pytest.raises(DomainError):
-            radial_convolve(disk(), k)
 
     @pytest.mark.parametrize("kernel", [riesz_kernel(Params(3, 1.0)),
                                         gradient_kernel(4, 1)],
@@ -695,13 +678,6 @@ class TestHyperbolicGreen:
 
 
 class TestGradientKernelPotential:
-    def test_vector_magnitude_radial(self):
-        k = gradient_kernel(3, 1)
-        pts = np.random.default_rng(0).normal(size=(50, 3))
-        pts /= np.linalg.norm(pts, axis=1, keepdims=True)
-        mags = np.linalg.norm(np.asarray(k.angular(pts)), axis=1)
-        assert np.max(np.abs(mags - mags[0])) <= 1e-14
-
     def test_radial_vector_convolution_runs(self):
         k = gradient_kernel(2, 1)
         g = anchored_log_grid(1.0, 1e-6, 1e2)
