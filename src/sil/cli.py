@@ -175,7 +175,7 @@ def cmd_garsia(args) -> int:
         # the chain knows O'Neil's constant C0 for sigma = 1 only
         raise ConfigError(f"garsia needs sigma = 1, got sigma={params.sigma}")
     kernel = _kernel_from(args.kernel, params)
-    trunc = 1.0 if args.kernel == "riesz" else None
+    trunc = 1.0 if kernel.kind == "homogeneous" else None
     prof = kernel_profile(kernel, truncation_radius=trunc)
     fs = decreasing_rearrangement(_read_profile(args.f))
     state = garsia_transform(fs, prof, params)

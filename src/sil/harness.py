@@ -369,8 +369,8 @@ def _run_bessel(sc: Scenario) -> ScenarioResult:
     kern = RadialFunction(g, vals, p.n)
     checks["mass"] = lp_norm(kern, 1.0)
     # exponential decay ratio
-    checks["decay_ratio"] = float(bessel_kernel(p.n, p.alpha, 11.0)
-                                  / bessel_kernel(p.n, p.alpha, 10.0))
+    k10, k11 = bessel_kernel(p.n, p.alpha, np.array([10.0, 11.0]))
+    checks["decay_ratio"] = float(k11 / k10)
     ok = checks["local_profile_gap"] < 0.03 and abs(checks["mass"] - 1.0) < 1e-3 \
         and checks["decay_ratio"] < math.exp(-0.5) and np.isfinite(checks["J"])
     verdict = "bounded" if ok else "violated"

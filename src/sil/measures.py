@@ -5,9 +5,9 @@ volume (geodesic polar weight sinh^{n-1}), or arc length on a line through
 the origin (n = 2).  Only the radial weight enters quadrature.
 
 Every measure built here has closed-form ball masses and power tails,
-the hyperbolic volume through one Gauss hypergeometric function for every
+the hyperbolic volume through a series or a reduction formula for every
 n; `quad` serves only a user's density, and is imported where called, so
-that `import sil` does not load scipy.integrate.
+that `import sil` does not load scipy.
 """
 
 from __future__ import annotations
@@ -18,7 +18,6 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
-from scipy.special import hyp2f1
 
 from .constants import sphere_area
 from .errors import DomainError, NegativeDensity, NonIntegrableTail
@@ -84,9 +83,8 @@ class MeasureDensity:
 
     def ball_mass_origin(self, r: float) -> float:
         """nu(B(0, r)): closed forms, with quadrature only for a user's
-        density.  The hyperbolic volume omega int_0^r sinh^{n-1} is
-        omega sinh^n r / n * 2F1(1/2, n/2; n/2 + 1; -sinh^2 r), by
-        t = sinh^2 s (DLMF 8.17.7, 15.4)."""
+        density.  The hyperbolic volume is omega V_{n-1}(r), with
+        V_k(r) = int_0^r sinh^k (_sinh_power_integral)."""
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
         if self.kind == "hyperplane":
@@ -95,9 +93,7 @@ class MeasureDensity:
         if d is not None:
             return sphere_area(self.n) * r**d / d
         if self.kind == "hyperbolic":
-            s = math.sinh(r)
-            return float(sphere_area(self.n) * s**self.n / self.n
-                         * hyp2f1(0.5, 0.5 * self.n, 0.5 * self.n + 1.0, -s * s))
+            return sphere_area(self.n) * _sinh_power_integral(self.n - 1, r)
         from scipy.integrate import quad
 
         val, _ = quad(
@@ -146,6 +142,36 @@ class MeasureDensity:
         if not math.isfinite(val):
             raise NonIntegrableTail("tail integral diverges under the density")
         return coef * val
+
+
+def _sinh_power_integral(k: int, r: float) -> float:
+    """V_k(r) = int_0^r sinh^k s ds.
+
+    For r <= 1, the Pfaff transform of sinh^{k+1} r / (k + 1)
+    * 2F1(1/2, (k+1)/2; (k+3)/2; -sinh^2 r) (by t = sinh^2 s; DLMF 15.8.1),
+    a series of positive terms:
+    sinh^{k+1} r / ((k + 1) cosh r) * sum_j (1/2)_j / ((k+3)/2)_j tanh^{2j} r.
+    Above, the reduction V_k = (sinh^{k-1} r cosh r - (k - 1) V_{k-2}) / k
+    from V_0 = r and V_1 = 2 sinh^2(r/2), whose first term is at least
+    1.8 times the second for r > 1.
+    """
+    if r <= 1.0:
+        t2 = math.tanh(r) ** 2
+        term = total = 1.0
+        j = 0
+        while term > 1e-17 * total:
+            term *= t2 * (0.5 + j) / (0.5 * (k + 3) + j)
+            total += term
+            j += 1
+        return math.sinh(r) ** (k + 1) / ((k + 1) * math.cosh(r)) * total
+    if k % 2:
+        vol, j = 2.0 * math.sinh(0.5 * r) ** 2, 1
+    else:
+        vol, j = r, 0
+    while j < k:
+        j += 2
+        vol = (math.sinh(r) ** (j - 1) * math.cosh(r) - (j - 1) * vol) / j
+    return vol
 
 
 def lebesgue(n: int) -> MeasureDensity:

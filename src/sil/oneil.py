@@ -81,10 +81,10 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
                    grid: Optional[np.ndarray] = None) -> KernelProfile:
     """Rearrangement profile of a kernel with its bound constants.
 
-    Purely homogeneous kernels give the exact power profile; with a
-    truncation radius the tail integral J is finite, without one it
-    diverges (JInfinite).  Bessel and hyperbolic kernels are rearranged
-    numerically from a radial sampling.
+    Homogeneous kernels, scalar or vector, give the exact power profile of
+    |g| = |a| r^{alpha-n}; with a truncation radius the tail integral J is
+    finite, without one it diverges (JInfinite).  Bessel and hyperbolic
+    kernels are rearranged numerically from a radial sampling.
     """
     p = kernel.params
     beta = p.beta
@@ -94,9 +94,6 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
             raise JInfinite(
                 "purely homogeneous kernels have a divergent tail integral; "
                 "truncate to a ball to make J finite")
-        if not kernel.is_scalar_homogeneous:
-            raise DomainError("profile truncation implemented for scalar "
-                              "homogeneous kernels")
         # mass where the truncated kernel first vanishes
         t_cut = ball_volume(p.n) * truncation_radius**p.n
         k1 = _pure_profile(a_g, beta, t_cut)

@@ -23,8 +23,7 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from scipy import fft as sp_fft
-from scipy.special import ellipkm1, gamma, hyp2f1
+from numpy import fft
 
 from .constants import sphere_area
 from .errors import DomainError, SingularOnDiagonal, UnboundedResult
@@ -62,30 +61,78 @@ def _circle_slice(alpha: float, u: np.ndarray) -> np.ndarray:
     return np.maximum(u, 1.0) ** (alpha - 2.0) * inner
 
 
+def _agm(b: np.ndarray) -> np.ndarray:
+    """The arithmetic-geometric mean of 1 and each b in (0, 1], in place.
+
+    The ratio b/a of a pair rises toward 1 under every step, and a smaller
+    ratio never overtakes a larger one, so the steps that bring the
+    smallest b to a == b to roundoff bring every entry there.
+    """
+    lo, hi = float(np.min(b)), 1.0
+    steps = 0
+    while hi - lo > 1e-15 * hi:
+        lo, hi = math.sqrt(lo * hi), 0.5 * (lo + hi)
+        steps += 1
+    a = np.ones_like(b)
+    prod = np.empty_like(b)
+    for _ in range(steps + 1):
+        np.multiply(a, b, out=prod)
+        a += b
+        a *= 0.5
+        np.sqrt(prod, out=b)
+    return a
+
+
 def _circle_hyp(alpha: float, u: np.ndarray) -> np.ndarray:
-    """2 pi 2F1(lam, lam; 1; s^2): the complete elliptic integral at alpha = 1
-    (DLMF 19.2), else near u = 1 the 1 - z connection formula (DLMF 15.8.4),
-    with 1 - s^2 taken from u without cancellation."""
+    """2 pi 2F1(lam, lam; 1; s^2): at alpha = 1 the complete elliptic integral
+    4 max(u, 1) K(k) / (1 + u), k' = |1 - u| / (1 + u), by
+    K = pi / (2 AGM(1, k')) (DLMF 19.2, 19.8.5); else near u = 1 the 1 - z
+    connection formula (DLMF 15.8.4), with 1 - s^2 taken from u without
+    cancellation."""
     big = np.maximum(u, 1.0)
     if alpha == 1.0:
-        return 4.0 * big / (1.0 + u) * ellipkm1(((1.0 - u) / (1.0 + u)) ** 2)
+        return 2.0 * math.pi * big / ((1.0 + u) * _agm(np.abs(1.0 - u) / (1.0 + u)))
+    from scipy.special import hyp2f1  # no default scenario runs alpha != 1
+
     lam, e = (2.0 - alpha) / 2.0, alpha - 1.0
     w = np.abs((1.0 - u) * (1.0 + u)) / big**2  # 1 - s^2
     out = np.empty_like(u)
     far = w >= 0.5
     out[far] = hyp2f1(lam, lam, 1.0, np.minimum(u, 1.0 / u)[far] ** 2)
     wn = w[~far]
-    out[~far] = (gamma(e) / gamma(1.0 - lam) ** 2 * hyp2f1(lam, lam, 1.0 - e, wn)
-                 + wn**e * gamma(-e) / gamma(lam) ** 2
+    out[~far] = (math.gamma(e) / math.gamma(1.0 - lam) ** 2
+                 * hyp2f1(lam, lam, 1.0 - e, wn)
+                 + wn**e * math.gamma(-e) / math.gamma(lam) ** 2
                  * hyp2f1(1.0 - lam, 1.0 - lam, 1.0 + e, wn))
     return 2.0 * math.pi * out
+
+
+def _sphere_slice(alpha: float, u: np.ndarray) -> np.ndarray:
+    """(1/(2 pi)) integral over S^2 of |e1 - u w|^{alpha-3}: the colatitude
+    integral ((1 + u)^{alpha-1} - |1 - u|^{alpha-1}) / (u (alpha - 1)), or
+    log((1 + u)/|1 - u|) / u at alpha = 1.
+
+    With s = min(u, 1/u), d = 1 - s = |1 - u| / max(u, 1) and
+    w = 2 atanh(s) = log1p(2 s / d), the bracket is
+    d^{alpha-1} expm1((alpha - 1) w) / (alpha - 1), or w at alpha = 1,
+    divided by u for u < 1 and times u^{alpha-2} for u > 1: no difference
+    of nearly equal terms at any u.
+    """
+    s = np.minimum(u, 1.0 / u)
+    d = np.abs(1.0 - u) / np.maximum(u, 1.0)
+    w = np.log1p(2.0 * s / d)
+    if alpha == 1.0:
+        bracket = w
+    else:
+        bracket = d ** (alpha - 1.0) * np.expm1((alpha - 1.0) * w) / (alpha - 1.0)
+    return np.where(u < 1.0, bracket / u, bracket * u ** (alpha - 2.0))
 
 
 def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     """W-hat(u): the angular weight at unit radius, W(r, rho) = r^{a-n} W-hat(rho/r).
 
     Closed forms for scalar homogeneous kernels, in n = 2 (_circle_slice)
-    and n = 3 (colatitude reduction).  Other kernels raise DomainError.
+    and n = 3 (_sphere_slice).  Other kernels raise DomainError.
     """
     u = np.atleast_1d(np.asarray(u, dtype=float))
     if np.any(u <= 0):
@@ -101,13 +148,7 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     if n == 2:
         out = kernel.constant_angular_value * _circle_slice(alpha, u)
     else:
-        a = kernel.constant_angular_value
-        um = np.abs(1.0 - u)
-        if abs(alpha - 1.0) < 1e-14:
-            val = (1.0 / u) * np.log((1.0 + u) / um)
-        else:
-            val = ((1.0 + u) ** (alpha - 1.0) - um ** (alpha - 1.0)) / (u * (alpha - 1.0))
-        out = 2.0 * math.pi * a * val
+        out = 2.0 * math.pi * kernel.constant_angular_value * _sphere_slice(alpha, u)
     return out if out.size > 1 else float(out[0])
 
 
@@ -220,6 +261,20 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightT
 # radial convolution
 # ---------------------------------------------------------------------------
 
+def _five_smooth(m: int) -> int:
+    """The smallest 2^a 3^b 5^c >= m: the lengths pocketfft transforms
+    fastest, as scipy.fft.next_fast_len(m, real=True) finds them."""
+    best = 1 << max(m - 1, 0).bit_length()
+    odd5 = 1
+    while odd5 < best:
+        odd = odd5
+        while odd < best:  # odd * (the least power of 2 reaching m)
+            best = min(best, odd << (-(-m // odd) - 1).bit_length())
+            odd *= 3
+        odd5 *= 5
+    return best
+
+
 def _cyclic_length(m: int) -> int:
     """The real-FFT length with which the radial engine convolves m source
     samples with the 2m - 1 kernel entries of every offset it holds.
@@ -229,7 +284,7 @@ def _cyclic_length(m: int) -> int:
     entry k only the linear entries k +- L, which lie below 0 or past
     3m - 3 for every kept k, so nothing wraps into the kept range.
     """
-    return sp_fft.next_fast_len(2 * m - 1, True)
+    return _five_smooth(2 * m - 1)
 
 
 def _uniform_log_step(grid: np.ndarray) -> float:
@@ -258,8 +313,9 @@ def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
     length = _cyclic_length(m)
 
     def correlate(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        spec = sp_fft.rfft(w, length) * sp_fft.rfft(t[::-1], length)
-        return sp_fft.irfft(spec, length)[m - 1: 2 * m - 1]
+        spec = fft.rfft(w, length)
+        spec *= fft.rfft(t[::-1], length)
+        return fft.irfft(spec, length)[m - 1: 2 * m - 1]
 
     scale = grid**a_n
     w1 = weights * scale
@@ -350,7 +406,7 @@ def _even_length(m: int) -> int:
     of L/2 + 1 points is the DFT of a sequence of period L that is
     symmetric about 0 (_even_spectrum).
     """
-    return 2 * sp_fft.next_fast_len(m, True)
+    return 2 * _five_smooth(m)
 
 
 @functools.cache
@@ -414,7 +470,27 @@ def _even_spectrum(kernel: KernelSpec, h: float, res: int,
     np.power(r, p.alpha - p.n, out=r)
     r *= kernel.constant_angular_value
     r[origin] = _origin_cell_integral(kernel, h) / h**p.n
-    return sp_fft.dctn(even, type=1, overwrite_x=True)
+    _dct1(even)
+    return even
+
+
+def _dct1(x: np.ndarray) -> None:
+    """The unnormalised DCT-I of x over every axis in turn, in place.
+
+    Along one axis, the DCT-I of N + 1 points is the real part of the real
+    DFT of their even extension x_0 ... x_N, x_{N-1} ... x_1 of period 2N,
+    as scipy.fft.dct(type=1) computes it.  Each axis is done in slabs of
+    at most _SLAB_BYTES of extension.
+    """
+    n, size = x.ndim, x.shape[0]
+    period = 2 * (size - 1)
+    step = max(1, _SLAB_BYTES // (8 * period * size ** (n - 2)))
+    for axis in range(n):
+        lines = np.moveaxis(x, axis, -1)  # a view, the transformed axis last
+        for first in range(0, size, step):
+            slab = lines[first: first + step]
+            ext = np.concatenate([slab, slab[..., size - 2: 0: -1]], axis=-1)
+            slab[...] = fft.rfft(ext).real
 
 
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
@@ -459,23 +535,23 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     slabs = [slice(first, first + step) for first in range(0, res, step)]
     spec = np.empty((res,) * (n - 1) + (half + 1,), dtype=complex)
     for rows in slabs:
-        spec[rows] = sp_fft.rfft(f.values[rows], length, axis=-1)
+        fft.rfft(f.values[rows], length, axis=-1, out=spec[rows])
     step = max(1, _SLAB_BYTES // (16 * length ** (n - 1)))
     for first in range(0, half + 1, step):
         cols = slice(first, first + step)
         block = spec[..., cols]
         for axis in reversed(range(n - 1)):
-            block = sp_fft.fft(block, length, axis=axis)
+            block = fft.fft(block, length, axis=axis)
         for lines, kernel_lines in pieces:
             block[lines] *= kernel_spec[kernel_lines + (cols,)]
         for axis in range(n - 1):
-            block = sp_fft.ifft(block, axis=axis, norm="forward",
-                                overwrite_x=True)[(slice(None),) * axis + (box,)]
+            block = fft.ifft(block, axis=axis, norm="forward",
+                             out=block)[(slice(None),) * axis + (box,)]
         spec[..., cols] = block
     out = np.empty((res,) * n)
     for rows in slabs:
-        out[rows] = sp_fft.irfft(spec[rows], length, axis=-1, norm="forward",
-                                 overwrite_x=True)[..., box]
+        out[rows] = fft.irfft(spec[rows], length, axis=-1,
+                              norm="forward")[..., box]
     out *= (h / length) ** n
     return CartesianField(n, f.extent, out)
 
@@ -488,15 +564,16 @@ def gegenbauer_sphere_means(n: int, alpha: float, jmax: int) -> np.ndarray:
     """S_{2j} = integral over S^{n-1} of C_{2j}^{lambda}(omega_1), lambda=(n-a)/2.
 
     These are the even coefficients of the expansion of the angular slice
-    W-hat(u) = sum_j S_{2j} u^{2j} for u < 1 (constant angular part).
+    W-hat(u) = sum_j S_{2j} u^{2j} for u < 1 (constant angular part), the
+    series of |S^{n-1}| 2F1(lam, lam - n/2 + 1; n/2; u^2): S_0 = |S^{n-1}|
+    and S_{2j+2} = S_{2j} (lam + j)(lam + 1 - n/2 + j) / ((j + 1)(n/2 + j)).
     """
-    from scipy.special import eval_gegenbauer, roots_jacobi
     lam = (n - alpha) / 2.0
-    deg = 2 * jmax + 8
-    x, w = roots_jacobi(deg, (n - 3) / 2.0, (n - 3) / 2.0)
     out = np.empty(jmax + 1)
-    for j in range(jmax + 1):
-        out[j] = sphere_area(n - 1) * float(np.sum(w * eval_gegenbauer(2 * j, lam, x)))
+    out[0] = sphere_area(n)
+    for j in range(jmax):
+        out[j + 1] = out[j] * (lam + j) * (lam + 1.0 - n / 2.0 + j) \
+            / ((j + 1) * (n / 2.0 + j))
     return out
 
 

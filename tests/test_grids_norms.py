@@ -388,6 +388,20 @@ class TestClosedFormMasses:
             got = hyperbolic_volume(n).ball_mass_origin(r)
             assert abs(got / want - 1) <= 1e-14
 
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_hyperbolic_ball_mass_sweep(self, n):
+        # omega sinh^n r / n * 2F1(1/2, n/2; n/2 + 1; -sinh^2 r) at 40 digits
+        # over r in [1e-6, 30], across the switch from the series in
+        # tanh^2 r to the reduction formula at r = 1
+        mp = pytest.importorskip("mpmath")
+        nu = hyperbolic_volume(n)
+        with mp.workdps(40):
+            for r in np.append(np.geomspace(1e-6, 30.0, 61), [1.0, 15.7]):
+                s = mp.sinh(mp.mpf(r))
+                want = self.omega(mp, n) * s**n / n * mp.hyp2f1(
+                    mp.mpf(1) / 2, mp.mpf(n) / 2, mp.mpf(n) / 2 + 1, -s * s)
+                assert abs(nu.ball_mass_origin(float(r)) / want - 1) <= 1e-14, r
+
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("sigma", [0.25, 0.5, 0.75])
     def test_singular_ball_mass_and_tail(self, n, sigma):

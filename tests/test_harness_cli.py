@@ -308,10 +308,9 @@ class TestFamilyMemo:
 
 
 class TestImportGraph:
-    def test_import_and_run_load_no_heavy_scipy(self, tmp_path):
-        # a fresh process: importing sil and its CLI leaves out the scipy
-        # subpackages that scipy.signal would pull in, and a run of every
-        # scenario kind imports no scipy module inside the timed work
+    def test_import_and_run_load_no_scipy(self, tmp_path):
+        # a fresh process: importing sil and its CLI loads no scipy module,
+        # and a run of every scenario kind imports none either
         import os
         import subprocess
         import sys
@@ -325,6 +324,7 @@ class TestImportGraph:
             {"id": "trace_sharp", "sigma": 0.5, "sweep": [1e-2, 1e-3, 1e-4]},
             {"id": "hyperbolic", "n": 3, "alpha": 2.0},
             {"id": "bessel", "n": 3, "sweep": []},
+            {"id": "oneil_garsia"},
             {"id": "lemma_suite"}]
         for sc in scenarios:
             sc.setdefault("sweep", [1e-1, 1e-2, 1e-3])
@@ -345,18 +345,16 @@ class TestImportGraph:
                               capture_output=True, text=True, timeout=300)
         assert proc.returncode == 0, proc.stderr
         out = json.loads(proc.stdout.splitlines()[-1])
-        for heavy in ("scipy.signal", "scipy.stats", "scipy.interpolate",
-                      "scipy.ndimage"):
-            assert heavy not in out["loaded"]
+        assert [m for m in out["loaded"] if m.startswith("scipy")] == []
         assert len(os.listdir(tmp_path / "out")) == len(scenarios) + 1
         assert out["added"] == []
 
 
 class TestLazyIntegrate:
-    def test_import_loads_no_integrate(self):
-        # built-in measures have closed-form ball masses and tails, so a
-        # fresh `import sil, sil.cli` leaves scipy.integrate (and the
-        # scipy.optimize it would pull in) unloaded
+    def test_import_loads_no_scipy(self):
+        # built-in measures have closed-form ball masses and tails, and the
+        # kernels and FFTs need no scipy, so a fresh `import sil, sil.cli`
+        # loads no scipy module at all
         import subprocess
         import sys
 
@@ -371,9 +369,7 @@ class TestLazyIntegrate:
         proc = subprocess.run([sys.executable, "-c", script], env=env,
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
-        loaded = json.loads(proc.stdout.splitlines()[-1])
-        assert "scipy.integrate" not in loaded
-        assert "scipy.optimize" not in loaded
+        assert json.loads(proc.stdout.splitlines()[-1]) == []
 
     def test_csv_density_goes_through_quad(self, tmp_path, monkeypatch):
         # a user's density has no closed-form ball mass: the head cell of
@@ -580,6 +576,27 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["J"] == pytest.approx(math.log(math.pi), rel=1e-9)
         assert out["integral"] > 0 and np.isfinite(out["fitted_C5"])
+
+    def test_garsia_gradient_kernel_is_truncated_like_riesz(self, tmp_path,
+                                                            capsys):
+        # the gradient kernel's |g| = |a| r^{alpha-n} is profiled as a
+        # homogeneous kernel truncated at radius 1; the chain reads the
+        # profile through A^{1/beta} t^{-1/beta} only, so the gradient
+        # (|a| = 1/(2 pi)) and Riesz (|a| = 1) JSON agree to roundoff
+        g = log_grid(1e-6, 1e2, 1024)
+        f = RadialFunction(g, np.exp(-((np.log(g) + 2.0) / 0.5) ** 2), 2)
+        from sil.norms import lp_norm
+        f = f.with_values(f.values / lp_norm(f, 2.0))
+        src = tmp_path / "f.csv"
+        src.write_text(f.to_csv())
+        out = {}
+        for kernel in ("gradient", "riesz"):
+            assert main(["garsia", "--kernel", kernel, "--n", "2",
+                         "--alpha", "1", "--f", str(src)]) == 0
+            out[kernel] = json.loads(capsys.readouterr().out)
+        assert out["gradient"]["J"] == out["riesz"]["J"] == math.log(math.pi)
+        for key, value in out["riesz"].items():
+            assert out["gradient"][key] == pytest.approx(value, rel=1e-14), key
 
     def test_garsia_rejects_divergent_log_correction(self, tmp_path, capsys):
         # the Bessel profile carries H > 0, so C3 diverges

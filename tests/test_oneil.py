@@ -6,8 +6,9 @@ import pytest
 
 from sil.errors import DomainError, JInfinite, MassNotCaptured
 from sil.grids import RadialFunction, log_grid
-from sil.kernels import (bessel_kernel_spec, hyperbolic_h2_exact,
-                         hyperbolic_kernel_spec, riesz_kernel)
+from sil.kernels import (bessel_kernel_spec, constant_kernel, gradient_kernel,
+                         hyperbolic_h2_exact, hyperbolic_kernel_spec,
+                         riesz_kernel)
 from sil.measures import hyperbolic_volume
 from sil.norms import lp_norm
 from sil.oneil import (F_functional, GarsiaState, dual_path_values,
@@ -49,6 +50,17 @@ class TestKernelProfile:
             assert prof.k1star(np.array([t]))[0] == pytest.approx(
                 math.sqrt(math.pi / t), rel=1e-12)
         assert prof.k1star(np.array([4.0]))[0] == 0.0
+
+    def test_vector_kernel_profiles_as_its_magnitude(self):
+        # |g| of gradient_kernel(2, 1) is r^{-1}/(2 pi): the same truncated
+        # profile as the scalar kernel of that constant, bit for bit
+        vec = kernel_profile(gradient_kernel(2, 1), truncation_radius=1.0)
+        scalar = kernel_profile(constant_kernel(P2, 1.0 / (2.0 * math.pi)),
+                                truncation_radius=1.0)
+        t = np.geomspace(1e-6, 10.0, 50)
+        assert (vec.A, vec.H, vec.J, vec.t_cut) == \
+            (scalar.A, scalar.H, scalar.J, scalar.t_cut)
+        assert np.array_equal(vec.k1star(t), scalar.k1star(t))
 
     def test_untruncated_diverges(self):
         with pytest.raises(JInfinite):

@@ -6,10 +6,10 @@ from collections import OrderedDict
 import numpy as np
 import pytest
 
-from sil import potentials
+from sil import kernels, potentials
 from sil.constants import riesz_normalization
 from sil.errors import (DomainError, SingularOnDiagonal, UnboundedResult)
-from sil.extremals import adams_family, coupling_eps
+from sil.extremals import adams_family, attach_potential, coupling_eps
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
                        indicator_values, log_grid, trapezoid_weights_log)
 from sil.harness import DEFAULT_SWEEPS, _random_profile
@@ -147,6 +147,52 @@ class TestClosedFormSlices:
                                  / (mp.rf(n / 2, j) * mp.factorial(j)))
                            for j in range(11)])
         assert np.allclose(means, series, rtol=1e-12, atol=1e-12 * series[0])
+
+
+    @pytest.mark.parametrize("n,alpha", [(3, 1.0), (4, 1.0), (5, 2.5)])
+    def test_gegenbauer_means_match_mpmath(self, n, alpha):
+        # the sphere means S_{2j} = |S^{n-2}| int C_{2j}^lam(t)
+        # (1 - t^2)^{(n-3)/2} dt at 40 digits, at j = 6 and 12
+        import mpmath as mp
+        means = potentials.gegenbauer_sphere_means(n, alpha, 12)
+        with mp.workdps(40):
+            lam = mp.mpf(n - alpha) / 2
+            area = 2 * mp.pi ** (mp.mpf(n - 1) / 2) / mp.gamma(mp.mpf(n - 1) / 2)
+            for j in (6, 12):
+                want = area * mp.quad(
+                    lambda t: mp.gegenbauer(2 * j, lam, t)
+                    * (1 - t * t) ** (mp.mpf(n - 3) / 2), [-1, 0, 1])
+                assert abs(means[j] / want - 1) <= 1e-15, j
+
+    @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5, 2.0, 2.5])
+    def test_riesz_n3_against_mpmath(self, alpha):
+        # 2 pi ((1 + u)^{a-1} - |1 - u|^{a-1}) / (u (a - 1)), or
+        # 2 pi log((1 + u)/|1 - u|) / u at a = 1, at 60 digits, over 60
+        # decades and beside the diagonal
+        import mpmath as mp
+        u = np.concatenate([np.geomspace(1e-30, 1e30, 120),
+                            [1 - 1e-9, 1 + 1e-9, 1 - 2**-52, 1 + 2**-51]])
+        got = angular_slice(riesz_kernel(Params(3, alpha)), u)
+        with mp.workdps(60):
+            a = mp.mpf(alpha)
+            want = []
+            for x in map(mp.mpf, u):
+                if alpha == 1.0:
+                    v = mp.log((1 + x) / abs(1 - x)) / x
+                else:
+                    v = ((1 + x) ** (a - 1) - abs(1 - x) ** (a - 1)) / (x * (a - 1))
+                want.append(float(2 * mp.pi * v))
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-14
+
+    def test_adams_n3_centre_value_far_below_the_table_span(self):
+        # the corrected (3, 2) family at eps = 1e-20 spans 20 decades; the
+        # shell is harmonic inside B_eps, so the centre value is
+        # omega_2 (log(1/eps) - sum_k c_k / (2k + alpha))
+        fam = attach_potential(adams_family(K3, 1e-20))
+        want = 4.0 * math.pi * (math.log(1.0 / fam.eps) - sum(
+            c / (2 * k + 2.0) for k, c in enumerate(fam.proj_coeffs)))
+        got = float(fam.potential.interp(fam.eps / 3.0))
+        assert got == pytest.approx(want, rel=1e-4)
 
 
 class TestRowBlocks:
@@ -471,6 +517,23 @@ class TestCartesianConvolve:
             want = smooth[bisect.bisect_left(smooth, 2 * m - 1)]
             assert potentials._even_length(m) == want, m
 
+    def test_length_search_is_scipy_next_fast_len(self):
+        from scipy.fft import next_fast_len
+        for m in range(1, 5001):
+            assert potentials._five_smooth(m) == next_fast_len(m, True), m
+
+    @pytest.mark.parametrize("shape", [(513, 513), (65, 65, 65)])
+    def test_dct1_is_scipy_dctn_bit_for_bit(self, shape, monkeypatch):
+        # a small slab splits every axis into many slabs
+        from scipy.fft import dctn
+        x = np.random.default_rng(len(shape)).normal(size=shape)
+        want = dctn(x, type=1)
+        for slab in (potentials._SLAB_BYTES, 1 << 14):
+            monkeypatch.setattr(potentials, "_SLAB_BYTES", slab)
+            got = x.copy()
+            potentials._dct1(got)
+            assert np.array_equal(got, want)
+
     def test_matches_radial_engine(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
         f2 = CartesianField.from_callable(
@@ -629,6 +692,23 @@ class TestBesselKernel:
         assert bessel_kernel(n, a, np.array(radii)) == pytest.approx(want, rel=1e-13)
 
 
+    @pytest.mark.parametrize("nu", [0.0, 0.25, 0.5, 1.0, 1.5, 2.5])
+    def test_bessel_k_against_mpmath(self, nu):
+        # Temme's series below x = 2, Steed's CF2 above, both near x = 2
+        import mpmath as mp
+        x = np.concatenate([np.geomspace(1e-8, 600.0, 57), [1.999, 2.0, 2.001]])
+        with mp.workdps(30):
+            want = np.array([float(mp.besselk(nu, mp.mpf(t))) for t in x])
+        assert np.max(np.abs(kernels.bessel_k(nu, x) / want - 1.0)) <= 4e-15
+
+    def test_bessel_k_against_scipy(self):
+        from scipy.special import kv
+        x = np.geomspace(1e-12, 690.0, 2000)
+        for nu in (0.0, 0.25, 0.5, 1.0, 1.5, 2.0, 2.5, 1.005):
+            assert np.max(np.abs(kernels.bessel_k(nu, x) / kv(nu, x) - 1.0)) \
+                <= 1e-13, nu
+
+
 class TestHyperbolicGreen:
     def test_closed_form_n3(self):
         # antiderivative of sinh^{-2} is -coth
@@ -675,6 +755,22 @@ class TestHyperbolicGreen:
         rho = [1e-5, 1e-3, 0.05, 0.3, 1.0, 4.0, 10.0, 40.0]
         want = [self._tail_integral(n, r) for r in rho]
         assert hyperbolic_h2_exact(n, np.array(rho)) == pytest.approx(want, rel=1e-12)
+
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_relative_precision_from_1e9_to_40(self, n):
+        # 2^k e^{-k rho} / (k omega) * 2F1(k/2, k; k/2 + 1; e^{-2 rho}) at
+        # 50 digits, with e^{-2 rho} taken from the exact binary rho
+        import mpmath as mp
+        rho = np.geomspace(1e-9, 40.0, 81)
+        k = n - 1
+        with mp.workdps(50):
+            omega = 2 * mp.pi ** (mp.mpf(n) / 2) / mp.gamma(mp.mpf(n) / 2)
+            want = [float(2**k * mp.exp(-k * r) / (k * omega) * mp.hyp2f1(
+                mp.mpf(k) / 2, k, mp.mpf(k) / 2 + 1, mp.exp(-2 * r)))
+                for r in map(mp.mpf, rho)]
+        got = hyperbolic_h2_exact(n, rho)
+        assert np.max(np.abs(got / np.array(want) - 1.0)) <= 1e-14
 
 
 class TestGradientKernelPotential:
