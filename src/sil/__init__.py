@@ -22,5 +22,5 @@ from .extremals import (ExtremalFamily, LogFamily, adams_family,
                         moser_log_family, normalize_ruf)
 from .functionals import Domain, FunctionalSpec, mt_functional
 from .oneil import (GarsiaState, KernelProfile, F_functional, garsia_integral,
-                    garsia_transform, kernel_profile, level_set_measure,
-                    oneil_rhs)
+                    garsia_samples, garsia_transform, kernel_profile,
+                    level_set_measure, oneil_rhs)

@@ -27,7 +27,7 @@ from .harness import default_scenarios, parse_config, run_all
 from .kernels import (bessel_kernel_spec, gradient_kernel,
                       hyperbolic_kernel_spec, riesz_kernel)
 from .measures import MeasureDensity
-from .oneil import (garsia_integral, garsia_transform, kernel_profile,
+from .oneil import (garsia_samples, garsia_transform, kernel_profile,
                     level_set_measure)
 from .params import Params
 from .potentials import radial_convolve
@@ -179,14 +179,14 @@ def cmd_garsia(args) -> int:
     prof = kernel_profile(kernel, truncation_radius=trunc)
     fs = decreasing_rearrangement(_read_profile(args.f))
     state = garsia_transform(fs, prof, params)
-    res = garsia_integral(state)
+    ys, fvals = garsia_samples(state)
     lam_probe = np.linspace(-state.d_star, 10.0, 40)
-    measures = level_set_measure(lam_probe, res["y_grid"], res["f_values"])
+    measures = level_set_measure(lam_probe, ys, fvals)
     fitted_c5 = float(np.max(measures / (np.abs(lam_probe) + state.d_star)))
     print(json.dumps({
         "schema": 1, "J": prof.J, "d_star": state.d_star,
-        "fitted_C5": fitted_c5, "integral": res["integral"],
-        "bound_envelope": (1.0 + prof.J) * float(np.exp(prof.J)),
+        "fitted_C5": fitted_c5,
+        "integral": float(np.trapezoid(np.exp(-fvals), ys)),
     }, sort_keys=True))
     return 0
 

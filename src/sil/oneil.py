@@ -39,28 +39,19 @@ class KernelProfile:
     J: float
     k1star: Callable[[np.ndarray], np.ndarray]
     t_cut: Optional[float] = None  # pure truncated profiles vanish past this
-
-    @cached_property
-    def _antideriv_table(self) -> tuple[np.ndarray, np.ndarray]:
-        """(log t, int_0^t k1*) on a log grid over [1e-12, 1e12]."""
-        g = np.exp(np.linspace(math.log(1e-12), math.log(1e12), 8192))
-        vals = np.asarray(self.k1star(g), dtype=float) * g
-        log_g = np.log(g)
-        cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (vals[1:] + vals[:-1]) * np.diff(log_g))])
-        return log_g, cum
+    # sampled profiles: the rearranged samples whose f* is k1*
+    rearranged: Optional[RearrangedProfile] = None
 
     def k1_antideriv(self, u) -> np.ndarray:
         """int_0^u k1*(s) ds; closed form for pure truncated power profiles,
-        cached log-grid cumulative trapezoid otherwise."""
+        u k1**(u) of the stored step function otherwise, exact for both."""
         u = np.asarray(u, dtype=float)
         if self.t_cut is not None:
             bc = self.beta / (self.beta - 1.0)
             uu = np.minimum(u, self.t_cut)
             out = self.A ** (1.0 / self.beta) * bc * uu ** (1.0 / bc)
             return out
-        log_g, cum = self._antideriv_table
-        return np.interp(np.log(np.clip(u, 1e-12, 1e12)), log_g, cum)
+        return u * self.rearranged.fstarstar_at(u)
 
 
 def _pure_profile(a_g: float, beta: float, t_cut: Optional[float]):
@@ -116,7 +107,8 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
     j = _tail_j(k1, a, beta)
     h = _fit_profile_h(k1, a, beta)
-    return KernelProfile(beta=beta, A=a, H=h, J=j, k1star=k1)
+    return KernelProfile(beta=beta, A=a, H=h, J=j, k1star=k1,
+                         rearranged=rearr)
 
 
 def _exact_pure_j(t_cut: float) -> float:
@@ -329,29 +321,34 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
 
     A segment counts whole at every lam at or above its upper end, and
     counts its linearly interpolated part at every lam in [lower end,
-    upper end).  One pass serves all levels: the segments sorted by upper
-    end give the whole lengths as a prefix sum, and each segment's
-    crossing levels are a contiguous run of the sorted levels.  The
-    (segment, lam) crossing pairs are those a loop over the levels would
-    interpolate, so no term is negative and nothing cancels; the working
-    memory is O(segments + levels + crossing pairs).  A NaN level gives NaN.
+    upper end).  One pass serves all levels: one search places every
+    sample among the sorted levels, so each segment's crossing levels are
+    the contiguous run between its two ends' places, and the segments
+    whole at a level are those whose upper end is placed at or below it,
+    summed in upper-end order.  The (segment, lam) crossing pairs are
+    those a loop over the levels would interpolate, so no term is negative
+    and nothing cancels; the working memory is O(segments + levels +
+    crossing pairs).  A NaN level gives NaN.
     """
     ys = np.asarray(ys, dtype=float)
     fs = np.asarray(fs, dtype=float)
     lam_arr = np.atleast_1d(np.asarray(lams, dtype=float))
     dy = np.diff(ys)
     f0, f1 = fs[:-1], fs[1:]
-    # a NaN sample is below no level: its segments are never whole (hi is
-    # NaN) and cross every level from their other end up, as in a level loop
-    lo, hi = np.fmin(f0, f1), np.maximum(f0, f1)
     order = np.argsort(lam_arr, kind="stable")
     lam_sorted = lam_arr[order]
-    by_hi = np.argsort(hi, kind="stable")
-    whole = np.concatenate([[0.0], np.cumsum(dy[by_hi])])
-    measure = whole[np.searchsorted(hi[by_hi], lam_sorted, side="right")]
+    # a NaN sample sorts after every finite level: its segments are never
+    # whole and cross every level from their other end up, as in a level loop
+    place = np.searchsorted(lam_sorted, fs, side="left")
     # segment k crosses the sorted levels first[k], ..., first[k] + count[k] - 1
-    first = np.searchsorted(lam_sorted, lo, side="left")
-    count = np.searchsorted(lam_sorted, hi, side="left") - first
+    # and is whole from level first[k] + count[k] on
+    first = np.minimum(place[:-1], place[1:])
+    top = np.maximum(place[:-1], place[1:])
+    count = top - first
+    by_hi = np.argsort(np.maximum(f0, f1), kind="stable")
+    whole = np.concatenate([[0.0], np.cumsum(dy[by_hi])])
+    n_whole = np.cumsum(np.bincount(top, minlength=lam_sorted.size + 1))
+    measure = whole[n_whole[:-1]]
     seg = np.repeat(np.arange(dy.size), count)
     idx = np.arange(seg.size) + np.repeat(first - (np.cumsum(count) - count),
                                           count)
@@ -365,15 +362,23 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     return out if np.ndim(lams) else float(out[0])
 
 
-def garsia_integral(state: GarsiaState) -> dict:
-    """int_0^inf e^{-F(y)} dy with a layer-cake cross check.
+def garsia_samples(state: GarsiaState) -> tuple[np.ndarray, np.ndarray]:
+    """Samples (ys, fs) of F with step 0.01 on [0, 200], cut once F > 40
+    past its last dip below; TailNotConverged if the window never reaches
+    that threshold or ends below it.
 
-    F is sampled with step 0.01 on [0, 200] and the grid is cut once
-    F(y) > 40 (past its last dip below); TailNotConverged if the window
-    never reaches that threshold.
+    Past the last x node the interpolated prefixes are constant, so F(y) =
+    y - (left + mid_cum[-1])^beta rises with slope 1 there: once it is above
+    40 it stays above, and no sample past the one after its first rise
+    above 40 is kept.  F is evaluated only through that sample, and one
+    more covers the roundoff of the offset computed here.
     """
     ys = np.arange(0.0, 200.0 + 0.01, 0.01)
-    fs = np.atleast_1d(F_functional(ys, state))
+    left, xp, mid_cum, _ = state._prefix
+    offset = (left + mid_cum[-1]) ** state.beta
+    first_above = max(np.searchsorted(ys, xp[-1], side="right"),
+                      np.searchsorted(ys, 40.0 + offset, side="right"))
+    fs = np.atleast_1d(F_functional(ys[: first_above + 3], state))
     past = np.nonzero(fs > 40.0)[0]
     if past.size == 0:
         raise TailNotConverged("F never exceeded the tail threshold")
@@ -381,8 +386,13 @@ def garsia_integral(state: GarsiaState) -> dict:
     cut = min(last_low + 2, len(ys) - 1)
     if fs[cut] <= 40.0:
         raise TailNotConverged("F did not stay above the tail threshold")
-    ys = ys[: cut + 1]
-    fs = fs[: cut + 1]
+    return ys[: cut + 1], fs[: cut + 1]
+
+
+def garsia_integral(state: GarsiaState) -> dict:
+    """int_0^inf e^{-F(y)} dy on the samples of garsia_samples, with a
+    layer-cake cross check."""
+    ys, fs = garsia_samples(state)
     direct = float(np.trapezoid(np.exp(-fs), ys))
     # layer cake: int_{-d*}^inf |E_lambda| e^{-lambda} d lambda; on seeded
     # admissible profiles the lambda-trapezoid is within 0.04% of the exact
@@ -403,7 +413,7 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     path B applies the exponential change of variables and integrates
     e^{-F(y)}.  The two parameterize the same quantity when the kernel
     profile is an exact truncated power (no log correction), so agreement
-    checks both code paths end to end.
+    checks both code paths end to end.  Both leave out t < 1e-6.
     """
     _require_sigma_one(params)
     beta = profile.beta
@@ -412,13 +422,8 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     t = np.exp(s)
     expo = (1.0 / profile.A) * oneil_rhs(fstar, profile, t) ** beta
     path_a = float(np.trapezoid(np.exp(expo) * t, s))
-    # path A misses (0, 1e-6); bound the omitted piece by its endpoint value
-    omitted = float(np.exp(expo[0]) * t[0])
-    # path B: y-side level-set machinery
-    state = garsia_transform(fstar, profile, params)
-    res = garsia_integral(state)
-    ys, fs = res["y_grid"], res["f_values"]
+    # path B: y-side samples of F
+    ys, fs = garsia_samples(garsia_transform(fstar, profile, params))
     mask = ys <= -math.log(1e-6)
     path_b = float(np.trapezoid(np.exp(-fs[mask]), ys[mask]))
-    return {"path_a": path_a, "path_b": path_b, "omitted_head": omitted,
-            "state": state, "integral_full": res["integral"]}
+    return {"path_a": path_a, "path_b": path_b}

@@ -16,8 +16,11 @@ from sil.grids import RadialFunction, log_grid
 from sil.harness import (RATE_FIT_EPS_MAX, Scenario, default_scenarios,
                          parse_config, run_all, run_scenario)
 from sil.kernels import gradient_kernel, riesz_kernel
+from sil.oneil import (garsia_integral, garsia_transform, kernel_profile,
+                       level_set_measure)
 from sil.params import Params
 from sil.potentials import radial_convolve
+from sil.rearrange import decreasing_rearrangement
 
 
 class TestScenarioPlumbing:
@@ -576,6 +579,18 @@ class TestCli:
         out = json.loads(capsys.readouterr().out)
         assert out["J"] == pytest.approx(math.log(math.pi), rel=1e-9)
         assert out["integral"] > 0 and np.isfinite(out["fitted_C5"])
+        # exactly these keys, each equal to what garsia_integral gives for
+        # the same profile
+        p2 = Params(2, 1.0)
+        prof = kernel_profile(riesz_kernel(p2), truncation_radius=1.0)
+        state = garsia_transform(decreasing_rearrangement(
+            RadialFunction.from_csv(src.read_text())), prof, p2)
+        res = garsia_integral(state)
+        lams = np.linspace(-state.d_star, 10.0, 40)
+        c5 = np.max(level_set_measure(lams, res["y_grid"], res["f_values"])
+                    / (np.abs(lams) + state.d_star))
+        assert out == {"schema": 1, "J": prof.J, "d_star": state.d_star,
+                       "fitted_C5": float(c5), "integral": res["integral"]}
 
     def test_garsia_gradient_kernel_is_truncated_like_riesz(self, tmp_path,
                                                             capsys):

@@ -4,7 +4,8 @@ import math
 import numpy as np
 import pytest
 
-from sil.errors import DomainError, JInfinite, MassNotCaptured
+from sil.errors import (DomainError, JInfinite, MassNotCaptured,
+                        TailNotConverged)
 from sil.grids import RadialFunction, log_grid
 from sil.kernels import (bessel_kernel_spec, constant_kernel, gradient_kernel,
                          hyperbolic_h2_exact, hyperbolic_kernel_spec,
@@ -12,9 +13,9 @@ from sil.kernels import (bessel_kernel_spec, constant_kernel, gradient_kernel,
 from sil.measures import hyperbolic_volume
 from sil.norms import lp_norm
 from sil.oneil import (F_functional, GarsiaState, dual_path_values,
-                       garsia_integral, garsia_transform, kernel_profile,
-                       level_set_measure, oneil_constant, oneil_rhs,
-                       state_from_phi)
+                       garsia_integral, garsia_samples, garsia_transform,
+                       kernel_profile, level_set_measure, oneil_constant,
+                       oneil_rhs, state_from_phi)
 from sil.params import Params
 from sil.potentials import radial_convolve
 from sil.rearrange import RearrangedProfile, decreasing_rearrangement
@@ -82,23 +83,32 @@ class TestKernelProfile:
         assert prof.beta == pytest.approx(3.0, rel=1e-12)
 
     def test_sampled_antiderivative(self):
-        # the cached log-grid table of int_0^u k1* against u k1**(u) of the
-        # same rearranged samples, exact for the step function; the largest
-        # measured relative gap is 8.8e-5, at u = 1e-6, where the table's
-        # start at 1e-12 leaves out (1e-12 / u)^{2/3} of the mass
+        # int_0^u k1* against u k1**(u) of the same rearranged samples, exact
+        # for the step function, down to the head cell
         g = log_grid(1e-5, 40.0, 4096)
         prof = kernel_profile(hyperbolic_kernel_spec(Params(3, 2.0)), grid=g)
         rearr = decreasing_rearrangement(
             RadialFunction(g, hyperbolic_h2_exact(3, g), 3), hyperbolic_volume(3))
-        u = np.array([1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9])
+        u = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9])
         np.testing.assert_allclose(prof.k1_antideriv(u),
-                                   u * rearr.fstarstar_at(u), rtol=2e-4)
+                                   u * rearr.fstarstar_at(u), rtol=1e-13)
         # f* = chi_[0,1): C0 t^{-1/3} t + int_t^1 k1*, largest gap 1.6e-5
         c0 = oneil_constant(prof)
         for t in (0.04, 0.25, 0.64):
             tail = rearr.fstarstar_at(1.0) - t * rearr.fstarstar_at(t)
             assert oneil_rhs(STEP, prof, t) == pytest.approx(
                 c0 * t ** (2.0 / 3.0) + tail, rel=1e-4)
+
+    def test_bessel_antiderivative_closed_form(self):
+        # G_2 in R^3 is e^{-r} / (4 pi r), so int_0^u k1* is the mass of the
+        # ball of volume u: 1 - (1 + R) e^{-R}, R = (3u / (4 pi))^{1/3}; the
+        # largest measured gap is 8.9e-5, at u = 1e-9, near the sampled
+        # grid's first node
+        prof = kernel_profile(bessel_kernel_spec(Params(3, 2.0)))
+        u = np.geomspace(1e-9, 100.0, 23)
+        r = (3.0 * u / (4.0 * math.pi)) ** (1.0 / 3.0)
+        exact = -np.expm1(-r) - r * np.exp(-r)
+        np.testing.assert_allclose(prof.k1_antideriv(u), exact, rtol=1e-4)
 
     def test_hyperbolic_plane_has_no_power_profile(self):
         with pytest.raises(DomainError):
@@ -289,6 +299,96 @@ class TestLevelSetMachinery:
         assert max(cs) <= 10.0
 
 
+def full_window_samples(state):
+    """F on all 20,001 points of [0, 200], cut once F > 40 past its last
+    dip below: the reference garsia_samples must match bit for bit."""
+    ys = np.arange(0.0, 200.0 + 0.01, 0.01)
+    fs = np.atleast_1d(F_functional(ys, state))
+    if not np.any(fs > 40.0):
+        raise TailNotConverged("F never exceeded the tail threshold")
+    last_low = np.nonzero(fs <= 40.0)[0][-1]
+    cut = min(last_low + 2, len(ys) - 1)
+    if fs[cut] <= 40.0:
+        raise TailNotConverged("F did not stay above the tail threshold")
+    return ys[: cut + 1], fs[: cut + 1]
+
+
+def block_state(x_max, lo, hi, height, step=0.01):
+    """GarsiaState of phi = height on [lo, hi], on an x grid of the given
+    step over [-5, x_max]; phi need not be admissible."""
+    x = np.linspace(-5.0, x_max, int(round((x_max + 5.0) / step)) + 1)
+    phi = np.where((x >= lo) & (x <= hi), height, 0.0)
+    return GarsiaState(x_grid=x, phi=phi, profile=RIESZ_PROFILE)
+
+
+class TestGarsiaSamples:
+    def check(self, state):
+        ref_ys, ref_fs = full_window_samples(state)
+        ys, fs = garsia_samples(state)
+        assert np.array_equal(ys, ref_ys) and np.array_equal(fs, ref_fs)
+        res = garsia_integral(state)
+        assert np.array_equal(res["y_grid"], ref_ys)
+        assert np.array_equal(res["f_values"], ref_fs)
+        assert res["integral"] == float(np.trapezoid(np.exp(-ref_fs), ref_ys))
+        assert res["f_min"] == float(np.min(ref_fs))
+        lams = np.linspace(-state.d_star, 40.0, 4000)
+        layer = np.trapezoid(level_set_measure(lams, ref_ys, ref_fs)
+                             * np.exp(-lams), lams)
+        assert res["layer_cake"] == float(layer)
+        return ys
+
+    def test_seeded_phi_states(self):
+        # x to 40: every window runs on into the linear tail past the grid
+        rng = np.random.default_rng(23)
+        x = np.linspace(-40.0, 40.0, 2001)
+        for _ in range(10):
+            raw = np.abs(rng.normal(size=x.size))
+            raw[np.abs(x) > rng.uniform(5.0, 30.0)] = 0.0
+            nrm = float(np.trapezoid(raw**2, x)) ** 0.5
+            phi = raw / nrm * rng.uniform(0.3, 1.0)
+            ys = self.check(state_from_phi(phi, x, RIESZ_PROFILE, P2))
+            assert ys[-1] > x[-1]
+
+    def test_seeded_source_states(self):
+        # x to 80, with the steps of f* as double nodes
+        rng = np.random.default_rng(24)
+        for _ in range(4):
+            fs = decreasing_rearrangement(random_source(rng))
+            self.check(garsia_transform(fs, RIESZ_PROFILE, P2))
+
+    def test_grid_past_the_window(self):
+        # the x grid ends at 250 > 200: F is evaluated on the whole window
+        self.check(block_state(250.0, 0.0, 30.0, 30.0 ** -0.5))
+
+    def test_last_dip_just_before_the_last_node(self):
+        # a spike of mass 3 at x = 59.9 pulls F below 40 at y = 59.9, just
+        # before the last node at 60; past the spike F rises above 40
+        state = block_state(60.0, 59.875, 59.925, 3.0 / 0.05)
+        ys, fs = full_window_samples(state)
+        last_low = np.nonzero(fs <= 40.0)[0][-1]
+        assert 59.8 < ys[last_low] < 60.0
+        self.check(state)
+
+    @pytest.mark.parametrize("state, message", [
+        # F = y - (inner)^2 stays far below 40, inside and past the grid
+        (block_state(60.0, 0.0, 60.0, 1.0, step=0.1), "never exceeded"),
+        (block_state(250.0, 0.0, 250.0, 1.0, step=0.1), "never exceeded"),
+        # F exceeds 40 near y = 45, then a block of mass 13 on [50, 55]
+        # holds it at y - 169 in the linear tail, below 40 up to 200
+        (block_state(55.0, 50.0, 55.0, 13.0 / 5.0), "did not stay above"),
+        # the grid runs past 200 and a block on [200, 205] pulls F(200)
+        # below 40
+        (block_state(210.0, 200.0, 205.0, 4.0), "did not stay above"),
+    ])
+    def test_tail_not_converged(self, state, message):
+        with pytest.raises(TailNotConverged, match=message):
+            full_window_samples(state)
+        with pytest.raises(TailNotConverged, match=message):
+            garsia_samples(state)
+        with pytest.raises(TailNotConverged, match=message):
+            garsia_integral(state)
+
+
 def reference_measure(ys, fs, lam):
     """|{F <= lam}| by a plain loop over the segments of (ys, fs)."""
     below = fs <= lam
@@ -324,9 +424,13 @@ class TestLevelSetMeasure:
             nrm = float(np.trapezoid(raw**2, x)) ** 0.5
             phi = raw / nrm * rng.uniform(0.3, 1.0)
             state = state_from_phi(phi, x, RIESZ_PROFILE, P2)
-            res = garsia_integral(state)
+            ys, fs = garsia_samples(state)
             lams = np.linspace(-state.d_star, 40.0, 80)
-            self.check(lams, res["y_grid"], res["f_values"])
+            # the whole segments sum in upper-end order and each crossing
+            # adds once per level, which on these samples rounds exactly as
+            # the loop does
+            ref = np.array([reference_measure(ys, fs, lam) for lam in lams])
+            np.testing.assert_array_equal(level_set_measure(lams, ys, fs), ref)
 
     @pytest.mark.parametrize("lams, ys, fs, expected", [
         # every level below min F
