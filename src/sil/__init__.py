@@ -7,8 +7,7 @@ __version__ = "0.1.0"
 from .params import Params
 from .grids import CartesianField, RadialFunction, log_grid
 from .constants import (SharpConstants, ball_volume, kernel_sharp_constant,
-                        moser_gamma, riesz_normalization, sharp_gamma,
-                        sphere_area)
+                        riesz_normalization, sharp_gamma, sphere_area)
 from .kernels import (KernelSpec, bessel_kernel, gradient_kernel,
                       hyperbolic_h2_exact, riesz_kernel)
 from .measures import MeasureDensity, lebesgue, singular_measure

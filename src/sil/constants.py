@@ -69,11 +69,6 @@ def sharp_gamma(n: int, alpha: int) -> float:
     return ((n - alpha - 1) * c_next) ** (-expo) / ball_volume(n)
 
 
-def moser_gamma(n: int) -> float:
-    """First-order sharp constant n * omega_{n-1}^{1/(n-1)}."""
-    return n * sphere_area(n) ** (1.0 / (n - 1))
-
-
 def kernel_sharp_constant(g: "KernelSpec") -> float:
     """A_g = (1/n) * integral over S^{n-1} of |g(omega)|^{n/(n-alpha)}.
 

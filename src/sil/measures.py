@@ -1,8 +1,8 @@
 """Radial Borel measures, their ball masses and their power tails.
 
-A measure is either Lebesgue, a radial density w(|x|) dx, the hyperbolic
-volume (geodesic polar weight sinh^{n-1}), or arc length on a line through
-the origin (n = 2).  Only the radial weight enters quadrature.
+A measure is either Lebesgue, a radial density w(|x|) dx, or the
+hyperbolic volume (geodesic polar weight sinh^{n-1}).  Only the radial
+weight enters quadrature.
 
 Every measure built here has closed-form ball masses and power tails,
 the hyperbolic volume through a series or a reduction formula for every
@@ -27,7 +27,7 @@ from .errors import DomainError, NegativeDensity, NonIntegrableTail
 class MeasureDensity:
     """A measure given by its radial weight profile.
 
-    kind: 'lebesgue' | 'radial' | 'hyperbolic' | 'hyperplane'
+    kind: 'lebesgue' | 'radial' | 'hyperbolic'
     radial_density: w(r) for kind='radial' (w >= 0)
     density_exponent: e for kind='radial' with w(r) = r^e, in place of
         radial_density; ball masses and tails then have closed forms
@@ -39,7 +39,7 @@ class MeasureDensity:
     density_exponent: Optional[float] = None
 
     def __post_init__(self):
-        if self.kind not in ("lebesgue", "radial", "hyperbolic", "hyperplane"):
+        if self.kind not in ("lebesgue", "radial", "hyperbolic"):
             raise DomainError(f"unknown measure kind {self.kind!r}")
         if self.kind == "radial" and \
                 (self.radial_density is None) == (self.density_exponent is None):
@@ -48,8 +48,6 @@ class MeasureDensity:
         if self.density_exponent is not None and self.density_exponent <= -self.n:
             raise DomainError("power density r^e needs e > -n to be locally "
                               "integrable")
-        if self.kind == "hyperplane" and self.n != 2:
-            raise DomainError("hyperplane (line) measure implemented for n=2")
 
     def radial_weight(self, r: np.ndarray) -> np.ndarray:
         """Weight W(r) with integral h -> int h(|x|) dnu = int h(r) W(r) dr."""
@@ -61,10 +59,7 @@ class MeasureDensity:
             if np.any(w < 0):
                 raise NegativeDensity("measure density must be nonnegative")
             return sphere_area(self.n) * w * r ** (self.n - 1)
-        if self.kind == "hyperbolic":
-            return sphere_area(self.n) * np.sinh(r) ** (self.n - 1)
-        # hyperplane: arc length on a line through the origin, two rays
-        return np.full_like(r, 2.0)
+        return sphere_area(self.n) * np.sinh(r) ** (self.n - 1)
 
     def _density(self, r: np.ndarray) -> np.ndarray:
         """w(r) of a radial measure."""
@@ -87,8 +82,6 @@ class MeasureDensity:
         V_k(r) = int_0^r sinh^k (_sinh_power_integral)."""
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
-        if self.kind == "hyperplane":
-            return 2.0 * r
         d = self._ball_exponent()
         if d is not None:
             return sphere_area(self.n) * r**d / d
@@ -105,7 +98,7 @@ class MeasureDensity:
         """coef * int_{|x| > r_max} (|x|/r_max)^expo dnu: a power tail declared
         beyond the last grid node, integrated out to infinity.
 
-        Closed form for Lebesgue, power densities and the line; the
+        Closed form for Lebesgue and power densities; the
         hyperbolic volume grows like e^{(n-1) r}, which no power tail
         offsets; a user's density goes through quadrature.  Raises
         NonIntegrableTail when the integral diverges, including when
@@ -118,11 +111,6 @@ class MeasureDensity:
                     f"tail r^{expo:+.3g} is not integrable against a ball mass "
                     f"growing like r^{d:.3g}")
             return sphere_area(self.n) * coef * r_max**d / (-(expo + d))
-        if self.kind == "hyperplane":
-            if expo + 1.0 >= 0:
-                raise NonIntegrableTail(
-                    f"tail r^{expo:+.3g} is not integrable on a line")
-            return 2.0 * coef * r_max / (-(expo + 1.0))
         if self.kind == "hyperbolic":
             raise NonIntegrableTail(
                 "no power tail is integrable under the hyperbolic volume")
@@ -196,7 +184,3 @@ def singular_measure(n: int, sigma: float) -> MeasureDensity:
         density_exponent=None if sigma == 1.0 else (sigma - 1.0) * n,
     )
 
-
-def hyperplane_measure() -> MeasureDensity:
-    """Arc length on a line through the origin in the plane (sigma = 1/2)."""
-    return MeasureDensity(kind="hyperplane", n=2)

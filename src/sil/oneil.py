@@ -4,8 +4,7 @@ change of variables that reduces the sharp bound to a level-set estimate.
 The majorant for (Tf)**(t) combines a local average term with the tail
 integral of k1* f*.  The chain runs one configuration, sigma = 1, p = 1,
 q = beta, where the first-term constant is the classical O'Neil value
-C0 = beta' A^{1/beta} (times 1 + H when the kernel profile carries a log
-correction); any other exponent pair would need a fitted C0.
+C0 = beta' A^{1/beta}; any other exponent pair would need a fitted C0.
 """
 
 from __future__ import annotations
@@ -13,59 +12,88 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, field
 from functools import cached_property
-from typing import Callable, Optional
+from typing import Optional
 
 import numpy as np
 
 from .constants import ball_volume, kernel_sharp_constant, riesz_normalization
 from .errors import (DomainError, JInfinite, MassNotCaptured,
                      TailNotConverged)
-from .grids import RadialFunction, log_grid
+from .grids import log_grid
 from .kernels import KernelSpec, bessel_kernel, hyperbolic_h2_exact
 from .measures import hyperbolic_volume
 from .params import Params
-from .rearrange import RearrangedProfile, decreasing_rearrangement
+from .rearrange import RearrangedProfile
 
 
 @dataclass
 class KernelProfile:
-    """Rearrangement data of a kernel: k1*(t), the profile constants of the
-    power bound k1*(t) <= A^{1/beta} t^{-1/beta} (1 + H / (1 + |log t|))
-    on (0, 1], and the tail integral J = (1/A) int_1^inf (k1*)^beta dt."""
+    """Rearrangement data of a kernel: k1*(t), the constants of the power
+    bound k1*(t) <= A^{1/beta} t^{-1/beta}, and the tail integral
+    J = (1/A) int_1^inf (k1*)^beta dt.
+
+    A truncated homogeneous profile is that power law up to the mass t_cut
+    and 0 past it.  A sampled (Bessel, hyperbolic) profile keeps nodes
+    (t_i, k_i) of the radially decreasing kernel, k_i = k(r_i) at the ball
+    masses t_i = nu(B(0, r_i)): k1* is a power law between nodes, follows
+    c t^{-1/beta} through the first node and below it, and is 0 past the
+    last node.
+    """
 
     beta: float
     A: float
-    H: float
     J: float
-    k1star: Callable[[np.ndarray], np.ndarray]
     t_cut: Optional[float] = None  # pure truncated profiles vanish past this
-    # sampled profiles: the rearranged samples whose f* is k1*
-    rearranged: Optional[RearrangedProfile] = None
+    t_nodes: Optional[np.ndarray] = None  # sampled profiles: ball masses
+    k_nodes: Optional[np.ndarray] = None  # and the kernel's values there
+
+    def k1star(self, t) -> np.ndarray:
+        """k1*(t), vectorized in t."""
+        t = np.asarray(t, dtype=float)
+        if self.t_cut is not None:
+            vals = (self.A / np.clip(t, 1e-300, None)) ** (1.0 / self.beta)
+            return np.where(t > self.t_cut, 0.0, vals)
+        tn, kn = self.t_nodes, self.k_nodes
+        i = _segment(tn, t)
+        s = np.where(t < tn[0], -1.0 / self.beta, _slopes(tn, kn)[i])
+        return np.where(t > tn[-1], 0.0, kn[i] * (t / tn[i]) ** s)
 
     def k1_antideriv(self, u) -> np.ndarray:
-        """int_0^u k1*(s) ds; closed form for pure truncated power profiles,
-        u k1**(u) of the stored step function otherwise, exact for both."""
+        """int_0^u k1*(s) ds in closed form, exact for both profiles."""
         u = np.asarray(u, dtype=float)
+        bc = self.beta / (self.beta - 1.0)
         if self.t_cut is not None:
-            bc = self.beta / (self.beta - 1.0)
             uu = np.minimum(u, self.t_cut)
-            out = self.A ** (1.0 / self.beta) * bc * uu ** (1.0 / bc)
-            return out
-        return u * self.rearranged.fstarstar_at(u)
+            return self.A ** (1.0 / self.beta) * bc * uu ** (1.0 / bc)
+        tn, kn = self.t_nodes, self.k_nodes
+        u = np.minimum(u, tn[-1])
+        head = kn[0] * tn[0] * bc * (np.minimum(u, tn[0]) / tn[0]) ** (1.0 / bc)
+        e = _slopes(tn, kn) + 1.0
+        done = np.concatenate([[0.0], np.cumsum(_power_integral(
+            kn[:-1] * tn[:-1], e, np.log(tn[1:] / tn[:-1])))])
+        i = _segment(tn, u)
+        part = _power_integral(kn[i] * tn[i], e[i],
+                               np.log(np.maximum(u, tn[0]) / tn[i]))
+        return head + done[i] + part
 
 
-def _pure_profile(a_g: float, beta: float, t_cut: Optional[float]):
-    """k1* of a purely homogeneous kernel, optionally truncated to a ball
-    (mass cutoff t_cut)."""
+def _segment(tn: np.ndarray, t: np.ndarray) -> np.ndarray:
+    """Index i of the node segment [t_i, t_{i+1}] that holds each t: the
+    first segment for t below it, the last for t above it."""
+    return np.clip(np.searchsorted(tn, t, side="right") - 1, 0, tn.size - 2)
 
-    def k1(t):
-        t = np.asarray(t, dtype=float)
-        vals = (a_g / np.clip(t, 1e-300, None)) ** (1.0 / beta)
-        if t_cut is not None:
-            vals = np.where(t > t_cut, 0.0, vals)
-        return vals
 
-    return k1
+def _slopes(tn: np.ndarray, kn: np.ndarray) -> np.ndarray:
+    """Log-log slopes of the node segments."""
+    return np.log(kn[1:] / kn[:-1]) / np.log(tn[1:] / tn[:-1])
+
+
+def _power_integral(wa, e, ell):
+    """int_a^{a e^ell} w (t/a)^{e-1} dt = w a ell (e^{e ell} - 1)/(e ell),
+    given wa = w a; the ratio is 1 at e ell = 0."""
+    x = np.asarray(e * ell, dtype=float)
+    ratio = np.divide(np.expm1(x), x, out=np.ones_like(x), where=x != 0.0)
+    return wa * ell * ratio
 
 
 def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None,
@@ -75,7 +103,9 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     Homogeneous kernels, scalar or vector, give the exact power profile of
     |g| = |a| r^{alpha-n}; with a truncation radius the tail integral J is
     finite, without one it diverges (JInfinite).  Bessel and hyperbolic
-    kernels are rearranged numerically from a radial sampling.
+    kernels decrease radially, so k1*(nu(B(0, r))) = k(r) needs no sort:
+    their profiles keep the positive samples of a radial grid at the
+    closed-form ball masses, and J is summed over the pieces exactly.
     """
     p = kernel.params
     beta = p.beta
@@ -87,28 +117,22 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
                 "truncate to a ball to make J finite")
         # mass where the truncated kernel first vanishes
         t_cut = ball_volume(p.n) * truncation_radius**p.n
-        k1 = _pure_profile(a_g, beta, t_cut)
-        j = _exact_pure_j(t_cut)
-        return KernelProfile(beta=beta, A=a_g, H=0.0, J=j, k1star=k1,
+        return KernelProfile(beta=beta, A=a_g, J=_exact_pure_j(t_cut),
                              t_cut=t_cut)
-    # sampled kernels: rearrange a radial sampling (the hyperbolic kernel
-    # against the hyperbolic volume) and fit the bound constants
     if kernel.kind == "bessel":
-        g = grid if grid is not None else log_grid(1e-5, 60.0, 4096)
-        vals = bessel_kernel(p.n, p.alpha, g)
-        measure = None
+        r = grid if grid is not None else log_grid(1e-5, 60.0, 4096)
+        k = bessel_kernel(p.n, p.alpha, r)
+        t = ball_volume(p.n) * r**p.n
     else:
-        g = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
-        vals = hyperbolic_h2_exact(p.n, g)
-        measure = hyperbolic_volume(p.n)
-    prof = RadialFunction(g, vals, p.n, tail_exponent=None)
-    rearr = decreasing_rearrangement(prof, measure)
+        r = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
+        k = hyperbolic_h2_exact(p.n, r)
+        vol = hyperbolic_volume(p.n)
+        t = np.array([vol.ball_mass_origin(x) for x in r])
+    keep = k > 0
+    tn, kn = t[keep], k[keep]
     a = ball_volume(p.n) * riesz_normalization(p.n, p.alpha)**beta
-    k1 = lambda t: rearr.fstar_at(np.asarray(t, dtype=float))
-    j = _tail_j(k1, a, beta)
-    h = _fit_profile_h(k1, a, beta)
-    return KernelProfile(beta=beta, A=a, H=h, J=j, k1star=k1,
-                         rearranged=rearr)
+    return KernelProfile(beta=beta, A=a, J=_sampled_j(tn, kn, a, beta),
+                         t_nodes=tn, k_nodes=kn)
 
 
 def _exact_pure_j(t_cut: float) -> float:
@@ -118,25 +142,17 @@ def _exact_pure_j(t_cut: float) -> float:
     return math.log(t_cut)
 
 
-def _tail_j(k1, a: float, beta: float) -> float:
-    """J = (1/A) int_1^inf (k1*)^beta dt by log-grid quadrature on [1, 1e9]."""
-    t_max = 1e9
-    t = np.exp(np.linspace(0.0, math.log(t_max), 4096))
-    vals = np.asarray(k1(t), dtype=float) ** beta * t
-    j = float(np.trapezoid(vals, np.log(t))) / a
-    # convergence: the last decade must contribute a negligible share
-    last = t > t_max / 10.0
-    if float(np.trapezoid(vals[last], np.log(t[last]))) / a > 1e-3 * max(j, 1e-30):
-        raise JInfinite("kernel tail integral does not converge")
-    return j
-
-
-def _fit_profile_h(k1, a: float, beta: float) -> float:
-    """Smallest H >= 0 with k1*(t) <= A^{1/b} t^{-1/b} (1 + H (1+|log t|)^{-1})."""
-    t = np.exp(np.linspace(math.log(1e-6), 0.0, 400))
-    ratio = np.asarray(k1(t), dtype=float) / (a ** (1.0 / beta) * t ** (-1.0 / beta))
-    excess = (ratio - 1.0) * (1.0 + np.abs(np.log(t)))
-    return float(max(0.0, np.max(excess)))
+def _sampled_j(tn: np.ndarray, kn: np.ndarray, a: float, beta: float) -> float:
+    """J of a sampled profile: (1/A) times the closed-form integrals of
+    (k1*)^beta over the head and every node segment, clipped to [1, inf)."""
+    s = np.concatenate([[-1.0 / beta], _slopes(tn, kn)])
+    t_anchor = np.concatenate([tn[:1], tn[:-1]])
+    k_anchor = np.concatenate([kn[:1], kn[:-1]])
+    lo = np.maximum(np.concatenate([[0.0], tn[:-1]]), 1.0)
+    hi = np.maximum(tn, 1.0)
+    v = k_anchor * (lo / t_anchor) ** s
+    return float(np.sum(_power_integral(v**beta * lo, beta * s + 1.0,
+                                        np.log(hi / lo)))) / a
 
 
 # ---------------------------------------------------------------------------
@@ -144,11 +160,10 @@ def _fit_profile_h(k1, a: float, beta: float) -> float:
 # ---------------------------------------------------------------------------
 
 def oneil_constant(profile: KernelProfile) -> float:
-    """Classical first-term constant C0 = beta' A^{1/beta} (1 + H) of the
-    majorant."""
+    """Classical first-term constant C0 = beta' A^{1/beta} of the majorant."""
     beta = profile.beta
     bc = beta / (beta - 1.0)
-    return bc * profile.A ** (1.0 / beta) * (1.0 + profile.H)
+    return bc * profile.A ** (1.0 / beta)
 
 
 def _require_sigma_one(params: Params) -> None:
@@ -195,9 +210,7 @@ class GarsiaState:
 
     phi(x) = f*(e^{-x}) e^{-x (b-1)/b}; the change of variables is an
     isometry of the b'-norm.  C2 = C0^b / A feeds the piecewise comparison
-    kernel, and d* = C2 + J.  The log correction H of the profile bound
-    would add C3 = int_0^inf [(1 + H / (1 + x))^b - 1] dx to d*, which
-    diverges for every H > 0, so the chain needs H = 0.
+    kernel, and d* = C2 + J.
     """
 
     x_grid: np.ndarray
@@ -208,9 +221,6 @@ class GarsiaState:
     d_star: float = field(init=False)
 
     def __post_init__(self):
-        if self.profile.H > 0.0:
-            raise DomainError(f"log-correction constant C3 diverges for "
-                              f"H = {self.profile.H:.3g} > 0")
         self.beta = self.profile.beta
         self.c2 = oneil_constant(self.profile)**self.beta / self.profile.A
         self.d_star = self.c2 + self.profile.J
@@ -227,6 +237,7 @@ class GarsiaState:
         left: the x <= 0 branch integral (constant in y);
         mid(y): cumulative of phi over [0, y];
         right(y) = C2^{1/b} e^{y/b} * tail(y), tail(y) = int_y^inf e^{-x/b} phi.
+        A grid with no node at x >= 0 gives zero mid and tail.
         """
         x, phi = self.x_grid, self.phi
         beta = self.beta
@@ -239,11 +250,11 @@ class GarsiaState:
         else:
             left = 0.0
         pos = x >= 0
-        xp = x[pos]
-        mid_integrand = phi[pos]
+        xp, php = (x[pos], phi[pos]) if np.any(pos) else (np.zeros(1),
+                                                          np.zeros(1))
         mid_cum = np.concatenate([[0.0], np.cumsum(
-            0.5 * (mid_integrand[1:] + mid_integrand[:-1]) * np.diff(xp))])
-        tail_integrand = np.exp(-xp / beta) * phi[pos]
+            0.5 * (php[1:] + php[:-1]) * np.diff(xp))])
+        tail_integrand = np.exp(-xp / beta) * php
         pieces = 0.5 * (tail_integrand[1:] + tail_integrand[:-1]) * np.diff(xp)
         # accumulate from the right: no cancellation for e^{y/b} to amplify
         tail = np.concatenate([np.cumsum(pieces[::-1])[::-1], [0.0]])
@@ -412,8 +423,8 @@ def dual_path_values(fstar: RearrangedProfile, profile: KernelProfile,
     Path A integrates directly in t with the majorant M(t) built from f*;
     path B applies the exponential change of variables and integrates
     e^{-F(y)}.  The two parameterize the same quantity when the kernel
-    profile is an exact truncated power (no log correction), so agreement
-    checks both code paths end to end.  Both leave out t < 1e-6.
+    profile is an exact truncated power, so agreement checks both code
+    paths end to end.  Both leave out t < 1e-6.
     """
     _require_sigma_one(params)
     beta = profile.beta

@@ -3,13 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from sil.constants import moser_gamma, sphere_area
+from sil.constants import sphere_area
 from sil.errors import DivergentIntegral, DomainError, HypothesisViolated
 from sil.functionals import (Domain, FunctionalSpec, holder_split_inequality,
                              mt_functional, shifted_functional_bounds)
 from sil.grids import RadialFunction, anchored_log_grid, indicator_values, \
     log_grid
-from sil.measures import hyperplane_measure, singular_measure
+from sil.measures import singular_measure
 from sil.norms import lp_norm
 from sil.params import Params
 
@@ -195,10 +195,6 @@ class TestTraceMeasures:
             expected = sphere_area(n) * r ** (sigma * n) / (sigma * n)
             assert nu.ball_mass_origin(r) == pytest.approx(expected, rel=1e-8)
 
-    def test_hyperplane(self):
-        nu = hyperplane_measure()
-        assert nu.ball_mass_origin(3.0) == 6.0
-
 
 class TestNoBoundaryCoefficient:
     def test_boundary_sequence_saturates(self):
@@ -213,8 +209,8 @@ class TestNoBoundaryCoefficient:
             plateau = math.log(1.0 / eps)
             u_norm_sq = plateau**2 / grad_half  # |u(0)|^2 / ||grad u||^2
             # the sharp coefficient without boundary conditions is
-            # 2^{-1/(n-1)} times Moser's
-            vals.append(0.5 * moser_gamma(2) * u_norm_sq
+            # 2^{-1/(n-1)} times Moser's n omega_{n-1}^{1/(n-1)} = 4 pi
+            vals.append(0.5 * 2.0 * sphere_area(2) * u_norm_sq
                         - 2.0 * math.log(1.0 / eps))
         # exponent balance: coefficient * |u|^2 - n log(1/eps) stays bounded
         assert max(vals) - min(vals) <= 2.0

@@ -11,8 +11,8 @@ from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
 from sil.functionals import (Domain, FunctionalSpec, mt_functional,
                              shifted_functional_bounds)
 from sil.kernels import riesz_kernel
-from sil.measures import (MeasureDensity, hyperbolic_volume,
-                          hyperplane_measure, lebesgue, singular_measure)
+from sil.measures import (MeasureDensity, hyperbolic_volume, lebesgue,
+                          singular_measure)
 from sil.norms import cells, lp_norm, pair_q_norm
 from sil.params import Params
 from sil.potentials import radial_convolve
@@ -299,8 +299,7 @@ class TestTailIntegral:
 
     G = log_grid(1e-3, 10.0, 2000)
     MEASURES = {"lebesgue": lebesgue(2),
-                "singular": singular_measure(2, 0.5),
-                "hyperplane": hyperplane_measure()}
+                "singular": singular_measure(2, 0.5)}
 
     def profile(self, tail):
         vals = (1.0 + self.G) ** tail
@@ -337,7 +336,6 @@ class TestTailIntegral:
         nu = lebesgue(3)
         assert nu.tail_integral(2.0, -5.0, 3.0) == pytest.approx(
             3.0 * 4.0 * math.pi * 2.0**3 / 2.0, rel=1e-15)
-        assert hyperplane_measure().tail_integral(2.0, -3.0) == 2.0
 
     def test_hyperbolic_raises(self):
         f, _ = self.profile(-3.0)
@@ -361,8 +359,6 @@ class TestTailIntegral:
     def test_divergent_closed_form_tails_raise(self):
         with pytest.raises(NonIntegrableTail):
             lebesgue(2).tail_integral(1.0, -2.0)
-        with pytest.raises(NonIntegrableTail):
-            hyperplane_measure().tail_integral(1.0, -1.0)
 
 
 class TestClosedFormMasses:

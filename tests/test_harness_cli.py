@@ -15,7 +15,7 @@ from sil.functionals import holder_split_inequality
 from sil.grids import RadialFunction, log_grid
 from sil.harness import (RATE_FIT_EPS_MAX, Scenario, default_scenarios,
                          parse_config, run_all, run_scenario)
-from sil.kernels import gradient_kernel, riesz_kernel
+from sil.kernels import bessel_kernel_spec, gradient_kernel, riesz_kernel
 from sil.oneil import (garsia_integral, garsia_transform, kernel_profile,
                        level_set_measure)
 from sil.params import Params
@@ -613,15 +613,34 @@ class TestCli:
         for key, value in out["riesz"].items():
             assert out["gradient"][key] == pytest.approx(value, rel=1e-14), key
 
-    def test_garsia_rejects_divergent_log_correction(self, tmp_path, capsys):
-        # the Bessel profile carries H > 0, so C3 diverges
+    @pytest.mark.parametrize("n", [2, 3])
+    def test_garsia_runs_bessel_kernel(self, tmp_path, capsys, n):
+        # the exact Bessel profile meets the power bound with no log
+        # correction, so the chain runs over all of R^n with d* = C2 + J,
+        # and its integrals hold the 1% of the level-set benchmark check
+        import importlib.util
+        path = os.path.join(os.path.dirname(__file__), os.pardir, "bench",
+                            "checks.py")
+        spec = importlib.util.spec_from_file_location("bench_checks", path)
+        checks = importlib.util.module_from_spec(spec)
+        spec.loader.exec_module(checks)
         g = log_grid(1e-6, 1e2, 1024)
         src = tmp_path / "f.csv"
-        src.write_text(RadialFunction(g, np.exp(-g), 2).to_csv())
-        code = main(["garsia", "--kernel", "bessel", "--n", "2", "--alpha",
-                     "1", "--f", str(src)])
-        assert code == 3
-        assert "diverges" in capsys.readouterr().err
+        src.write_text(RadialFunction(g, np.exp(-g), n).to_csv())
+        assert main(["garsia", "--kernel", "bessel", "--n", str(n),
+                     "--alpha", "1", "--f", str(src)]) == 0
+        out = json.loads(capsys.readouterr().out)
+        p = Params(n, 1.0)
+        prof = kernel_profile(bessel_kernel_spec(p))
+        state = garsia_transform(decreasing_rearrangement(
+            RadialFunction.from_csv(src.read_text())), prof, p)
+        assert out["J"] == prof.J
+        assert out["d_star"] == state.c2 + prof.J
+        assert math.isfinite(out["d_star"])
+        res = garsia_integral(state)
+        exact = checks.exact_exp_integral(res["y_grid"], res["f_values"])
+        for key in ("integral", "layer_cake"):
+            assert res[key] == pytest.approx(exact, rel=0.01), key
 
     def test_garsia_rejects_hyperbolic_plane(self, tmp_path, capsys):
         # the hyperbolic Green kernel has order 2: on the plane alpha = n,
@@ -768,3 +787,25 @@ class TestCli:
         assert "lemma_suite" in captured
         assert (out_dir / "lemma_suite.json").exists()
         assert code in (0, 1)
+
+
+class TestBenchTrace:
+    def test_traced_levelset_reports_every_layer(self):
+        # a traced round wraps library functions by name and fails when
+        # one is missing, so deleting or renaming a traced function shows
+        # here rather than only in the per-layer benchmark
+        import subprocess
+        import sys
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        proc = subprocess.run(
+            [sys.executable, os.path.join(root, "bench", "run.py"),
+             "--workload", "levelset", "--seed", "0", "--seconds", "0",
+             "--trace", "1"],
+            cwd=root, capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr[-2000:]
+        result = json.loads(proc.stdout.strip().splitlines()[-1])
+        assert result["correct"] is True
+        with open(os.path.join(root, "BENCHMARK.json")) as fh:
+            names = [m["name"] for m in json.load(fh)["per_layer"]]
+        assert set(names) <= set(result["metrics"])

@@ -1,4 +1,3 @@
-import dataclasses
 import math
 
 import numpy as np
@@ -8,9 +7,7 @@ from sil.errors import (DomainError, JInfinite, MassNotCaptured,
                         TailNotConverged)
 from sil.grids import RadialFunction, log_grid
 from sil.kernels import (bessel_kernel_spec, constant_kernel, gradient_kernel,
-                         hyperbolic_h2_exact, hyperbolic_kernel_spec,
-                         riesz_kernel)
-from sil.measures import hyperbolic_volume
+                         hyperbolic_kernel_spec, riesz_kernel)
 from sil.norms import lp_norm
 from sil.oneil import (F_functional, GarsiaState, dual_path_values,
                        garsia_integral, garsia_samples, garsia_transform,
@@ -45,7 +42,6 @@ class TestKernelProfile:
     def test_truncated_riesz(self):
         prof = RIESZ_PROFILE
         assert prof.A == pytest.approx(math.pi, rel=1e-12)
-        assert prof.H == 0.0
         assert prof.J == pytest.approx(math.log(math.pi), rel=1e-12)
         for t in (1e-3, 0.5, 3.0):
             assert prof.k1star(np.array([t]))[0] == pytest.approx(
@@ -59,8 +55,7 @@ class TestKernelProfile:
         scalar = kernel_profile(constant_kernel(P2, 1.0 / (2.0 * math.pi)),
                                 truncation_radius=1.0)
         t = np.geomspace(1e-6, 10.0, 50)
-        assert (vec.A, vec.H, vec.J, vec.t_cut) == \
-            (scalar.A, scalar.H, scalar.J, scalar.t_cut)
+        assert (vec.A, vec.J, vec.t_cut) == (scalar.A, scalar.J, scalar.t_cut)
         assert np.array_equal(vec.k1star(t), scalar.k1star(t))
 
     def test_untruncated_diverges(self):
@@ -83,32 +78,31 @@ class TestKernelProfile:
         assert prof.beta == pytest.approx(3.0, rel=1e-12)
 
     def test_sampled_antiderivative(self):
-        # int_0^u k1* against u k1**(u) of the same rearranged samples, exact
-        # for the step function, down to the head cell
-        g = log_grid(1e-5, 40.0, 4096)
-        prof = kernel_profile(hyperbolic_kernel_spec(Params(3, 2.0)), grid=g)
-        rearr = decreasing_rearrangement(
-            RadialFunction(g, hyperbolic_h2_exact(3, g), 3), hyperbolic_volume(3))
-        u = np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.1, 1.0, 10.0, 1e3, 1e6, 1e9])
-        np.testing.assert_allclose(prof.k1_antideriv(u),
-                                   u * rearr.fstarstar_at(u), rtol=1e-13)
-        # f* = chi_[0,1): C0 t^{-1/3} t + int_t^1 k1*, largest gap 1.6e-5
+        # the Green kernel of H^3 is (coth r - 1) / (4 pi) and the geodesic
+        # ball of radius R has volume 4 pi (sinh(2R)/4 - R/2), so int_0^u k1*
+        # is R/2 + expm1(-2R)/4 at that u; the largest measured gap is 1.2e-6
+        prof = kernel_profile(hyperbolic_kernel_spec(Params(3, 2.0)))
+        big_r = np.geomspace(1e-4, 30.0, 41)
+        u = 4.0 * math.pi * (np.sinh(2.0 * big_r) / 4.0 - big_r / 2.0)
+        exact = big_r / 2.0 + np.expm1(-2.0 * big_r) / 4.0
+        np.testing.assert_allclose(prof.k1_antideriv(u), exact, rtol=5e-6)
+        # f* = chi_[0,1): C0 t^{-1/3} t + int_t^1 k1*
         c0 = oneil_constant(prof)
         for t in (0.04, 0.25, 0.64):
-            tail = rearr.fstarstar_at(1.0) - t * rearr.fstarstar_at(t)
+            tail = prof.k1_antideriv(1.0) - prof.k1_antideriv(t)
             assert oneil_rhs(STEP, prof, t) == pytest.approx(
-                c0 * t ** (2.0 / 3.0) + tail, rel=1e-4)
+                c0 * t ** (2.0 / 3.0) + tail, rel=1e-12)
 
     def test_bessel_antiderivative_closed_form(self):
         # G_2 in R^3 is e^{-r} / (4 pi r), so int_0^u k1* is the mass of the
         # ball of volume u: 1 - (1 + R) e^{-R}, R = (3u / (4 pi))^{1/3}; the
-        # largest measured gap is 8.9e-5, at u = 1e-9, near the sampled
-        # grid's first node
+        # largest measured gap is 1.7e-6, from the power-law head below the
+        # first node up to the mass of the last one
         prof = kernel_profile(bessel_kernel_spec(Params(3, 2.0)))
-        u = np.geomspace(1e-9, 100.0, 23)
+        u = np.geomspace(1e-12, 100.0, 29)
         r = (3.0 * u / (4.0 * math.pi)) ** (1.0 / 3.0)
         exact = -np.expm1(-r) - r * np.exp(-r)
-        np.testing.assert_allclose(prof.k1_antideriv(u), exact, rtol=1e-4)
+        np.testing.assert_allclose(prof.k1_antideriv(u), exact, rtol=5e-6)
 
     def test_hyperbolic_plane_has_no_power_profile(self):
         with pytest.raises(DomainError):
@@ -120,19 +114,36 @@ class TestKernelProfile:
         lambda: kernel_profile(hyperbolic_kernel_spec(Params(3, 2.0))),
     ])
     def test_hypothesis_inheritance_sampled(self, make):
-        # the power bound with constants (A, H) holds on (0, 1], the tail
-        # bound A^{1/beta} (1 + H) t^{-1/beta} on (0, inf), and J is finite
+        # the power bound A^{1/beta} t^{-1/beta} holds on (0, inf), with no
+        # log correction, and J is finite
         prof = make()
-        t_small = np.exp(np.linspace(math.log(1e-6), 0.0, 60))
-        bound = prof.A ** (1 / prof.beta) * t_small ** (-1 / prof.beta) \
-            * (1.0 + prof.H / (1.0 + np.abs(np.log(t_small))))
-        vals = np.asarray(prof.k1star(t_small))
-        assert np.all(vals <= bound * (1 + 1e-6))
-        t_all = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 80))
-        tail_bound = prof.A ** (1 / prof.beta) * (1.0 + prof.H) \
-            * t_all ** (-1 / prof.beta)
-        assert np.all(np.asarray(prof.k1star(t_all)) <= tail_bound * (1 + 1e-6))
+        t = np.exp(np.linspace(math.log(1e-6), math.log(1e3), 80))
+        bound = prof.A ** (1 / prof.beta) * t ** (-1 / prof.beta)
+        assert np.all(prof.k1star(t) <= bound * (1 + 1e-6))
         assert np.isfinite(prof.J) and prof.J >= 0.0
+
+    @pytest.mark.parametrize("kernel,n,alpha", [
+        ("bessel", 2, 1.0), ("bessel", 3, 1.0), ("bessel", 3, 2.0),
+        ("bessel", 4, 1.0), ("hyperbolic", 3, 2.0)])
+    def test_sampled_profile_under_power_bound(self, kernel, n, alpha):
+        # G_alpha <= I_alpha pointwise (subordination), so k1* of the exact
+        # profile stays under A^{1/beta} t^{-1/beta} from below the first
+        # node (mass 5e-20 at n = 4) to past the last (about 1e35 in H^3)
+        spec = {"bessel": bessel_kernel_spec,
+                "hyperbolic": hyperbolic_kernel_spec}[kernel]
+        prof = kernel_profile(spec(Params(n, alpha)))
+        t = np.geomspace(1e-25, 1e40, 200_001)
+        bound = prof.A ** (1 / prof.beta) * t ** (-1 / prof.beta)
+        assert np.all(prof.k1star(t) <= bound * (1 + 1e-12))
+
+    @pytest.mark.parametrize("n,alpha,j", [
+        (2, 1.0, 0.355262), (3, 1.0, 1.583674), (3, 2.0, 0.178083),
+        (4, 1.0, 2.983942)])
+    def test_bessel_j_matches_sorted_samples(self, n, alpha, j):
+        # J of the exact profile against the values the sorted step function
+        # gave on the same grid, which carried a resolution artefact
+        prof = kernel_profile(bessel_kernel_spec(Params(n, alpha)))
+        assert prof.J == pytest.approx(j, rel=1e-4)
 
 
 class TestOneilMajorant:
@@ -210,27 +221,18 @@ class TestGarsiaTransform:
         assert state.c2 == pytest.approx(4.0, rel=1e-12)  # (2 sqrt(pi))^2/pi
         assert state.d_star == pytest.approx(4.0 + math.log(math.pi), rel=1e-12)
 
-    def test_state_needs_h_zero(self):
-        # with the log correction (1 + H/(1 + x)) the constant C3 diverges
-        # for every H > 0; at H = 0 it is absent and d* = C2 + J
-        x = np.linspace(-5.0, 5.0, 101)
-        phi = 0.1 * np.exp(-x**2)
-        bessel = kernel_profile(bessel_kernel_spec(P2))
-        assert bessel.H > 0.0
-        with pytest.raises(DomainError, match="diverges for H"):
-            GarsiaState(x_grid=x, phi=phi, profile=bessel)
-        state = GarsiaState(x_grid=x, phi=phi, profile=RIESZ_PROFILE)
-        assert state.d_star == state.c2 + RIESZ_PROFILE.J
-
-    @pytest.mark.parametrize("h1", [1.0, 0.5])
-    def test_c3_diverges_without_gamma_above_one(self, h1):
-        # the log correction has exponent 1, so the C3 integrand decays like
-        # beta H (1+x)^{-1}: beta does not help, and any H > 0 diverges
-        x = np.linspace(-5.0, 5.0, 101)
-        phi = 0.1 * np.exp(-x**2)
-        profile = dataclasses.replace(RIESZ_PROFILE, H=h1)
-        with pytest.raises(DomainError, match="diverges"):
-            GarsiaState(x_grid=x, phi=phi, profile=profile)
+    def test_grid_without_positive_half(self):
+        # no node at x >= 0: the mid and tail prefixes are zero, so
+        # F(y) = y - left^beta and int_0^inf e^{-F} = e^{left^beta}
+        x = np.linspace(-5.0, -1.0, 41)
+        state = state_from_phi(0.1 * np.ones(41), x, RIESZ_PROFILE, P2)
+        left = state._prefix[0]
+        assert left > 0.0
+        assert F_functional(2.0, state) == pytest.approx(2.0 - left**2,
+                                                         rel=1e-12)
+        res = garsia_integral(state)
+        assert res["integral"] == pytest.approx(math.exp(left**2), rel=1e-4)
+        assert res["layer_cake"] == pytest.approx(math.exp(left**2), rel=1e-2)
 
 
 class TestLevelSetMachinery:

@@ -7,8 +7,7 @@ import sil.rearrange
 from sil.errors import SilError, UnboundedDistribution
 from sil.functionals import Domain, FunctionalSpec, mt_functional
 from sil.grids import RadialFunction, indicator_values, log_grid
-from sil.measures import (hyperbolic_volume, hyperplane_measure, lebesgue,
-                          singular_measure)
+from sil.measures import hyperbolic_volume, lebesgue, singular_measure
 from sil.norms import head_mass, lp_norm
 from sil.rearrange import (decreasing_rearrangement, distribution_function,
                            exp_regularized, rearrangement_value,
@@ -149,8 +148,8 @@ class TestDistributionBitIdentity:
             assert distribution_function(f, s) == _reference_distribution(f, s)
 
     @pytest.mark.parametrize("nu", [lebesgue(2), singular_measure(2, 0.5),
-                                    hyperbolic_volume(2), hyperplane_measure()],
-                             ids=["lebesgue", "singular", "hyperbolic", "hyperplane"])
+                                    hyperbolic_volume(2)],
+                             ids=["lebesgue", "singular", "hyperbolic"])
     def test_measures(self, nu):
         f = seeded_profile(8, 2, -2.5, grid=log_grid(1e-4, 10.0, 1024))
         for s in _levels(f):
