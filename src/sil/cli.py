@@ -157,14 +157,17 @@ def cmd_functional(args) -> int:
 
 def cmd_extremal(args) -> int:
     params = _params_from(args)
-    if args.kind == "adams":
-        fam = adams_family(riesz_kernel(params), args.eps)
-    elif args.kind == "moser":
-        fam = moser_log_family(args.n, args.alpha, args.eps)
-    elif args.kind == "hyperbolic":
-        fam = hyperbolic_log_family(args.n, args.alpha, args.eps)
-    else:
-        raise ConfigError(f"unknown family kind {args.kind!r}")
+    try:
+        if args.kind == "adams":
+            fam = adams_family(riesz_kernel(params), args.eps)
+        elif args.kind == "moser":
+            fam = moser_log_family(args.n, args.alpha, args.eps)
+        elif args.kind == "hyperbolic":
+            fam = hyperbolic_log_family(args.n, args.alpha, args.eps)
+        else:
+            raise ConfigError(f"unknown family kind {args.kind!r}")
+    except DomainError as exc:
+        raise ConfigError(f"--eps {args.eps:g}: {exc}") from exc
     _write(fam.profile.to_csv(), args.out)
     return 0
 

@@ -273,18 +273,20 @@ class CartesianField:
         return -self.extent + (np.arange(self.resolution) + 0.5) * self.h
 
     def radii(self) -> np.ndarray:
-        ax = self.axes()
-        if self.n == 2:
-            x, y = np.meshgrid(ax, ax, indexing="ij")
-            return np.sqrt(x**2 + y**2)
-        x, y, z = np.meshgrid(ax, ax, ax, indexing="ij")
-        return np.sqrt(x**2 + y**2 + z**2)
+        axes = np.meshgrid(*([self.axes()] * self.n), indexing="ij", sparse=True)
+        total = axes[0] ** 2
+        for x in axes[1:]:
+            total = total + x**2  # the last sum is the one full box
+        return np.sqrt(total, out=total)
 
     @staticmethod
     def from_callable(fn, n: int, extent: float, resolution: int) -> "CartesianField":
+        """fn(x_1, ..., x_n) at the cell centres, each x_i a read-only view
+        of one coordinate broadcast to the whole box."""
         ax = -extent + (np.arange(resolution) + 0.5) * (2.0 * extent / resolution)
-        grids = np.meshgrid(*([ax] * n), indexing="ij")
-        return CartesianField(n, extent, np.asarray(fn(*grids), dtype=float))
+        coords = [np.broadcast_to(x, (resolution,) * n)
+                  for x in np.meshgrid(*([ax] * n), indexing="ij", sparse=True)]
+        return CartesianField(n, extent, np.asarray(fn(*coords), dtype=float))
 
     def to_json(self) -> str:
         return json.dumps({

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -219,18 +218,19 @@ class GarsiaState:
     beta: float = field(init=False)
     c2: float = field(init=False)
     d_star: float = field(init=False)
+    _prefix: tuple = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         self.beta = self.profile.beta
         self.c2 = oneil_constant(self.profile)**self.beta / self.profile.A
         self.d_star = self.c2 + self.profile.J
+        self._prefix = self._integral_pieces()
 
     def phi_norm_bc(self) -> float:
         bc = self.beta / (self.beta - 1.0)
         return float(np.trapezoid(self.phi**bc, self.x_grid)) ** (1.0 / bc)
 
-    @cached_property
-    def _prefix(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
+    def _integral_pieces(self) -> tuple[float, np.ndarray, np.ndarray, np.ndarray]:
         """The y-independent pieces (left, xp, mid_cum, tail) of
         int g(x, y) phi(x) dx.
 

@@ -304,6 +304,8 @@ def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
     Bias 0 correlates weights with the table and scales by r^{a-n}; bias 1
     correlates weights rho^{a-n} with the table times u^{n-a}, which gives
     the result on its own scale (the FFTLog power-law bias, Hamilton 2000).
+    Bias 0 ends before bias 1 starts, so one pair of length-L spectra is
+    held at a time.
     FFT roundoff of a correlation is bounded by 64 eps |w|_1 |table|_inf on
     its own scale; each row keeps the bias with the smaller bound.  Rows
     whose bound still exceeds 1e-4 of their value (a potential that is 0 or
@@ -315,16 +317,21 @@ def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
     def correlate(w: np.ndarray, t: np.ndarray) -> np.ndarray:
         spec = fft.rfft(w, length)
         spec *= fft.rfft(t[::-1], length)
-        return fft.irfft(spec, length)[m - 1: 2 * m - 1]
+        full = fft.irfft(spec, length)
+        del spec
+        return full[m - 1: 2 * m - 1].copy()  # nothing of length L outlives it
 
-    scale = grid**a_n
-    w1 = weights * scale
-    t1 = table * np.exp(np.arange(1 - m, m) * (-a_n * h))
-    corr0 = scale * correlate(weights, table)
-    corr1 = correlate(w1, t1)
     eps64 = 64.0 * np.finfo(float).eps
+    scale = grid**a_n
+    corr0 = correlate(weights, table)
+    corr0 *= scale
     bound0 = scale * (eps64 * np.sum(np.abs(weights)) * np.max(np.abs(table)))
+    w1 = weights * scale
+    t1 = np.exp(np.arange(1 - m, m) * (-a_n * h))
+    t1 *= table
+    corr1 = correlate(w1, t1)
     bound1 = eps64 * np.sum(np.abs(w1)) * np.max(np.abs(t1))
+    del w1, t1
     vals = np.where(bound1 < bound0, corr1, corr0)
     bound = np.minimum(bound0, bound1)
     nz = np.nonzero(weights)[0]
@@ -511,7 +518,8 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     workspace: each block is zero-padded and transformed over the leading
     axes, multiplied by the kernel, inverted, and cut to the box, which
     overwrites the block.  A last inverse along the last axis, in blocks of
-    rows, fills the res^n output.
+    rows, fills the res^n output, which is allocated only after the kernel
+    spectrum is freed.
     """
     p = kernel.params
     if not kernel.is_scalar_homogeneous:
@@ -548,6 +556,7 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
             block = fft.ifft(block, axis=axis, norm="forward",
                              out=block)[(slice(None),) * axis + (box,)]
         spec[..., cols] = block
+    del kernel_spec, block
     out = np.empty((res,) * n)
     for rows in slabs:
         out[rows] = fft.irfft(spec[rows], length, axis=-1,

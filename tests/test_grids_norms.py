@@ -1,5 +1,6 @@
 import json
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -49,6 +50,27 @@ class TestGrids:
         vals = np.ones((GRID.size, 4))
         with pytest.raises(DomainError):
             RadialFunction(GRID, vals, 2)
+
+    @pytest.mark.parametrize("n,res", [(2, 512), (3, 64)])
+    def test_cartesian_from_callable_holds_about_two_boxes(self, n, res):
+        # fn gets read-only coordinate views broadcast to the box, not n
+        # full coordinate arrays: the peak is fn's own output and one
+        # temporary, and every value equals the meshgrid construction
+        fn = lambda *xs: np.exp(-sum(x * x for x in xs))
+        CartesianField.from_callable(fn, n, 1.5, res)
+        tracemalloc.start()
+        try:
+            f = CartesianField.from_callable(fn, n, 1.5, res)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * 8 * res**n
+        full = np.meshgrid(*([f.axes()] * n), indexing="ij")
+        assert np.array_equal(f.values, fn(*full))
+        assert np.array_equal(f.radii(), np.sqrt(sum(x**2 for x in full)))
+        with pytest.raises(ValueError):
+            CartesianField.from_callable(lambda *xs: xs[0].__iadd__(1.0), n,
+                                         1.5, res)
 
 
 class TestSerialization:

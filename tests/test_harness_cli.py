@@ -717,12 +717,17 @@ class TestCli:
         assert "two distinct points" in capsys.readouterr().err
 
     @pytest.mark.parametrize("flag,value", [("--q", "0"), ("--sigma", "0"),
-                                            ("--q", "0.5")])
+                                            ("--q", "0.5"), ("--eps", "0"),
+                                            ("--eps", "1"), ("--eps", "2"),
+                                            ("--eps", "-1")])
     def test_bad_parameter_exit_code(self, capsys, flag, value):
         # a parameter outside its range is a config error, never rewritten
-        assert main(["constants", flag, value]) == 2
-        err = capsys.readouterr().err
-        assert err.startswith("config error") and value in err
+        commands = ([["extremal", "--kind", kind] for kind in ("adams", "moser")]
+                    if flag == "--eps" else [["constants"]])
+        for command in commands:
+            assert main(command + [flag, value]) == 2
+            err = capsys.readouterr().err
+            assert err.startswith("config error") and value in err
 
     @pytest.mark.parametrize("case", ["cell", "ragged", "nonfinite", "missing"])
     @pytest.mark.parametrize("command", ["rearrange", "measure"])

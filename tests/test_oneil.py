@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -233,6 +234,13 @@ class TestGarsiaTransform:
         res = garsia_integral(state)
         assert res["integral"] == pytest.approx(math.exp(left**2), rel=1e-4)
         assert res["layer_cake"] == pytest.approx(math.exp(left**2), rel=1e-2)
+
+    def test_state_holds_only_declared_fields(self):
+        # the y-free prefixes are a declared field set at construction, so
+        # garsia_integral adds no attribute to the state
+        state = garsia_transform(STEP, RIESZ_PROFILE, P2)
+        garsia_integral(state)
+        assert set(vars(state)) == {f.name for f in dataclasses.fields(state)}
 
 
 class TestLevelSetMachinery:

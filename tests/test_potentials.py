@@ -318,6 +318,21 @@ class TestRadialConvolve:
         tf = radial_convolve(f, K2)
         assert np.all(tf.values == 0.0)
 
+    def test_workspace_on_the_longest_scenario_grid(self):
+        # adachi_rate at theta = 0.995 (m = 19,164 nodes, warm table): the
+        # correlations run one bias after the other and keep no length-L
+        # array, L ~ 2m; the peak is 7 m-floats of inputs and per-row
+        # arrays plus the two spectra of bias 1
+        f = adams_family(_ADACHI, coupling_eps(2, 2.0, 0.995)).profile
+        radial_convolve(f, _ADACHI)
+        tracemalloc.start()
+        try:
+            radial_convolve(f, _ADACHI)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 11.5 * 8 * f.grid.size
+
     def test_refinement_contract(self):
         bump = lambda r: np.exp(-1.0 / np.clip(1 - r**2, 1e-12, None)) * (r < 1)
         tfs = []
@@ -598,26 +613,29 @@ class TestCartesianConvolve:
         got = cartesian_convolve(f, kernel).values
         assert np.max(np.abs(got - want)) <= 1e-13 * np.max(np.abs(want))
 
-    @pytest.mark.parametrize("n,res", [(2, 512), (3, 64)])
-    def test_workspace_is_source_spectrum_orthant_and_box(self, n, res):
+    @pytest.mark.parametrize("n,res", [(2, 512), (3, 64), (3, 100)])
+    def test_workspace_is_spectrum_and_orthant_or_box(self, n, res):
         # what the engine holds is the source transformed along the last
-        # axis only, the kernel's real spectrum on one orthant and the
-        # output box; the padded passes run on slabs of about _SLAB_BYTES
-        # (at most 1.5 of them at once, at n = 3)
+        # axis only, with the kernel's real spectrum on one orthant during
+        # the padded passes and the output box after them, never both; a
+        # pass holds at most two blocks, each of about _SLAB_BYTES or one
+        # leading-axis column (16 L^{n-1} bytes), whichever is larger
         f = CartesianField(n, 1.0,
                            np.random.default_rng(n).normal(size=(res,) * n))
         kernel = riesz_kernel(Params(n, 1.0))
         cartesian_convolve(f, kernel)  # quadrature nodes and FFT plans
-        half = potentials._even_length(res) // 2
-        held = (res ** (n - 1) * (half + 1) * 16 + (half + 1) ** n * 8
-                + res**n * 8)
+        length = potentials._even_length(res)
+        half = length // 2
+        block = max(potentials._SLAB_BYTES, 16 * length ** (n - 1))
+        held = (res ** (n - 1) * (half + 1) * 16
+                + max((half + 1) ** n * 8, res**n * 8))
         tracemalloc.start()
         try:
             cartesian_convolve(f, kernel)
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak <= held + 2 * potentials._SLAB_BYTES
+        assert peak <= held + 2 * block
 
     @pytest.mark.parametrize("n", [2, 3])
     @pytest.mark.parametrize("alpha", [0.5, 1.0, 1.5])
