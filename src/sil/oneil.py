@@ -20,7 +20,7 @@ from .errors import (DomainError, JInfinite, MassNotCaptured,
                      TailNotConverged)
 from .grids import log_grid
 from .kernels import KernelSpec, bessel_kernel, hyperbolic_h2_exact
-from .measures import hyperbolic_volume
+from .measures import hyperbolic_ball_masses
 from .params import Params
 from .rearrange import RearrangedProfile
 
@@ -125,8 +125,7 @@ def kernel_profile(kernel: KernelSpec, truncation_radius: Optional[float] = None
     else:
         r = grid if grid is not None else log_grid(1e-5, 40.0, 4096)
         k = hyperbolic_h2_exact(p.n, r)
-        vol = hyperbolic_volume(p.n)
-        t = np.array([vol.ball_mass_origin(x) for x in r])
+        t = hyperbolic_ball_masses(p.n, r)
     keep = k > 0
     tn, kn = t[keep], k[keep]
     a = ball_volume(p.n) * riesz_normalization(p.n, p.alpha)**beta
@@ -373,6 +372,10 @@ def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
     return out if np.ndim(lams) else float(out[0])
 
 
+_Y_STEP = 0.01
+_Y_SAMPLES = 20001  # y = 0, 0.01, ..., 200
+
+
 def garsia_samples(state: GarsiaState) -> tuple[np.ndarray, np.ndarray]:
     """Samples (ys, fs) of F with step 0.01 on [0, 200], cut once F > 40
     past its last dip below; TailNotConverged if the window never reaches
@@ -382,19 +385,26 @@ def garsia_samples(state: GarsiaState) -> tuple[np.ndarray, np.ndarray]:
     y - (left + mid_cum[-1])^beta rises with slope 1 there: once it is above
     40 it stays above, and no sample past the one after its first rise
     above 40 is kept.  F is evaluated only through that sample, and one
-    more covers the roundoff of the offset computed here.
+    more covers the roundoff of the offset computed here.  Only the prefix
+    of the window that reaches it is built: y_i = 0.01 i is sample i of
+    np.arange(0.0, 200.01, 0.01) bit for bit, and at most
+    int(rise / 0.01) + 2 samples lie at or below the rise, the larger of
+    the last node and 40 + offset.
     """
-    ys = np.arange(0.0, 200.0 + 0.01, 0.01)
     left, xp, mid_cum, _ = state._prefix
     offset = (left + mid_cum[-1]) ** state.beta
-    first_above = max(np.searchsorted(ys, xp[-1], side="right"),
-                      np.searchsorted(ys, 40.0 + offset, side="right"))
+    rise = np.maximum(xp[-1], 40.0 + offset)
+    # a rise past 200, or a NaN one, takes the whole window
+    size = min(int(rise / _Y_STEP) + 5, _Y_SAMPLES) if rise < 200.0 \
+        else _Y_SAMPLES
+    ys = np.arange(size) * _Y_STEP
+    first_above = np.searchsorted(ys, rise, side="right")
     fs = np.atleast_1d(F_functional(ys[: first_above + 3], state))
     past = np.nonzero(fs > 40.0)[0]
     if past.size == 0:
         raise TailNotConverged("F never exceeded the tail threshold")
     last_low = np.nonzero(fs <= 40.0)[0][-1]
-    cut = min(last_low + 2, len(ys) - 1)
+    cut = min(last_low + 2, _Y_SAMPLES - 1)
     if fs[cut] <= 40.0:
         raise TailNotConverged("F did not stay above the tail threshold")
     return ys[: cut + 1], fs[: cut + 1]

@@ -1,5 +1,6 @@
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -9,6 +10,7 @@ from sil.errors import (DomainError, JInfinite, MassNotCaptured,
 from sil.grids import RadialFunction, log_grid
 from sil.kernels import (bessel_kernel_spec, constant_kernel, gradient_kernel,
                          hyperbolic_kernel_spec, riesz_kernel)
+from sil.measures import hyperbolic_ball_masses, hyperbolic_volume
 from sil.norms import lp_norm
 from sil.oneil import (F_functional, GarsiaState, dual_path_values,
                        garsia_integral, garsia_samples, garsia_transform,
@@ -77,6 +79,23 @@ class TestKernelProfile:
         prof = kernel_profile(hyperbolic_kernel_spec(Params(3, 2.0)))
         assert np.isfinite(prof.J)
         assert prof.beta == pytest.approx(3.0, rel=1e-12)
+
+    @pytest.mark.parametrize("n", [3, 4, 5, 6])
+    def test_hyperbolic_ball_masses_match_scalar(self, n):
+        # the profile's ball masses come from one array pass; numpy's sinh,
+        # cosh and tanh round apart from math's in the last bit, which the
+        # powers and the reduction scale up: the largest gap measured for
+        # n <= 8 is 11 ulps, 10 at n = 4 just above the switch at r = 1
+        vol = hyperbolic_volume(n)
+        tol = 16 * np.finfo(float).eps
+        r = np.linspace(0.9, 1.1, 2001)
+        scalar = np.array([vol.ball_mass_origin(float(x)) for x in r])
+        assert np.max(np.abs(hyperbolic_ball_masses(n, r) / scalar - 1)) <= tol
+        prof = kernel_profile(hyperbolic_kernel_spec(Params(n, 2.0)))
+        r = log_grid(1e-5, 40.0, 4096)
+        assert prof.t_nodes.size == r.size
+        scalar = np.array([vol.ball_mass_origin(float(x)) for x in r])
+        assert np.max(np.abs(prof.t_nodes / scalar - 1)) <= tol
 
     def test_sampled_antiderivative(self):
         # the Green kernel of H^3 is (coth r - 1) / (4 pi) and the geodesic
@@ -397,6 +416,30 @@ class TestGarsiaSamples:
             garsia_samples(state)
         with pytest.raises(TailNotConverged, match=message):
             garsia_integral(state)
+
+
+class TestGarsiaSamplesMemory:
+    def test_peak_follows_the_evaluated_prefix(self):
+        # F is evaluated on about 4,300 samples of these states; the whole
+        # 20,001-sample window alone was 160 KB, about 4.7 such arrays, and
+        # with it the peak read 9.5 to 10 arrays, against 6 for the prefix
+        rng = np.random.default_rng(23)
+        x = np.linspace(-40.0, 40.0, 2001)
+        for _ in range(6):
+            raw = np.abs(rng.normal(size=x.size))
+            raw[np.abs(x) > rng.uniform(5.0, 30.0)] = 0.0
+            nrm = float(np.trapezoid(raw**2, x)) ** 0.5
+            phi = raw / nrm * rng.uniform(0.3, 1.0)
+            state = state_from_phi(phi, x, RIESZ_PROFILE, P2)
+            garsia_samples(state)  # warm-up: first-call allocations
+            tracemalloc.start()
+            try:
+                ys, _ = garsia_samples(state)
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+            assert 3000 < ys.size < 6000
+            assert peak <= 8 * (ys.size + 3) * 8
 
 
 def reference_measure(ys, fs, lam):
