@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import csv
 import functools
-import hashlib
 import json
 import math
 import os
@@ -30,14 +29,13 @@ from .constants import riesz_normalization, sphere_area
 from .errors import ConfigError, SilError
 from .extremals import (ExtremalFamily, adams_family, attach_potential,
                         coupling_eps, dilated_family, gradient_norm_pth,
-                        hyperbolic_log_family, moser_log_family,
-                        normalize_ruf)
+                        moser_log_family, normalize_ruf)
 from .functionals import Domain, FunctionalSpec, holder_split_inequality, \
     mt_functional, shifted_functional_bounds
 from .grids import RadialFunction, log_grid
 from .kernels import (bessel_kernel, bessel_kernel_spec, constant_kernel,
                       hyperbolic_h2_exact, riesz_kernel)
-from .measures import lebesgue, singular_measure
+from .measures import hyperbolic_volume, lebesgue, singular_measure
 from .norms import lp_norm, pair_q_norm
 from .oneil import (garsia_integral, kernel_profile, oneil_rhs,
                     state_from_phi)
@@ -123,6 +121,8 @@ def _fit_slope(x: np.ndarray, y: np.ndarray) -> dict:
 
 
 def _config_hash(payload: dict) -> str:
+    import hashlib  # loads OpenSSL: only sil run's provenance needs it
+
     clean = {k: v for k, v in payload.items() if k != "timestamp"}
     return hashlib.sha256(json.dumps(clean, sort_keys=True).encode()).hexdigest()[:16]
 
@@ -327,16 +327,18 @@ def _run_hyperbolic(sc: Scenario) -> ScenarioResult:
     h_far = hyperbolic_h2_exact(3, rho_far)
     envelope = h_far / (rho_far ** 0.0 * np.exp(-2.0 * rho_far))
     checks["envelope_ratio_max"] = float(np.max(envelope) / np.min(envelope))
-    # log-family gradient coefficient: hyperbolic vs Euclidean
-    slopes = {}
-    for kind, builder in (("euclidean", moser_log_family),
-                          ("hyperbolic", hyperbolic_log_family)):
-        ells, norms = [], []
-        for eps in sc.sweep:
-            fam = builder(n, 1.0, eps, per_decade=per_decade)
-            ells.append(math.log(1.0 / eps))
-            norms.append(gradient_norm_pth(fam))
-        slopes[kind] = _fit_slope(np.array(ells), np.array(norms))["slope"]
+    # log-family gradient coefficient: hyperbolic vs Euclidean, on one
+    # family per eps (hyperbolic_log_family swaps only the measure)
+    ells = np.array([math.log(1.0 / eps) for eps in sc.sweep])
+    volume = hyperbolic_volume(n)
+    norms = {"euclidean": [], "hyperbolic": []}
+    for eps in sc.sweep:
+        fam = moser_log_family(n, 1.0, eps, per_decade=per_decade)
+        norms["euclidean"].append(gradient_norm_pth(fam))
+        hyperbolic = replace(fam, measure=volume)
+        norms["hyperbolic"].append(gradient_norm_pth(hyperbolic))
+    slopes = {kind: _fit_slope(ells, np.array(vals))["slope"]
+              for kind, vals in norms.items()}
     checks["euclidean_slope"] = slopes["euclidean"]
     checks["hyperbolic_slope"] = slopes["hyperbolic"]
     checks["slope_gap"] = abs(slopes["hyperbolic"] - slopes["euclidean"]) \
@@ -452,10 +454,11 @@ def _split_lattice(beta: float):
     return a, b, np.concatenate([uniform, theta_star], axis=-1)
 
 
+@functools.cache  # one entry: the lattice depends on no seed or resolution
 def _split_violations() -> int:
     """Lattice points, over every beta of _SPLIT_BETAS, where the split
     inequality's left side exceeds its right beyond roundoff.  One beta at
-    a time keeps the workspace under 0.5 MB."""
+    a time keeps the workspace under 0.5 MB; counted once per process."""
     count = 0
     for beta in _SPLIT_BETAS:
         lhs, rhs = holder_split_inequality(*_split_lattice(beta), beta)

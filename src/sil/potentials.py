@@ -11,6 +11,9 @@ the scalar profile h; by Newton's shell theorem the potential is
 -integral_r^inf h in every dimension, a cumulative sum with no table.
 The Cartesian engine convolves a box of samples with the scalar kernels,
 and serves as the radial engine's cross-check.
+Importing the module does no numerical work: numpy.fft and the
+Gauss-Legendre rules (numpy.polynomial, with its LAPACK call) load on the
+first table build, convolution or DCT-I.
 """
 
 from __future__ import annotations
@@ -23,7 +26,6 @@ from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
-from numpy import fft
 
 from .constants import sphere_area
 from .errors import DomainError, SingularOnDiagonal, UnboundedResult
@@ -31,8 +33,20 @@ from .grids import CartesianField, RadialFunction, trapezoid_weights_log
 from .kernels import KernelSpec, gradient_kernel
 from .norms import require_radial
 
-_GL16 = np.polynomial.legendre.leggauss(16)
 _SLAB_BYTES = 1 << 19  # bytes per slab or block of cartesian_convolve's passes
+
+
+@functools.cache  # two orders are asked for: 16 and _FACE_ORDER
+def _leggauss(order: int) -> tuple:
+    """The Gauss-Legendre nodes and weights on [-1, 1] of one order, read-only.
+
+    Computed on first use, so that importing this module loads neither
+    numpy.polynomial nor LAPACK.
+    """
+    nodes, weights = np.polynomial.legendre.leggauss(order)
+    nodes.setflags(write=False)
+    weights.setflags(write=False)
+    return nodes, weights
 
 
 # ---------------------------------------------------------------------------
@@ -216,7 +230,7 @@ def _diag_cell_average(kernel: KernelSpec, h: float) -> float:
 
 def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
     """Cell average of W-hat over t in [k h - h/2, k h + h/2] by 16-pt GL."""
-    x16, w16 = _GL16
+    x16, w16 = _leggauss(16)
     t = k * h + 0.5 * h * x16
     vals = angular_slice(kernel, np.exp(t))
     return float(np.sum(w16 * np.atleast_1d(vals))) / 2.0
@@ -315,9 +329,9 @@ def _log_correlation(weights: np.ndarray, table: np.ndarray, grid: np.ndarray,
     length = _cyclic_length(m)
 
     def correlate(w: np.ndarray, t: np.ndarray) -> np.ndarray:
-        spec = fft.rfft(w, length)
-        spec *= fft.rfft(t[::-1], length)
-        full = fft.irfft(spec, length)
+        spec = np.fft.rfft(w, length)
+        spec *= np.fft.rfft(t[::-1], length)
+        full = np.fft.irfft(spec, length)
         del spec
         return full[m - 1: 2 * m - 1].copy()  # nothing of length L outlives it
 
@@ -416,16 +430,6 @@ def _even_length(m: int) -> int:
     return 2 * _five_smooth(m)
 
 
-@functools.cache
-def _leggauss():
-    """The Gauss-Legendre nodes and weights on [-1, 1] of the origin cell's
-    face rule, computed once."""
-    nodes, weights = np.polynomial.legendre.leggauss(_FACE_ORDER)
-    nodes.setflags(write=False)
-    weights.setflags(write=False)
-    return nodes, weights
-
-
 def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
     """Exact-to-quadrature integral of g over the origin-centered cell.
 
@@ -440,7 +444,7 @@ def _origin_cell_integral(kernel: KernelSpec, h: float) -> float:
     """
     n = kernel.params.n
     alpha = kernel.params.alpha
-    x, w = _leggauss()
+    x, w = _leggauss(_FACE_ORDER)
     half = h / 2.0
     face = np.stack(np.meshgrid(*([x * half] * (n - 1)), indexing="ij"),
                     axis=-1).reshape(-1, n - 1)
@@ -497,7 +501,7 @@ def _dct1(x: np.ndarray) -> None:
         for first in range(0, size, step):
             slab = lines[first: first + step]
             ext = np.concatenate([slab, slab[..., size - 2: 0: -1]], axis=-1)
-            slab[...] = fft.rfft(ext).real
+            slab[...] = np.fft.rfft(ext).real
 
 
 def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
@@ -543,24 +547,24 @@ def cartesian_convolve(f: CartesianField, kernel: KernelSpec) -> CartesianField:
     slabs = [slice(first, first + step) for first in range(0, res, step)]
     spec = np.empty((res,) * (n - 1) + (half + 1,), dtype=complex)
     for rows in slabs:
-        fft.rfft(f.values[rows], length, axis=-1, out=spec[rows])
+        np.fft.rfft(f.values[rows], length, axis=-1, out=spec[rows])
     step = max(1, _SLAB_BYTES // (16 * length ** (n - 1)))
     for first in range(0, half + 1, step):
         cols = slice(first, first + step)
         block = spec[..., cols]
         for axis in reversed(range(n - 1)):
-            block = fft.fft(block, length, axis=axis)
+            block = np.fft.fft(block, length, axis=axis)
         for lines, kernel_lines in pieces:
             block[lines] *= kernel_spec[kernel_lines + (cols,)]
         for axis in range(n - 1):
-            block = fft.ifft(block, axis=axis, norm="forward",
-                             out=block)[(slice(None),) * axis + (box,)]
+            block = np.fft.ifft(block, axis=axis, norm="forward",
+                                out=block)[(slice(None),) * axis + (box,)]
         spec[..., cols] = block
     del kernel_spec, block
     out = np.empty((res,) * n)
     for rows in slabs:
-        out[rows] = fft.irfft(spec[rows], length, axis=-1,
-                              norm="forward")[..., box]
+        out[rows] = np.fft.irfft(spec[rows], length, axis=-1,
+                                 norm="forward")[..., box]
     out *= (h / length) ** n
     return CartesianField(n, f.extent, out)
 

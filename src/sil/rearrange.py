@@ -51,10 +51,18 @@ def _distribution(f: RadialFunction, nu: Optional[MeasureDensity]):
         if tail is not None and mag[-1] > s and (tail >= 0 or s == 0.0):
             return INFINITE
         above = mag > s
-        lo, hi = above[:-1], above[1:]
-        contrib = np.where(lo & hi, seg, 0.0)
+        first = int(np.argmax(above))
+        if not above[first]:
+            return 0.0
+        last = above.size - 1 - int(np.argmax(above[::-1]))
+        # only cells a .. b - 1 touch a node above s; every other cell adds
+        # an exact zero, which leaves the in-order sum unchanged
+        a, b = max(first - 1, 0), min(last, above.size - 2) + 1
+        lo, hi = above[a:b], above[a + 1: b + 1]
+        contrib = np.where(lo & hi, seg[a:b], 0.0)
         for j in np.flatnonzero(lo != hi):
-            contrib[j] = seg[j] * _crossing_fraction(mag[j], mag[j + 1], s, lo[j])
+            i = a + j
+            contrib[j] = seg[i] * _crossing_fraction(mag[i], mag[i + 1], s, lo[j])
         # cumsum adds in cell order, so the sum rounds as a per-cell loop would
         total = np.cumsum(np.concatenate([[head if above[0] else 0.0],
                                           contrib]))[-1]

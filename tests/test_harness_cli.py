@@ -194,12 +194,37 @@ class TestSplitLattice:
             return lhs, 0.99 * rhs
 
         monkeypatch.setattr(harness, "holder_split_inequality", broken)
-        assert harness._split_violations() >= 24 * 24 * 16
-        sc = Scenario("lemma_suite", Params(2, 1.0), sweep=[1e-1],
-                      resolution=50)
-        result = run_scenario(sc, check_resolution=False)
-        assert result.fit["split_violations"] > 0
-        assert result.verdict == "violated"
+        # the count is cached per process: drop it on the way in and out
+        harness._split_violations.cache_clear()
+        try:
+            assert harness._split_violations() >= 24 * 24 * 16
+            sc = Scenario("lemma_suite", Params(2, 1.0), sweep=[1e-1],
+                          resolution=50)
+            result = run_scenario(sc, check_resolution=False)
+            assert result.fit["split_violations"] > 0
+            assert result.verdict == "violated"
+        finally:
+            harness._split_violations.cache_clear()
+
+    def test_lattice_is_counted_once_per_process(self, monkeypatch):
+        # the lattice depends on no seed or resolution, so lemma_suite's
+        # half-resolution rerun reuses the first count
+        calls = []
+
+        def counting(*args):
+            calls.append(args[-1])
+            return holder_split_inequality(*args)
+
+        monkeypatch.setattr(harness, "holder_split_inequality", counting)
+        harness._split_violations.cache_clear()
+        try:
+            sc = Scenario("lemma_suite", Params(2, 1.0), sweep=[1e-1],
+                          resolution=100)
+            result = run_scenario(sc)
+        finally:
+            harness._split_violations.cache_clear()
+        assert result.fit["split_violations"] == 0
+        assert calls == list(harness._SPLIT_BETAS)
 
 
 def _clear_memos():
@@ -287,6 +312,26 @@ class TestFamilyMemo:
             with pytest.raises(ValueError, match="read-only"):
                 array[0] = 0.0
 
+    def test_hyperbolic_builds_one_log_family_per_eps(self, monkeypatch):
+        # the hyperbolic family is the Euclidean one with its measure
+        # swapped, so each eps is built once at each resolution
+        from sil import extremals
+
+        builds = []
+        build = extremals.moser_log_family
+
+        def counting(n, alpha, eps, smoothing_width=None, per_decade=400):
+            builds.append((eps, per_decade))
+            return build(n, alpha, eps, smoothing_width, per_decade)
+
+        monkeypatch.setattr(harness, "moser_log_family", counting)
+        monkeypatch.setattr(extremals, "moser_log_family", counting)
+        sc = Scenario("hyperbolic", Params(3, 2.0), sweep=[1e-1, 1e-2, 1e-3],
+                      resolution=120)
+        assert run_scenario(sc).verdict == "rate_confirmed"
+        assert sorted(builds) == sorted((eps, res) for eps in sc.sweep
+                                        for res in (120, 60))
+
     def test_warm_runs_equal_cold_runs(self):
         stamp = re.compile(r'"timestamp": "[^"]*"')
 
@@ -373,6 +418,61 @@ class TestLazyIntegrate:
                               capture_output=True, text=True, timeout=120)
         assert proc.returncode == 0, proc.stderr
         assert json.loads(proc.stdout.splitlines()[-1]) == []
+
+    @staticmethod
+    def _loaded(statements):
+        """Which of numpy.polynomial, numpy.fft, hashlib and _hashlib a fresh
+        process holds after `import sil, sil.cli`, and after the
+        statements that follow it."""
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        script = ("import json, sys\n"
+                  "watched = ('numpy.polynomial', 'numpy.fft', 'hashlib',"
+                  " '_hashlib')\n"
+                  "def loaded():\n"
+                  "    return sorted(m for m in watched if m in sys.modules)\n"
+                  "import sil, sil.cli\n"
+                  "before = loaded()\n"
+                  + statements +
+                  "print(json.dumps([before, loaded()]))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        return json.loads(proc.stdout.splitlines()[-1])
+
+    def test_import_does_no_numerical_work(self):
+        # the Gauss-Legendre rules and numpy.fft load on first use, and
+        # OpenSSL only when sil run hashes a scenario's provenance
+        assert self._loaded("") == [[], []]
+
+    def test_first_convolution_loads_the_rule_and_the_fft(self):
+        statements = (
+            "from sil import Params, RadialFunction, log_grid, riesz_kernel\n"
+            "from sil.potentials import radial_convolve\n"
+            "g = log_grid(1e-3, 10.0, 200)\n"
+            "radial_convolve(RadialFunction(g, 1.0 / (1.0 + g**4), 2),"
+            " riesz_kernel(Params(2, 1.0)))\n")
+        before, after = self._loaded(statements)
+        assert "numpy.fft" not in before and "numpy.polynomial" not in before
+        assert {"numpy.fft", "numpy.polynomial"} <= set(after)
+
+    @pytest.mark.parametrize("order", [16, 32])
+    def test_gauss_legendre_rules_are_cached_read_only(self, order):
+        from sil import potentials
+
+        nodes, weights = potentials._leggauss(order)
+        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
+        assert nodes.tobytes() == ref_nodes.tobytes()
+        assert weights.tobytes() == ref_weights.tobytes()
+        assert potentials._leggauss(order)[0] is nodes
+        for array in (nodes, weights):
+            with pytest.raises(ValueError, match="read-only"):
+                array[0] = 0.0
 
     def test_csv_density_goes_through_quad(self, tmp_path, monkeypatch):
         # a user's density has no closed-form ball mass: the head cell of
