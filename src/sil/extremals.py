@@ -20,7 +20,7 @@ from typing import Optional
 import numpy as np
 
 from .errors import DomainError
-from .grids import RadialFunction, anchored_log_grid
+from .grids import RadialFunction, anchored_log_grid, indicator_values
 from .kernels import KernelSpec
 from .measures import MeasureDensity, hyperbolic_volume, lebesgue
 from .norms import lp_norm, pair_q_norm
@@ -149,12 +149,7 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
     eps_snapped = float(grid[j_eps])
 
     coeffs = None
-    values = np.where((grid >= eps_snapped) & (grid <= 1.0),
-                      c_phi * grid ** (-alpha), 0.0)
-    # half-value jump nodes for trapezoid consistency
-    values[j_eps] *= 0.5
-    j_one = int(np.argmin(np.abs(grid - 1.0)))
-    values[j_one] *= 0.5
+    values = c_phi * grid ** (-alpha) * indicator_values(grid, 1.0, eps_snapped)
     if corrected:
         coeffs = _radial_projection_coeffs(n, alpha, eps_snapped, c_phi, g.vector)
         coeffs.setflags(write=False)
@@ -163,7 +158,7 @@ def adams_family(g: KernelSpec, eps: float, corrected: bool = True,
         inside = grid <= 1.0
         for c, k in zip(coeffs, powers):
             poly[inside] += c * grid[inside] ** k
-        poly[j_one] *= 0.5
+        poly[int(np.argmin(np.abs(grid - 1.0)))] *= 0.5  # the jump node
         values = values - poly
     profile = RadialFunction(grid, values, n, tail_exponent=None)
     return ExtremalFamily(

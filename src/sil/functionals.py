@@ -24,15 +24,14 @@ from .rearrange import exp_regularized
 
 @dataclass(frozen=True)
 class Domain:
-    """Set descriptor: ball, annulus, ball complement, half space through
-    the origin, or all of space, with radii 0 <= inner < outer.
+    """Set descriptor: the radial window inner <= |x| <= outer, with
+    0 <= inner < outer (a ball, an annulus, a ball complement or all of
+    space), or, with half=True, its part in a half space through the
+    origin, which integrates half of a radial integral by symmetry."""
 
-    The origin half space integrates half of a radial integral, by
-    symmetry."""
-
-    kind: str
     inner: float = 0.0
     outer: float = math.inf
+    half: bool = False
 
     def __post_init__(self):
         if not 0.0 <= self.inner < self.outer:
@@ -41,23 +40,23 @@ class Domain:
 
     @staticmethod
     def ball(radius: float) -> "Domain":
-        return Domain("ball", 0.0, radius)
+        return Domain(0.0, radius)
 
     @staticmethod
     def annulus(inner: float, outer: float) -> "Domain":
-        return Domain("annulus", inner, outer)
+        return Domain(inner, outer)
 
     @staticmethod
     def ball_complement(radius: float) -> "Domain":
-        return Domain("complement", radius, math.inf)
+        return Domain(radius, math.inf)
 
     @staticmethod
     def whole_space() -> "Domain":
-        return Domain("all")
+        return Domain()
 
     @staticmethod
     def half_space() -> "Domain":
-        return Domain("halfspace")
+        return Domain(half=True)
 
     @property
     def bounded(self) -> bool:
@@ -124,7 +123,7 @@ def _in_domain(u: RadialFunction, spec: FunctionalSpec):
     dropped.
     """
     vals, masses = cells(u, spec.measure)
-    share = 0.5 if spec.domain.kind == "halfspace" else 1.0
+    share = 0.5 if spec.domain.half else 1.0
     head = share if spec.domain.inner <= u.grid[0] else 0.0
     masses = masses * np.concatenate(
         [[head], _cell_fractions(u.grid, spec.domain) * share])
@@ -138,11 +137,6 @@ def _cell_fractions(grid: np.ndarray, domain: Domain) -> np.ndarray:
     Node j owns [t_j - h/2, t_j + h/2] in t = log r; boundary cells get the
     clipped overlap so that set additivity and ball volumes hold to O(h^2).
     """
-    # half spaces intersect their radial window; pure all-space is trivial
-    if domain.kind == "all" or (domain.kind == "halfspace"
-                                and not math.isfinite(domain.outer)
-                                and domain.inner == 0.0):
-        return np.ones_like(grid)
     t = np.log(grid)
     half = np.empty_like(t)
     half[1:-1] = 0.25 * (t[2:] - t[:-2])
@@ -233,8 +227,7 @@ class ShiftBounds:
 
 
 def shifted_functional_bounds(tf: RadialFunction, K: float, p_f: float,
-                              spec: FunctionalSpec, c0: float,
-                              beta: Optional[float] = None) -> ShiftBounds:
+                              spec: FunctionalSpec, c0: float) -> ShiftBounds:
     """Evaluate the two additive-shift functionals and their closed-form
     bounds, given the measured unshifted bound c0.
 
@@ -243,7 +236,7 @@ def shifted_functional_bounds(tf: RadialFunction, K: float, p_f: float,
     Shift (b): exponent (|Tf| + K (1 - p_f^{b'})^{1/b'})^beta, bound
       c0 * exp[gamma K^beta].
     """
-    beta = spec.power if beta is None else beta
+    beta = spec.power
     bc = beta / (beta - 1.0)
     if p_f < 0 or p_f > 1:
         raise HypothesisViolated("seminorm value must lie in [0, 1]")

@@ -325,7 +325,7 @@ def _run_hyperbolic(sc: Scenario) -> ScenarioResult:
     # decay envelope on [2, 10]
     rho_far = np.linspace(2.0, 10.0, 25)
     h_far = hyperbolic_h2_exact(3, rho_far)
-    envelope = h_far / (rho_far ** 0.0 * np.exp(-2.0 * rho_far))
+    envelope = h_far / np.exp(-2.0 * rho_far)
     checks["envelope_ratio_max"] = float(np.max(envelope) / np.min(envelope))
     # log-family gradient coefficient: hyperbolic vs Euclidean, on one
     # family per eps (hyperbolic_log_family swaps only the measure)
@@ -376,18 +376,17 @@ def _run_bessel(sc: Scenario) -> ScenarioResult:
     return ScenarioResult(sc.id, [checks], checks, verdict, _provenance(sc))
 
 
-def _random_profile(rng, grid: np.ndarray, n: int, support: float = 1.0
-                    ) -> RadialFunction:
-    """Nonnegative compactly supported random radial profile, built from a
-    few random log-normal bumps inside the support ball."""
+def _random_profile(rng, grid: np.ndarray, n: int) -> RadialFunction:
+    """Nonnegative random radial profile supported in the unit ball, built
+    from a few random log-normal bumps."""
     t = np.log(grid)
     vals = np.zeros_like(grid)
     for _ in range(rng.integers(2, 5)):
-        center = rng.uniform(math.log(support * 1e-3), math.log(support))
+        center = rng.uniform(math.log(1e-3), 0.0)
         width = rng.uniform(0.2, 1.5)
         height = rng.uniform(0.2, 2.0)
         vals += height * np.exp(-((t - center) / width) ** 2)
-    vals[grid > support] = 0.0
+    vals[grid > 1.0] = 0.0
     return RadialFunction(grid, vals, n)
 
 
@@ -413,7 +412,7 @@ def _run_oneil_garsia(sc: Scenario) -> ScenarioResult:
         checks["domination_violations"] += int(np.sum(slack < -1e-3))
     checks["worst_slack"] = worst_slack
     # random admissible transformed profiles: lower bound and layer cake
-    x = np.linspace(-40.0, 40.0, 2001)
+    x = np.linspace(-40.0, 40.0, max(int(2000 * sc.resolution / 400), 500) + 1)
     f_min_margin = math.inf
     layer_gap = 0.0
     for _ in range(20):

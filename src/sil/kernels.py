@@ -212,13 +212,13 @@ def bessel_kernel(n: int, alpha: float, r) -> np.ndarray:
     """
     if not 0 < alpha < n:
         raise DomainError("need 0 < alpha < n for the Bessel kernel")
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
     if np.any(r <= 0):
         raise DomainError("Bessel kernel evaluated at positive radii only")
     out = (2.0 * (4.0 * math.pi) ** (-alpha / 2.0) / math.gamma(alpha / 2.0)
            * (2.0 * math.pi * r) ** ((alpha - n) / 2.0)
            * bessel_k((n - alpha) / 2.0, r))
-    return out if out.size > 1 else float(out[0])
+    return out if out.ndim else float(out)
 
 
 def hyperbolic_h2_exact(n: int, rho) -> np.ndarray:
@@ -235,7 +235,7 @@ def hyperbolic_h2_exact(n: int, rho) -> np.ndarray:
     term is at least 4.8 times the second there, so each step loses under
     a bit.  Neither rule rounds e^{-2 rho} next to 1.
     """
-    rho = np.atleast_1d(np.asarray(rho, dtype=float))
+    rho = np.asarray(rho, dtype=float)
     if np.any(rho <= 0):
         raise DomainError("geodesic radius must be positive")
     k = n - 1
@@ -268,7 +268,7 @@ def hyperbolic_h2_exact(n: int, rho) -> np.ndarray:
                     - (j - 2) * tail) / (j - 1)
         out[~far] = tail
     out /= sphere_area(n)
-    return out if out.size > 1 else float(out[0])
+    return out if out.ndim else float(out)
 
 
 def bessel_kernel_spec(params: Params) -> KernelSpec:

@@ -78,15 +78,14 @@ class MeasureDensity:
 
     def ball_mass_origin(self, r: float) -> float:
         """nu(B(0, r)): closed forms, with quadrature only for a user's
-        density.  The hyperbolic volume is omega V_{n-1}(r), with
-        V_k(r) = int_0^r sinh^k (_sinh_power_integral)."""
+        density; the hyperbolic volume through hyperbolic_ball_masses."""
         if self.kind == "lebesgue":
             return sphere_area(self.n) / self.n * r**self.n
         d = self._ball_exponent()
         if d is not None:
             return sphere_area(self.n) * r**d / d
         if self.kind == "hyperbolic":
-            return sphere_area(self.n) * _sinh_power_integral(self.n - 1, r)
+            return float(hyperbolic_ball_masses(self.n, r))
         from scipy.integrate import quad
 
         val, _ = quad(
@@ -132,8 +131,9 @@ class MeasureDensity:
         return coef * val
 
 
-def _sinh_power_integral(k: int, r: float) -> float:
-    """V_k(r) = int_0^r sinh^k s ds.
+def hyperbolic_ball_masses(n: int, r: np.ndarray) -> np.ndarray:
+    """omega V_{n-1}(r) over an array of radii in one pass, with
+    V_k(r) = int_0^r sinh^k s ds.
 
     For r <= 1, the Pfaff transform of sinh^{k+1} r / (k + 1)
     * 2F1(1/2, (k+1)/2; (k+3)/2; -sinh^2 r) (by t = sinh^2 s; DLMF 15.8.1),
@@ -143,53 +143,37 @@ def _sinh_power_integral(k: int, r: float) -> float:
     from V_0 = r and V_1 = 2 sinh^2(r/2), whose first term is at least
     1.8 times the second for r > 1.
     """
-    if r <= 1.0:
-        return _sinh_power_series(k, r, math)
-    return _sinh_power_reduction(k, r, math)
-
-
-def hyperbolic_ball_masses(n: int, r: np.ndarray) -> np.ndarray:
-    """omega V_{n-1}(r) over an array of radii in one pass, by the series
-    and the reduction of _sinh_power_integral.
-
-    numpy's sinh, cosh, tanh and power round apart from math's in the last
-    bit, so these masses agree with ball_mass_origin within 16 ulps, not
-    bit for bit.
-    """
     r = np.asarray(r, dtype=float)
     out = np.empty(r.shape)
     low = r <= 1.0
-    out[low] = _sinh_power_series(n - 1, r[low], np)
-    out[~low] = _sinh_power_reduction(n - 1, r[~low], np)
+    out[low] = _sinh_power_series(n - 1, r[low])
+    out[~low] = _sinh_power_reduction(n - 1, r[~low])
     return sphere_area(n) * out
 
 
-def _sinh_power_series(k: int, r, xp):
-    """V_k(r) for r <= 1 by the tanh^2 series, for a float (xp = math) or
-    an array (xp = numpy).  An array sums on until its slowest radius
-    converges: a term below 1e-17 of its sum is under half an ulp of it,
-    so the terms past a radius's own stop leave its sum unchanged."""
-    t2 = xp.tanh(r) ** 2
+def _sinh_power_series(k: int, r: np.ndarray) -> np.ndarray:
+    """V_k(r) for r <= 1 by the tanh^2 series, summed on until the slowest
+    radius converges: a term below 1e-17 of its sum is under half an ulp
+    of it, so the terms past a radius's own stop leave its sum unchanged."""
+    t2 = np.tanh(r) ** 2
     term = total = 1.0
     j = 0
-    while (np.any(term > 1e-17 * total) if xp is np
-           else term > 1e-17 * total):
+    while np.any(term > 1e-17 * total):
         term *= t2 * (0.5 + j) / (0.5 * (k + 3) + j)
         total += term
         j += 1
-    return xp.sinh(r) ** (k + 1) / ((k + 1) * xp.cosh(r)) * total
+    return np.sinh(r) ** (k + 1) / ((k + 1) * np.cosh(r)) * total
 
 
-def _sinh_power_reduction(k: int, r, xp):
-    """V_k(r) by the reduction formula, for a float (xp = math) or an
-    array (xp = numpy)."""
+def _sinh_power_reduction(k: int, r: np.ndarray) -> np.ndarray:
+    """V_k(r) by the reduction formula."""
     if k % 2:
-        vol, j = 2.0 * xp.sinh(0.5 * r) ** 2, 1
+        vol, j = 2.0 * np.sinh(0.5 * r) ** 2, 1
     else:
         vol, j = r, 0
     while j < k:
         j += 2
-        vol = (xp.sinh(r) ** (j - 1) * xp.cosh(r) - (j - 1) * vol) / j
+        vol = (np.sinh(r) ** (j - 1) * np.cosh(r) - (j - 1) * vol) / j
     return vol
 
 

@@ -53,16 +53,15 @@ def lp_norm(f: RadialFunction, p: float,
     plus analytic head and tail pieces."""
     if p < 1:
         raise DomainError(f"norm exponent must be >= 1, got p={p}")
-    require_radial(f)
-    measure = nu if nu is not None else lebesgue(f.n)
-    mag = f.magnitude()
-    masses = node_masses(f, measure)
-    bulk = float(np.sum(masses * mag**p))
-    head = head_mass(f, measure) * float(mag[0]) ** p
+    vals, masses = cells(f, nu)
+    # nodes first, then the head cell, then the tail
+    bulk = float(np.sum(masses[1:] * vals[1:] ** p))
+    head = float(masses[0]) * float(vals[0]) ** p
     tail = 0.0
-    if f.tail_exponent is not None and mag[-1] != 0.0:
+    if f.tail_exponent is not None and vals[-1] != 0.0:
+        measure = nu if nu is not None else lebesgue(f.n)
         tail = measure.tail_integral(float(f.grid[-1]), p * f.tail_exponent,
-                                     float(mag[-1]) ** p)
+                                     float(vals[-1]) ** p)
     return (bulk + head + tail) ** (1.0 / p)
 
 

@@ -179,7 +179,7 @@ def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t):
     The classical C0 is the value needed for the majorant to actually
     dominate; a unit constant fails on concentrated inputs.
     """
-    t = np.atleast_1d(np.asarray(t, dtype=float))
+    t = np.asarray(t, dtype=float)
     breaks = np.concatenate([[0.0], fstar.t_grid])
     vals = fstar.fstar
     # prefix sums of int f* du and int k1* f* du on the steps
@@ -195,7 +195,7 @@ def oneil_rhs(fstar: RearrangedProfile, profile: KernelProfile, t):
     partial2 = np.where(t >= breaks[-1], s2[-1], partial2)
     second = s2[-1] - partial2
     out = oneil_constant(profile) * t ** (-1.0 / profile.beta) * first + second
-    return out if out.size > 1 else float(out[0])
+    return out if out.ndim else float(out)
 
 
 # ---------------------------------------------------------------------------
@@ -309,20 +309,19 @@ def state_from_phi(phi_values: np.ndarray, x_grid: np.ndarray,
 def inner_integral(y, state: GarsiaState):
     """int g(x, y) phi(x) dx, vectorized over y >= 0."""
     left, xp, mid_cum, tail_cum = state._prefix
-    y = np.atleast_1d(np.asarray(y, dtype=float))
+    y = np.asarray(y, dtype=float)
     mid = np.interp(y, xp, mid_cum, left=0.0, right=mid_cum[-1])
     tail = np.interp(y, xp, tail_cum, left=tail_cum[0], right=0.0)
     right = state.c2 ** (1.0 / state.beta) * np.exp(y / state.beta) * tail
     out = left + mid + right
-    return out if out.size > 1 else float(out[0])
+    return out if out.ndim else float(out)
 
 
 def F_functional(y, state: GarsiaState):
     """F(y) = y - (int g(x, y) phi(x) dx)^beta, vectorized over y >= 0."""
-    y_arr = np.atleast_1d(np.asarray(y, dtype=float))
-    inner = np.atleast_1d(inner_integral(y_arr, state))
-    out = y_arr - inner**state.beta
-    return out if out.size > 1 else float(out[0])
+    y = np.asarray(y, dtype=float)
+    out = y - inner_integral(y, state) ** state.beta
+    return out if out.ndim else float(out)
 
 
 def level_set_measure(lams, ys: np.ndarray, fs: np.ndarray):
@@ -399,7 +398,7 @@ def garsia_samples(state: GarsiaState) -> tuple[np.ndarray, np.ndarray]:
         else _Y_SAMPLES
     ys = np.arange(size) * _Y_STEP
     first_above = np.searchsorted(ys, rise, side="right")
-    fs = np.atleast_1d(F_functional(ys[: first_above + 3], state))
+    fs = F_functional(ys[: first_above + 3], state)
     past = np.nonzero(fs > 40.0)[0]
     if past.size == 0:
         raise TailNotConverged("F never exceeded the tail threshold")

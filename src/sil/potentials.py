@@ -80,9 +80,10 @@ def _agm(b: np.ndarray) -> np.ndarray:
 
     The ratio b/a of a pair rises toward 1 under every step, and a smaller
     ratio never overtakes a larger one, so the steps that bring the
-    smallest b to a == b to roundoff bring every entry there.
+    smallest b to a == b to roundoff bring every entry there.  An empty b
+    takes no step.
     """
-    lo, hi = float(np.min(b)), 1.0
+    lo, hi = float(np.min(b, initial=1.0)), 1.0
     steps = 0
     while hi - lo > 1e-15 * hi:
         lo, hi = math.sqrt(lo * hi), 0.5 * (lo + hi)
@@ -148,7 +149,7 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     Closed forms for scalar homogeneous kernels, in n = 2 (_circle_slice)
     and n = 3 (_sphere_slice).  Other kernels raise DomainError.
     """
-    u = np.atleast_1d(np.asarray(u, dtype=float))
+    u = np.asarray(u, dtype=float)
     if np.any(u <= 0):
         raise DomainError("radius ratio must be positive")
     if np.any(u == 1.0):
@@ -159,11 +160,12 @@ def angular_slice(kernel: KernelSpec, u) -> np.ndarray:
     if not kernel.is_scalar_homogeneous:
         raise DomainError("radial slices exist for scalar homogeneous "
                           "kernels only")
+    v = np.atleast_1d(u)  # _agm takes the square roots in place
     if n == 2:
-        out = kernel.constant_angular_value * _circle_slice(alpha, u)
+        out = kernel.constant_angular_value * _circle_slice(alpha, v)
     else:
-        out = 2.0 * math.pi * kernel.constant_angular_value * _sphere_slice(alpha, u)
-    return out if out.size > 1 else float(out[0])
+        out = 2.0 * math.pi * kernel.constant_angular_value * _sphere_slice(alpha, v)
+    return out if u.ndim else float(out[0])
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +225,7 @@ def _diag_cell_average(kernel: KernelSpec, h: float) -> float:
     for side in (-1.0, 1.0):
         vals = angular_slice(kernel, np.exp(side * fit_t))
         design = np.stack([b(fit_t) for b in basis], axis=1)
-        coef, *_ = np.linalg.lstsq(design, np.atleast_1d(vals), rcond=None)
+        coef, *_ = np.linalg.lstsq(design, vals, rcond=None)
         total += float(np.dot(coef, ints))
     return total / h
 
@@ -233,7 +235,7 @@ def _near_cell_average(kernel: KernelSpec, k: int, h: float) -> float:
     x16, w16 = _leggauss(16)
     t = k * h + 0.5 * h * x16
     vals = angular_slice(kernel, np.exp(t))
-    return float(np.sum(w16 * np.atleast_1d(vals))) / 2.0
+    return float(np.sum(w16 * vals)) / 2.0
 
 
 def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightTable:
@@ -262,8 +264,7 @@ def angular_weight_table(kernel: KernelSpec, h: float, m: int) -> AngularWeightT
         vals[(m - 1) - j] = _near_cell_average(kernel, -j, h)
     k = np.arange(max(known, _BAND + 1), m)
     k = np.concatenate([-k[::-1], k])
-    if k.size:
-        vals[k + (m - 1)] = np.atleast_1d(angular_slice(kernel, np.exp(k * h)))
+    vals[k + (m - 1)] = angular_slice(kernel, np.exp(k * h))
     table = AngularWeightTable(values=vals)
     _TABLE_CACHE[key] = table
     if len(_TABLE_CACHE) > _TABLE_CACHE_SIZE:
@@ -603,7 +604,7 @@ def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
         raise DomainError("moment far field implemented for scalar "
                           "homogeneous kernels")
     p = kernel.params
-    r = np.atleast_1d(np.asarray(r, dtype=float))
+    r = np.asarray(r, dtype=float)
     if np.any(r <= 1.0):
         raise DomainError("far field valid outside the unit support radius only")
     jmax = len(even_moments) - 1
@@ -612,4 +613,4 @@ def far_field_from_moments(kernel: KernelSpec, even_moments: np.ndarray,
     for j in range(jmax + 1):
         acc += s2j[j] * even_moments[j] * r ** (-2 * j)
     out = kernel.constant_angular_value * r ** (p.alpha - p.n) * acc
-    return out if out.size > 1 else float(out[0])
+    return out if out.ndim else float(out)

@@ -107,14 +107,14 @@ class RearrangedProfile:
     fstarstar: np.ndarray
 
     def fstar_at(self, t) -> np.ndarray:
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
         idx = np.searchsorted(self.t_grid, t, side="left")
         out = np.where(idx < len(self.fstar), self.fstar[np.minimum(idx, len(self.fstar) - 1)], 0.0)
-        return out if out.size > 1 else float(out[0])
+        return out if out.ndim else float(out)
 
     def fstarstar_at(self, t) -> np.ndarray:
         """Exact (1/t) int_0^t f*: piecewise-constant f* integrates in closed form."""
-        t = np.atleast_1d(np.asarray(t, dtype=float))
+        t = np.asarray(t, dtype=float)
         cum = np.concatenate([[0.0], np.cumsum(self.fstar * np.diff(np.concatenate([[0.0], self.t_grid])))])
         idx = np.searchsorted(self.t_grid, t, side="left")
         idx = np.minimum(idx, len(self.fstar) - 1)
@@ -122,7 +122,7 @@ class RearrangedProfile:
         partial = cum[idx] + self.fstar[idx] * np.clip(t - t_lo, 0.0, None)
         total = cum[-1]
         val = np.where(t <= self.t_grid[-1], partial, total) / np.maximum(t, 1e-300)
-        return val if val.size > 1 else float(val[0])
+        return val if val.ndim else float(val)
 
     def p_norm_pth_power(self, p: float) -> float:
         """int (f*)^p dt, exact for the stored step function."""

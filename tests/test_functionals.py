@@ -34,9 +34,21 @@ class TestDomain:
         u = RadialFunction(GRID, np.exp(-GRID), 2)
         full = mt_functional(u, FunctionalSpec.sharp(P2, 0.5, Domain.ball(2.0)))
         # half space over the same radial window
-        half_dom = Domain("halfspace", 0.0, 2.0)
+        half_dom = Domain(0.0, 2.0, half=True)
         half = mt_functional(u, FunctionalSpec.sharp(P2, 0.5, half_dom))
         assert half.value == pytest.approx(0.5 * full.value, rel=1e-9)
+
+    def test_halfspace_annulus_is_half(self):
+        u = RadialFunction(AGRID, np.exp(-AGRID), 2)
+        ring = Domain.annulus(0.5, 2.0)
+        full = mt_functional(u, FunctionalSpec.sharp(P2, 0.5, ring))
+        half_ring = Domain(0.5, 2.0, half=True)
+        half = mt_functional(u, FunctionalSpec.sharp(P2, 0.5, half_ring))
+        assert half.value == pytest.approx(0.5 * full.value, rel=1e-12)
+        # pi int_{1/2}^2 e^{0.5 e^{-2r}} r dr, the half annulus in the plane
+        r = np.linspace(0.5, 2.0, 200001)
+        exact = math.pi * np.trapezoid(np.exp(0.5 * np.exp(-2.0 * r)) * r, r)
+        assert half.value == pytest.approx(exact, rel=1e-6)
 
 
 class TestMtFunctional:

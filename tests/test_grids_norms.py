@@ -8,7 +8,7 @@ import pytest
 
 from sil.errors import DomainError, NonIntegrableTail
 from sil.grids import (CartesianField, RadialFunction, anchored_log_grid,
-                       indicator_values, log_grid)
+                       indicator_values, log_grid, trapezoid_weights_log)
 from sil.functionals import (Domain, FunctionalSpec, mt_functional,
                              shifted_functional_bounds)
 from sil.kernels import riesz_kernel
@@ -254,6 +254,22 @@ class TestLpNorm:
         f = RadialFunction(GRID, indicator_values(GRID, 1.0), 2)
         # int_B1 |x|^{-1} dx = 2 pi
         assert lp_norm(f, 1.0, nu) == pytest.approx(2 * math.pi, rel=1e-4)
+
+    @pytest.mark.parametrize("nu", [None, singular_measure(2, 0.5)],
+                             ids=["lebesgue", "singular"])
+    def test_cells_in_explicit_order(self, nu):
+        # the norm reads its head and node masses from cells(), summing the
+        # nodes first, then the head cell, then the declared power tail
+        f = RadialFunction(GRID, 1.0 / (1.0 + GRID**2), 2, tail_exponent=-2.0)
+        measure = nu if nu is not None else lebesgue(2)
+        for p in (2.0, 3.0):
+            mag = f.magnitude()
+            bulk = float(np.sum(trapezoid_weights_log(GRID)
+                                * measure.radial_weight(GRID) * mag**p))
+            head = measure.ball_mass_origin(float(GRID[0])) * float(mag[0]) ** p
+            tail = measure.tail_integral(float(GRID[-1]), -2.0 * p,
+                                         float(mag[-1]) ** p)
+            assert lp_norm(f, p, nu) == (bulk + head + tail) ** (1.0 / p)
 
 
 _CART = CartesianField.from_callable(lambda x, y: np.exp(-(x**2 + y**2)),

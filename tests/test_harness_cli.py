@@ -172,6 +172,76 @@ class TestDeterminism:
         assert summary["counts"]
 
 
+GOLDEN_RUN = os.path.join(os.path.dirname(__file__), "golden",
+                          "sil_run_seed0.json")
+
+
+def _golden_moves(got, want, path="$"):
+    """Where got departs from want: keys, strings, ints and bools exactly,
+    floats within 1e-12 relative; one line per JSON path, with the move."""
+    if isinstance(want, dict):
+        if not isinstance(got, dict) or sorted(got) != sorted(want):
+            return [f"{path}: keys {sorted(want)} became "
+                    f"{sorted(got) if isinstance(got, dict) else got!r}"]
+        return [m for k in sorted(want)
+                for m in _golden_moves(got[k], want[k], f"{path}.{k}")]
+    if isinstance(want, list):
+        if not isinstance(got, list) or len(got) != len(want):
+            return [f"{path}: a list of {len(want)} became {got!r}"]
+        return [m for i, (g, w) in enumerate(zip(got, want))
+                for m in _golden_moves(g, w, f"{path}[{i}]")]
+    if isinstance(want, float) and type(got) is float:
+        if got == want or (math.isnan(got) and math.isnan(want)):
+            return []
+        rel = abs(got - want) / abs(want) if want else math.inf
+        return [] if rel <= 1e-12 else \
+            [f"{path}: {want!r} -> {got!r} (relative move {rel:.3g})"]
+    if type(got) is not type(want) or got != want:
+        return [f"{path}: {want!r} -> {got!r}"]
+    return []
+
+
+class TestGoldenRun:
+    """`sil run --seed 0` against the committed output of an earlier tree:
+    a numeric move above 1e-12 relative, or any changed verdict, key or
+    text, must come with a new golden file."""
+
+    def test_compare_moves(self):
+        want = {"a": [1.0, "bounded"], "n": 3}
+        assert _golden_moves({"a": [1.0 + 1e-13, "bounded"], "n": 3}, want) == []
+        assert _golden_moves({"a": [1.0 + 1e-9, "bounded"], "n": 3}, want) == [
+            "$.a[0]: 1.0 -> 1.000000001 (relative move 1e-09)"]
+        assert _golden_moves({"a": [1.0, "violated"], "n": 3}, want) == [
+            "$.a[1]: 'bounded' -> 'violated'"]
+        assert _golden_moves({"a": [1.0, "bounded"]}, want)[0].startswith("$: keys")
+
+    def test_seed_0_matches_golden(self, tmp_path):
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run(
+            [sys.executable, "-m", "sil.cli", "run", "--seed", "0",
+             "--out", str(tmp_path)],
+            env=env, capture_output=True, text=True, timeout=600)
+        assert proc.returncode == 0, proc.stderr
+        got = {"stdout": proc.stdout,
+               "summary.csv": (tmp_path / "summary.csv").read_text(),
+               "scenarios": {}}
+        for name in sorted(os.listdir(tmp_path)):
+            if name.endswith(".json"):
+                payload = json.loads((tmp_path / name).read_text())
+                payload["provenance"].pop("timestamp")
+                got["scenarios"][name] = payload
+        with open(GOLDEN_RUN) as fh:
+            want = json.load(fh)
+        moves = _golden_moves(got, want)
+        assert not moves, "\n".join(moves)
+
+
 class TestSplitLattice:
     """lemma_suite checks the Hoelder split inequality on a fixed lattice."""
 
@@ -527,6 +597,15 @@ class TestDichotomyScenarios:
         res = run_scenario(sc, check_resolution=False)
         assert res.verdict == "bounded"
         assert res.fit["ratio"] < 10.0
+
+    def test_half_resolution_checks_its_own_phi_states(self):
+        # the phi grid is sized by resolution, so the rerun at half
+        # resolution draws other admissible states than the full run
+        runs = [harness._RUNNERS["oneil_garsia"](
+                    Scenario("oneil_garsia", Params(2, 1.0), seed=0,
+                             resolution=res)) for res in (400, 200)]
+        assert [r.verdict for r in runs] == ["bounded", "bounded"]
+        assert runs[0].fit["f_min_margin"] != runs[1].fit["f_min_margin"]
 
 
 class TestCli:
