@@ -19,6 +19,7 @@ from typing import Optional
 
 import numpy as np
 
+from .dense import lstsq
 from .errors import DomainError
 from .grids import RadialFunction, anchored_log_grid, indicator_values
 from .kernels import KernelSpec
@@ -63,7 +64,7 @@ def _radial_projection_coeffs(n: int, alpha: float, eps: float, c_phi: float,
     gram = 1.0 / (ks[:, None] + ks[None, :] + o + n / 2.0) / 2.0
     rhs = np.array([c_phi * _power_integral(2 * k + o - alpha + n, eps, 1.0)
                     for k in ks])
-    return np.linalg.solve(gram, rhs)
+    return lstsq(gram, rhs)
 
 
 @dataclass(slots=True)

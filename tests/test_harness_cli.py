@@ -9,7 +9,7 @@ import pytest
 
 from sil import harness
 from sil.cli import build_parser, main
-from sil.errors import ConfigError
+from sil.errors import ConfigError, DomainError
 from sil.extremals import adams_family
 from sil.functionals import holder_split_inequality
 from sil.grids import RadialFunction, log_grid
@@ -53,12 +53,31 @@ class TestScenarioPlumbing:
     @pytest.mark.parametrize("sid,sigma", [("ruf_supercritical", 1.0),
                                            ("trace_sharp", 0.5)])
     @pytest.mark.parametrize("sweep", [[1e-1, 1e-2], [0.1, 0.01, 1e-3],
-                                       [1e-2, 1e-3, 1e-3]])
+                                       [3e-2, 1e-2, 1e-3]])
     def test_rate_fit_window_needs_two_points(self, sid, sigma, sweep):
         # the driver slope is fitted over eps <= RATE_FIT_EPS_MAX only
         with pytest.raises(ConfigError, match="two distinct points"):
             Scenario(sid, Params(2, 1.0, sigma=sigma), sweep=sweep)
         Scenario(sid, Params(2, 1.0, sigma=sigma), sweep=sweep + [1e-4, 1e-5])
+
+    @pytest.mark.parametrize("sweep", [[1e-2, 1e-2], [1e-1, 1e-2, 1e-2],
+                                       [1e-1, 1e-3, 1e-2]])
+    def test_sweep_is_strictly_monotone(self, sweep, tmp_path, capsys):
+        # a repeated point gave the fits a repeated abscissa, and a slope
+        # fitted through one abscissa
+        with pytest.raises(ConfigError, match="strictly monotone"):
+            Scenario("ruf_sharp", Params(2, 1.0), sweep=sweep)
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seed": 0, "scenarios": [
+            {"id": "ruf_sharp", "sweep": sweep}]}))
+        assert main(["run", "--config", str(path),
+                     "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert "strictly monotone" in err and "Warning" not in err
+
+    def test_fit_through_one_abscissa_is_a_domain_error(self):
+        with pytest.raises(DomainError, match="rank-deficient"):
+            harness._fit_slope(np.array([2.0, 2.0]), np.array([1.0, 3.0]))
 
     def test_shipped_sweeps_fill_the_rate_fit_window(self):
         bench = os.path.join(os.path.dirname(os.path.dirname(
@@ -425,6 +444,25 @@ class TestFamilyMemo:
         assert warm == cold
 
 
+def _every_kind_config(tmp_path):
+    """A short config that runs every scenario kind once (adachi_rate on two
+    theta, so its three-term fit is underdetermined)."""
+    scenarios = [
+        {"id": "ruf_sharp"},
+        {"id": "ruf_supercritical", "sweep": [1e-2, 1e-3, 1e-4]},
+        {"id": "adachi_rate", "sweep": [0.92, 0.95]},
+        {"id": "trace_sharp", "sigma": 0.5, "sweep": [1e-2, 1e-3, 1e-4]},
+        {"id": "hyperbolic", "n": 3, "alpha": 2.0},
+        {"id": "bessel", "n": 3, "sweep": []},
+        {"id": "oneil_garsia"},
+        {"id": "lemma_suite"}]
+    for sc in scenarios:
+        sc.setdefault("sweep", [1e-1, 1e-2, 1e-3])
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"seed": 0, "scenarios": scenarios}))
+    return cfg, scenarios
+
+
 class TestImportGraph:
     def test_import_and_run_load_no_scipy(self, tmp_path):
         # a fresh process: importing sil and its CLI loads no scipy module,
@@ -435,19 +473,7 @@ class TestImportGraph:
 
         import sil
         src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
-        scenarios = [
-            {"id": "ruf_sharp"},
-            {"id": "ruf_supercritical", "sweep": [1e-2, 1e-3, 1e-4]},
-            {"id": "adachi_rate", "sweep": [0.92, 0.95]},
-            {"id": "trace_sharp", "sigma": 0.5, "sweep": [1e-2, 1e-3, 1e-4]},
-            {"id": "hyperbolic", "n": 3, "alpha": 2.0},
-            {"id": "bessel", "n": 3, "sweep": []},
-            {"id": "oneil_garsia"},
-            {"id": "lemma_suite"}]
-        for sc in scenarios:
-            sc.setdefault("sweep", [1e-1, 1e-2, 1e-3])
-        cfg = tmp_path / "cfg.json"
-        cfg.write_text(json.dumps({"seed": 0, "scenarios": scenarios}))
+        cfg, scenarios = _every_kind_config(tmp_path)
         script = (
             "import contextlib, io, json, sys\n"
             "import sil\n"
@@ -466,6 +492,58 @@ class TestImportGraph:
         assert [m for m in out["loaded"] if m.startswith("scipy")] == []
         assert len(os.listdir(tmp_path / "out")) == len(scenarios) + 1
         assert out["added"] == []
+
+    def test_no_path_calls_lapack(self, tmp_path):
+        # a fresh process with every routine of numpy's LAPACK module
+        # counted: a run of every scenario kind, the Cartesian engine at
+        # n = 2 and 3 and `sil extremal` make no call and load no
+        # numpy.polynomial
+        import subprocess
+        import sys
+
+        import sil
+        src = os.path.dirname(os.path.dirname(os.path.abspath(sil.__file__)))
+        cfg, _ = _every_kind_config(tmp_path)
+        script = (
+            "import contextlib, io, json, sys\n"
+            "import numpy as np\n"
+            "from numpy.linalg import _umath_linalg as lapack\n"
+            "calls = []\n"
+            "def counted(name, fn):\n"
+            "    def call(*args, **kwargs):\n"
+            "        calls.append(name)\n"
+            "        return fn(*args, **kwargs)\n"
+            "    return call\n"
+            "for name in dir(lapack):\n"
+            "    fn = getattr(lapack, name)\n"
+            "    if callable(fn) and not name.startswith('_'):\n"
+            "        setattr(lapack, name, counted(name, fn))\n"
+            "from sil import CartesianField, Params, riesz_kernel\n"
+            "from sil import cli\n"
+            "from sil.potentials import cartesian_convolve\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            f"    cli.main(['run', '--config', {str(cfg)!r},"
+            f" '--out', {str(tmp_path / 'out')!r}])\n"
+            "    cli.main(['extremal', '--eps', '1e-3',"
+            f" '--out', {str(tmp_path / 'adams.csv')!r}])\n"
+            "bump = lambda *x: np.exp(-sum(c * c for c in x))\n"
+            "for n, res in ((2, 64), (3, 16)):\n"
+            "    cartesian_convolve(CartesianField.from_callable("
+            "bump, n, 2.0, res), riesz_kernel(Params(n, 1.0)))\n"
+            "ran = list(calls)\n"
+            "np.linalg.solve(np.eye(2), np.ones(2))\n"
+            "print(json.dumps({'calls': ran, 'probe': calls[len(ran):],"
+            " 'polynomial': 'numpy.polynomial' in sys.modules}))\n")
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            [src] + os.environ.get("PYTHONPATH", "").split(os.pathsep)))
+        proc = subprocess.run([sys.executable, "-c", script], env=env,
+                              capture_output=True, text=True, timeout=300)
+        assert proc.returncode == 0, proc.stderr
+        out = json.loads(proc.stdout.splitlines()[-1])
+        assert out["probe"] == ["solve1"]  # the counters do count
+        assert out["calls"] == []
+        assert out["polynomial"] is False
+        assert (tmp_path / "adams.csv").stat().st_size > 0
 
 
 class TestLazyIntegrate:
@@ -529,16 +607,41 @@ class TestLazyIntegrate:
             " riesz_kernel(Params(2, 1.0)))\n")
         before, after = self._loaded(statements)
         assert "numpy.fft" not in before and "numpy.polynomial" not in before
-        assert {"numpy.fft", "numpy.polynomial"} <= set(after)
+        # the rules are built by Newton's method, not by numpy.polynomial
+        assert "numpy.fft" in after and "numpy.polynomial" not in after
 
     @pytest.mark.parametrize("order", [16, 32])
     def test_gauss_legendre_rules_are_cached_read_only(self, order):
+        import mpmath
+
         from sil import potentials
 
         nodes, weights = potentials._leggauss(order)
-        ref_nodes, ref_weights = np.polynomial.legendre.leggauss(order)
-        assert nodes.tobytes() == ref_nodes.tobytes()
-        assert weights.tobytes() == ref_weights.tobytes()
+        # a 30-digit rule: Newton on mpmath's own Legendre function from
+        # the Tricomi guesses, weights 2 / ((1 - x^2) P'(x)^2)
+        with mpmath.workdps(30):
+            ref = []
+            for k in range(order, 0, -1):
+                x = mpmath.cos(mpmath.pi * (k - 0.25) / (order + 0.5))
+                for _ in range(20):
+                    p, p_prev = (mpmath.legendre(order, x),
+                                 mpmath.legendre(order - 1, x))
+                    dp = order * (x * p - p_prev) / (x * x - 1)
+                    x -= p / dp
+                p, p_prev = (mpmath.legendre(order, x),
+                             mpmath.legendre(order - 1, x))
+                dp = order * (x * p - p_prev) / (x * x - 1)
+                ref.append((x, 2 / ((1 - x * x) * dp * dp)))
+            assert all(a[0] < b[0] for a, b in zip(ref, ref[1:]))
+            for x, w, (ref_x, ref_w) in zip(nodes, weights, ref):
+                assert abs(x - ref_x) <= 1e-16
+                assert abs(w - ref_w) <= 1e-14 * ref_w
+        # exact for x^{2k}, k < order; odd powers cancel by symmetry
+        for k in range(order):
+            assert math.isclose(float(np.sum(weights * nodes ** (2 * k))),
+                                2.0 / (2 * k + 1), rel_tol=1e-14)
+        assert np.array_equal(nodes, -nodes[::-1])
+        assert np.array_equal(weights, weights[::-1])
         assert potentials._leggauss(order)[0] is nodes
         for array in (nodes, weights):
             with pytest.raises(ValueError, match="read-only"):
